@@ -61,6 +61,21 @@ func TestDuplicateResourceRejected(t *testing.T) {
 	}
 }
 
+// TestContentionRejectsNaNRate: a NaN arrival rate fails at parse time
+// in every contention grammar, instead of building a background source
+// that never requests.
+func TestContentionRejectsNaNRate(t *testing.T) {
+	if _, err := ParseContention("M1=bernoulli:NaN/4"); err == nil {
+		t.Error("ParseContention accepted a NaN bernoulli rate")
+	}
+	if _, err := ParseSharedContention("M1+M3=corr:NaN"); err == nil {
+		t.Error("ParseSharedContention accepted a NaN corr rate")
+	}
+	if _, _, err := ParseMixedContention("M1=hotspot:nan,M1+M3=corr"); err == nil {
+		t.Error("ParseMixedContention accepted a NaN hotspot rate")
+	}
+}
+
 // policyOpts returns paper options with NewPolicy backed by the given
 // spec string, panicking on sizes the spec cannot serve (the tests only
 // use specs valid for every arbiter they reach).

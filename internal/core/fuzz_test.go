@@ -15,7 +15,7 @@ func fuzzContentionSeeds() []string {
 		"M1=silent", "M1=hog/1,M3=bernoulli:0.25", " M1=hog , M3=bursty/3 ",
 		"M1=hog/0", "M1=hog/-1", "M1=hog/x", "M1=hog/99999999999999999999",
 		"=hog", "M1=", "M1", ",", "M1=hog,,M3=bursty", "M1==hog",
-		"M1=bogus", "M1=bernoulli", "M1=bernoulli:1.5", "M 1=hog",
+		"M1=bogus", "M1=bernoulli", "M1=bernoulli:1.5", "M1=bernoulli:NaN/4", "M 1=hog",
 		"M1=hog/2/3", "préemptive=hog", "M1=hog\x00",
 		"M1=hog,M1=bursty", "M1=hog/2,M1=hog/2", "M2=hog,M1=bursty,M2=silent",
 	}
@@ -28,7 +28,7 @@ func fuzzSharedSeeds() []string {
 		"M1+M2+M3=corr:0.10", "M1+M3=corr,M2+M4=corr:0.50/3",
 		"M1+M3=corr/0", "M1+M3=corr/-2", "M1+M3=corr/x",
 		"+M1=corr", "M1+=corr", "M1+M3=", "M1+M3", "=corr",
-		"M1+M3=bogus", "M1=corr", "M1+M3=corr:2.0", "M1+M1=corr",
+		"M1+M3=bogus", "M1=corr", "M1+M3=corr:2.0", "M1+M3=corr:NaN", "M1+M1=corr",
 		"M1+M3+M1=corr", "M1+M3=corr,M1+M3=corr:0.50",
 	}
 }

@@ -224,8 +224,10 @@ func (e *engine) run() (*Result, error) {
 
 // stepCycle advances simulated time by one cycle: the arrival process
 // ticks, the configuration port transfers one cycle's worth of
-// bitstream, compaction moves progress, residents execute or stall, and
-// queued jobs age. It returns the event mask for the cold handler.
+// bitstream, compaction moves progress, and residents execute or stall.
+// Queued jobs need no per-cycle work: tryPlace sets a job's queue wait
+// from the clock when it is placed. It returns the event mask for the
+// cold handler.
 //
 //sparcs:hotpath
 func (e *engine) stepCycle() uint32 {
@@ -263,9 +265,6 @@ func (e *engine) stepCycle() uint32 {
 			j.stall++
 			e.stallTotal++
 		}
-	}
-	for _, id := range e.queue {
-		e.jobs[id].queueWait++
 	}
 	e.clock++
 	return ev

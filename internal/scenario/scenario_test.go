@@ -100,6 +100,10 @@ func TestScenarioOracleBound(t *testing.T) {
 						t.Fatalf("%q %s/%s: job %d lifecycle out of order: arrive=%d place=%d finish=%d",
 							arrivals, placement, prefetch, j.ID, j.Arrive, j.Place, j.Finish)
 					}
+					if j.QueueWait != j.Place-j.Arrive {
+						t.Fatalf("%q %s/%s: job %d queue wait %d, want place−arrive = %d",
+							arrivals, placement, prefetch, j.ID, j.QueueWait, j.Place-j.Arrive)
+					}
 				}
 				stalls[placement+prefetch] = res.StallCycles
 			}

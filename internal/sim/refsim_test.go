@@ -528,6 +528,7 @@ func TestRunBatchError(t *testing.T) {
 	good, _ := equivScenarios(t)[0].cfg()
 	bad := good
 	bad.Tasks = []string{"A", "Z"} // Z has no program
+	bad.Memory = NewMemory()       // batch entries run concurrently; they must not share one image
 	stats, err := RunBatch([]Config{good, bad})
 	if err == nil {
 		t.Fatal("expected error for missing program")

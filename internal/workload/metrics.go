@@ -41,6 +41,14 @@ func (t TaskMetrics) MeanWait() float64 {
 	return float64(t.TotalWait) / float64(t.Services)
 }
 
+// foldEpisodes records a finished wait that sat through e grant
+// episodes to other tasks.
+func (t *TaskMetrics) foldEpisodes(e int) {
+	if e > t.WorstEpisodes {
+		t.WorstEpisodes = e
+	}
+}
+
 // Metrics is the outcome of driving one policy under one workload.
 type Metrics struct {
 	// Policy and Workload are the names reported by the driven pair.
@@ -216,12 +224,20 @@ func histBucket(wait int) int {
 // allocation-free and runs on single request/grant words: the generator
 // produces one BitVec per cycle (directly for BitGenerators, through
 // setup-allocated scratch otherwise), the policy steps through the
-// word-level BitStepper fast path, the online safety checks are single
-// word operations (mutual exclusion = popcount ≤ 1, grant ⊆ request =
-// grant &^ req == 0, work conservation = grant presence matches request
-// presence), and every metric (wait histogram, episode counters,
-// fairness inputs) updates incrementally — no trace is recorded, so
-// multi-million-cycle runs cost O(N) memory.
+// word-level BitStepper fast path, and the online safety checks are
+// single word operations (mutual exclusion = popcount ≤ 1, grant ⊆
+// request = grant &^ req == 0, work conservation = grant presence
+// matches request presence).
+//
+// The per-task bookkeeping is mask arithmetic over a waiting word, the
+// tasks requesting without a grant, so per-cycle work scales with the
+// tasks whose state changed rather than with N: counters are touched
+// for granted tasks and for tasks whose wait starts or ends. Grant
+// episodes are counted lazily, as one running count of new-holder
+// cycles minus a per-task base taken when a wait starts, folded into
+// WorstEpisodes when the wait ends and at run end. Every metric updates
+// incrementally — no trace is recorded, so multi-million-cycle runs
+// cost O(N) memory.
 func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 	n := p.N()
 	if g.N() != n {
@@ -247,10 +263,13 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 		reqBuf = make([]bool, n)
 		grantBuf = make([]bool, n)
 	}
-	var req, grant arbiter.BitVec
-	waiting := make([]bool, n)
-	waitStart := make([]int, n)
-	episodes := make([]int, n)
+	lanes := arbiter.Mask(n)
+	var req, grant, waiting arbiter.BitVec
+	// For each waiting task: the cycle its wait began, and the episode
+	// count at that cycle.
+	since := make([]int, n)
+	base := make([]int, n)
+	episodes := 0 // cycles on which a new holder took the grant
 	prevHolder := -1
 
 	//sparcs:hotpath
@@ -284,56 +303,52 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 		if holder >= 0 {
 			m.GrantedCycles++
 		}
-		newEpisode := holder >= 0 && holder != prevHolder
 
-		for i := 0; i < n; i++ {
+		// Bookkeeping covers the policy's own lines only, so a broken
+		// stepper's stray high bits cannot index past Tasks.
+		grantN, reqN := grant&lanes, req&lanes
+		for s := grantN; s != 0; s &= s - 1 {
+			i := s.FirstSet()
 			t := &m.Tasks[i]
-			bit := arbiter.BitVec(1) << uint(i)
-			switch {
-			case grant&bit != 0:
-				t.Grants++
-				if i != prevHolder {
-					wait := 0
-					if waiting[i] {
-						wait = cycle - waitStart[i]
-					}
-					t.Services++
-					t.TotalWait += int64(wait)
-					if wait > t.MaxWait {
-						t.MaxWait = wait
-					}
-					m.WaitHist[histBucket(wait)]++
+			t.Grants++
+			if i != prevHolder {
+				wait := 0
+				if waiting.Bit(i) {
+					wait = cycle - since[i]
 				}
-				waiting[i] = false
-				episodes[i] = 0
-			case req&bit != 0:
-				if !waiting[i] {
-					waiting[i] = true
-					waitStart[i] = cycle
-					episodes[i] = 0
+				t.Services++
+				t.TotalWait += int64(wait)
+				if wait > t.MaxWait {
+					t.MaxWait = wait
 				}
-				if newEpisode {
-					episodes[i]++
-					if episodes[i] > t.WorstEpisodes {
-						t.WorstEpisodes = episodes[i]
-					}
-				}
-			default:
-				waiting[i] = false
-				episodes[i] = 0
+				m.WaitHist[histBucket(wait)]++
 			}
+		}
+		still := reqN &^ grantN
+		for s := waiting &^ still; s != 0; s &= s - 1 {
+			i := s.FirstSet()
+			m.Tasks[i].foldEpisodes(episodes - base[i])
+		}
+		for s := still &^ waiting; s != 0; s &= s - 1 {
+			i := s.FirstSet()
+			since[i], base[i] = cycle, episodes
+		}
+		waiting = still
+		if holder >= 0 && holder != prevHolder {
+			episodes++
 		}
 		prevHolder = holder
 	}
-	// Flush censored waits: a task still waiting at run end (possibly
-	// starved for the entire run) reports its in-progress wait, so
-	// starvation surfaces as the worst MaxWait instead of no wait at
-	// all.
-	for i := 0; i < n; i++ {
-		if waiting[i] {
-			if w := cycles - waitStart[i]; w > m.Tasks[i].MaxWait {
-				m.Tasks[i].MaxWait = w
-			}
+	// Flush the waits still open at run end. A task still waiting
+	// (possibly starved for the entire run) reports its in-progress wait
+	// as a censored MaxWait, so starvation surfaces as the worst MaxWait
+	// instead of no wait at all.
+	for s := waiting; s != 0; s &= s - 1 {
+		i := s.FirstSet()
+		t := &m.Tasks[i]
+		t.foldEpisodes(episodes - base[i])
+		if w := cycles - since[i]; w > t.MaxWait {
+			t.MaxWait = w
 		}
 	}
 	return m, nil

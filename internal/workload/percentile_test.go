@@ -69,6 +69,17 @@ func TestPercentileMatchesHistBucket(t *testing.T) {
 		} else if got != 1<<(WaitBuckets-2) {
 			t.Errorf("wait %d in the tail bucket: got %d, want the lower edge %d", w, got, 1<<(WaitBuckets-2))
 		}
+		// The standalone Hist records and reports the same way.
+		var h Hist
+		h.Observe(w)
+		if hp := h.Percentile(1.0); hp != got || h.Count != 1 {
+			t.Errorf("wait %d: Hist percentile %d (count %d), Metrics percentile %d", w, hp, h.Count, got)
+		}
+	}
+	var h Hist
+	h.Observe(-5)
+	if h.Buckets[0] != 1 {
+		t.Errorf("a negative sample should clamp into bucket 0, got %v", h.Buckets)
 	}
 }
 

@@ -41,7 +41,7 @@ type SharedSource struct {
 	resources []string
 	lanes     int
 	seed      uint64
-	p         float64
+	arrival   uint64 // arrival threshold of an idle lane (see threshold)
 	hold      int
 	streams   []rng
 	// Per lane: number of resources acquired so far, -1 when idle. A
@@ -90,7 +90,7 @@ func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) 
 		resources: append([]string(nil), resources...),
 		lanes:     lanes,
 		seed:      seed,
-		p:         p,
+		arrival:   threshold(p),
 		hold:      hold,
 		stage:     make([]int, lanes),
 		heldFor:   make([]int, lanes),
@@ -145,7 +145,7 @@ func (s *SharedSource) NextBits(req, prevGrant []arbiter.BitVec) {
 		bit := arbiter.BitVec(1) << uint(j)
 		// One draw per lane per cycle regardless of state, so arrivals
 		// are policy-independent.
-		arrive := s.streams[j].chance(s.p)
+		arrive := s.streams[j].hit(s.arrival) == 1
 		switch {
 		case s.stage[j] < 0:
 			if arrive {

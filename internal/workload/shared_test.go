@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -145,6 +146,7 @@ func TestNewSharedErrors(t *testing.T) {
 		{[]string{"A", "B"}, 0, 0.5, 2}, // no lanes
 		{[]string{"A", "B"}, 1, 0, 2},   // zero rate
 		{[]string{"A", "B"}, 1, 1.5, 2}, // rate > 1
+		{[]string{"A", "B"}, 1, math.NaN(), 2},
 		{[]string{"A", "B"}, 1, 0.5, 0}, // no hold
 	}
 	for _, c := range cases {
@@ -177,7 +179,7 @@ func TestNewSharedGeneratorGrammar(t *testing.T) {
 	if s.Name() != "corr:0.25:5" {
 		t.Fatalf("got %q", s.Name())
 	}
-	for _, bad := range []string{"bursty", "corr:x", "corr:0.25:0", "corr:0.25:x", "corr:2.0"} {
+	for _, bad := range []string{"bursty", "corr:x", "corr:0.25:0", "corr:0.25:x", "corr:2.0", "corr:NaN", "corr:nan:3"} {
 		if _, err := NewSharedGenerator(bad, res, 1, 1); err == nil {
 			t.Errorf("spec %q should error", bad)
 		}

@@ -1,0 +1,325 @@
+package workload
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"sparcs/internal/arbiter"
+)
+
+// wordShapes are the closed-loop specs the word-level differential tests
+// cover: every generated shape, plus the p=1 threshold edge.
+var wordShapes = []string{"bernoulli:0.30", "bernoulli:1", "hotspot:0.90", "hog", "bursty", "markov"}
+
+// grantFeed is the grant stream a generator observes: a real policy
+// stepping on the request word (every requester at once at N=1, below
+// the policies' MinN), or random words mixing silence, dense words
+// (several grants, idle lanes, lines past N), single lines anywhere in
+// the word, and random subsets of the requesters.
+type grantFeed struct {
+	step   arbiter.BitStepper
+	random bool
+	r      rng
+}
+
+func (f *grantFeed) next(req arbiter.BitVec) arbiter.BitVec {
+	switch {
+	case !f.random && f.step == nil:
+		return req
+	case !f.random:
+		return f.step.StepBits(req)
+	}
+	w := f.r.next()
+	switch w & 3 {
+	case 0:
+		return 0
+	case 1:
+		return arbiter.BitVec(w)
+	case 2:
+		return arbiter.BitVec(1) << (w >> 58)
+	default:
+		return req & arbiter.BitVec(w>>2)
+	}
+}
+
+// matchWords drives the live generator and its frozen per-lane reference
+// with the same grant stream and fails on the first request word that
+// differs.
+func matchWords(t *testing.T, what string, live BitGenerator, ref refGenerator, feed *grantFeed, cycles int) {
+	t.Helper()
+	var grant arbiter.BitVec
+	for c := 0; c < cycles; c++ {
+		req := live.NextBits(grant)
+		if want := ref.NextBits(grant); req != want {
+			t.Fatalf("%s cycle %d: grant %064b\nword-level req %064b\nper-lane req   %064b", what, c, grant, req, want)
+		}
+		grant = feed.next(req)
+	}
+}
+
+// TestWordGeneratorsMatchPerLane holds every closed-loop shape to its
+// frozen per-lane reference at widths straddling the word's edges, under
+// real policy grants and under random grant words, and again after
+// Reset: the request words must match on every cycle.
+func TestWordGeneratorsMatchPerLane(t *testing.T) {
+	const cycles = 20_000
+	policies := []string{"rr", "priority", "wrr:2"}
+	for _, spec := range wordShapes {
+		for _, n := range []int{1, 2, 6, 31, 32, 33, 63, 64} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				for _, random := range []bool{false, true} {
+					g, err := NewGenerator(spec, n, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := newRef(spec, n, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					feed := &grantFeed{random: random, r: rng{state: ^seed}}
+					if !random && n >= arbiter.MinN {
+						p, err := arbiter.NewPolicy(policies[seed-1], n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						feed.step = arbiter.AsBitStepper(p)
+					}
+					what := fmt.Sprintf("%s N=%d seed %d random=%v", spec, n, seed, random)
+					matchWords(t, what, g.(BitGenerator), ref, feed, cycles)
+					g.Reset()
+					ref.Reset()
+					matchWords(t, what+" after Reset", g.(BitGenerator), ref, feed, cycles)
+				}
+			}
+		}
+	}
+	// The exported constructors' hold parameter.
+	for _, hold := range []int{1, 5} {
+		for _, n := range []int{1, 33, 64} {
+			g, err := NewBernoulli(n, 0.4, hold, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := &grantFeed{random: true, r: rng{state: uint64(hold)}}
+			matchWords(t, fmt.Sprintf("NewBernoulli hold %d N=%d", hold, n), g.(BitGenerator), newRefBernoulli(n, 0.4, hold, 7), feed, cycles)
+		}
+	}
+}
+
+// brokenPolicy corrupts a real policy's grant word on a fixed schedule
+// into what no correct arbiter emits: two grants, a grant to a line that
+// is not requesting, a grant on line N (past the policy's lines), or no
+// grant under demand.
+type brokenPolicy struct {
+	arbiter.Policy
+	step  arbiter.BitStepper
+	kind  string
+	cycle int
+}
+
+func (b *brokenPolicy) StepBits(req arbiter.BitVec) arbiter.BitVec {
+	grant := b.step.StepBits(req)
+	b.cycle++
+	n := b.N()
+	switch {
+	case b.kind == "two-grants" && b.cycle%7 == 0:
+		others := req &^ grant
+		grant |= others & -others
+	case b.kind == "non-requester" && b.cycle%5 == 0:
+		idle := arbiter.Mask(n) &^ req
+		grant |= idle & -idle
+	case b.kind == "line-n" && b.cycle%3 == 0 && n < arbiter.MaxN:
+		grant = arbiter.BitVec(1) << uint(n)
+	case b.kind == "starve" && b.cycle%13 != 0:
+		grant = 0
+	}
+	return grant
+}
+
+// sliceOnly hides a generator's NextBits, sending Drive down its []bool
+// adapter path.
+type sliceOnly struct{ Generator }
+
+// compareDrive runs Drive and the frozen refDrive on freshly built,
+// identical policy/generator pairs and requires deeply equal Metrics.
+func compareDrive(t *testing.T, what string, build func() (arbiter.Policy, Generator), cycles int) {
+	t.Helper()
+	p, g := build()
+	got, err := Drive(p, g, cycles)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	p, g = build()
+	if want := refDrive(p, g, cycles); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Drive diverges from the per-lane loop\nword-level: %+v\nper-lane:   %+v", what, got, want)
+	}
+}
+
+// TestDriveMatchesPerLane holds Drive to the frozen per-lane loop: every
+// policy × shape at N ∈ {2, 6, 33, 64}, then broken steppers, whose
+// violations, censored waits and open waits at run end exercise every
+// flush, and the []bool generator path.
+func TestDriveMatchesPerLane(t *testing.T) {
+	const cycles = 4000
+	shapes := append(DefaultWorkloads(), "silent")
+	build := func(pspec, wspec string, n int, wrap func(arbiter.Policy) arbiter.Policy) func() (arbiter.Policy, Generator) {
+		return func() (arbiter.Policy, Generator) {
+			p, err := arbiter.NewPolicy(pspec, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := NewGenerator(wspec, n, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return wrap(p), g
+		}
+	}
+	same := func(p arbiter.Policy) arbiter.Policy { return p }
+	for _, n := range []int{2, 6, 33, 64} {
+		for _, pspec := range DefaultPolicies() {
+			if _, err := arbiter.NewPolicy(pspec, n); err != nil {
+				continue // synthesized kinds stop at MaxSynthN; hier:2 needs even N
+			}
+			for _, wspec := range shapes {
+				compareDrive(t, fmt.Sprintf("N=%d %s × %s", n, pspec, wspec), build(pspec, wspec, n, same), cycles)
+			}
+		}
+		for _, kind := range []string{"two-grants", "non-requester", "line-n", "starve"} {
+			broken := func(p arbiter.Policy) arbiter.Policy {
+				return &brokenPolicy{Policy: p, step: arbiter.AsBitStepper(p), kind: kind}
+			}
+			for _, wspec := range shapes {
+				compareDrive(t, fmt.Sprintf("N=%d broken %s × %s", n, kind, wspec), build("rr", wspec, n, broken), cycles)
+			}
+		}
+		for _, wspec := range []string{"bernoulli:0.30", "hog"} {
+			inner := build("rr", wspec, n, same)
+			compareDrive(t, fmt.Sprintf("N=%d rr × []bool %s", n, wspec), func() (arbiter.Policy, Generator) {
+				p, g := inner()
+				return p, sliceOnly{g}
+			}, cycles)
+		}
+	}
+}
+
+// TestThresholdMatchesFloatCompare pins the integer draw test to the
+// float test it replaced at the boundary draws T−1, T and T+1 and at the
+// ends of the draw range, for rates at and beside representable k/2^53
+// values and for the rates the generators use; then replays whole
+// streams through both.
+func TestThresholdMatchesFloatCompare(t *testing.T) {
+	const top = 1<<53 - 1
+	ps := []float64{1, 0x1p-53, 5e-324, 1.0 / 60, 1.0 / 20, 0.9, 0.1125}
+	for _, k := range []uint64{1, 3, 12345, 1 << 40, 1<<52 + 1, top} {
+		p := float64(k) / (1 << 53)
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	for _, p := range ps {
+		thr := threshold(p)
+		for _, u := range []uint64{thr - 1, thr, thr + 1, 0, top} {
+			if u > top {
+				continue
+			}
+			got := below(u, thr) == 1
+			if want := float64(u)*(1.0/(1<<53)) < p; got != want {
+				t.Errorf("p=%g (T=%d) draw %d: integer test %v, float test %v", p, thr, u, got, want)
+			}
+		}
+		live, ref := rng{state: math.Float64bits(p)}, rng{state: math.Float64bits(p)}
+		for i := 0; i < 10_000; i++ {
+			if got, want := live.hit(thr) == 1, refChance(&ref, p); got != want {
+				t.Fatalf("p=%g draw %d: hit %v, chance %v", p, i, got, want)
+			}
+		}
+	}
+}
+
+// wordFuzzInput is one FuzzWordGenerators case: a shape index, a width
+// index, a seed and a grant program.
+type wordFuzzInput struct {
+	shape, n uint8
+	seed     uint64
+	grants   []byte
+}
+
+// wordFuzzSeeds is the seed corpus: every shape at widths on both sides
+// of the word's edges, under grant programs covering silence, single
+// lines, the lowest requester and every requester at once.
+func wordFuzzSeeds() []wordFuzzInput {
+	var in []wordFuzzInput
+	for s := range wordShapes {
+		for _, n := range []uint8{1, 6, 32, 63, 64} {
+			in = append(in,
+				wordFuzzInput{uint8(s), n - 1, uint64(n) * 7, []byte{0x01, 0x02, 0xfe, 0x03, 0x40}},
+				wordFuzzInput{uint8(s), n - 1, uint64(s), nil})
+		}
+	}
+	return in
+}
+
+// fuzzGrant decodes cycle c's grant from a fuzzed program: each byte
+// picks no grant, the lowest requester, one line anywhere in the word
+// (idle, busy or past N), or every requester at once.
+func fuzzGrant(prog []byte, c int, req arbiter.BitVec) arbiter.BitVec {
+	if len(prog) == 0 {
+		return 0
+	}
+	b := prog[c%len(prog)]
+	switch b & 3 {
+	case 0:
+		return 0
+	case 1:
+		return req & -req
+	case 2:
+		return arbiter.BitVec(1) << (b >> 2)
+	default:
+		return req
+	}
+}
+
+// checkWordGenerator is the property FuzzWordGenerators drives: the live
+// generator and its frozen per-lane reference emit identical request
+// words under the fuzzed grant program, before and after Reset.
+func checkWordGenerator(t *testing.T, in wordFuzzInput) {
+	t.Helper()
+	spec := wordShapes[int(in.shape)%len(wordShapes)]
+	n := 1 + int(in.n)%arbiter.MaxN
+	g, err := NewGenerator(spec, n, in.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newRef(spec, n, in.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := g.(BitGenerator)
+	for pass := 0; pass < 2; pass++ {
+		var grant arbiter.BitVec
+		for c := 0; c < 512; c++ {
+			req := bg.NextBits(grant)
+			if want := ref.NextBits(grant); req != want {
+				t.Fatalf("%s N=%d seed %d pass %d cycle %d: grant %064b\nword-level req %064b\nper-lane req   %064b",
+					spec, n, in.seed, pass, c, grant, req, want)
+			}
+			grant = fuzzGrant(in.grants, c, req)
+		}
+		g.Reset()
+		ref.Reset()
+	}
+}
+
+// FuzzWordGenerators fuzzes shape, width, seed and grant feedback
+// through the word-level generators and their frozen per-lane
+// references, which must emit identical words. Plain `go test` runs the
+// seed corpus; CI fuzzes it with a short -fuzztime.
+func FuzzWordGenerators(f *testing.F) {
+	for _, in := range wordFuzzSeeds() {
+		f.Add(in.shape, in.n, in.seed, in.grants)
+	}
+	f.Fuzz(func(t *testing.T, shape, n uint8, seed uint64, grants []byte) {
+		checkWordGenerator(t, wordFuzzInput{shape, n, seed, grants})
+	})
+}

@@ -10,12 +10,19 @@
 // cycle's grants, so a task requests persistently until its job has
 // been served for its hold time and then releases — the request/release
 // discipline of the paper's Figure 8 access protocol. All randomness
-// comes from a seeded splitmix64 stream, so a (generator, seed, policy)
-// triple always replays the identical experiment.
+// comes from seeded splitmix64 streams, one per task, so a (generator,
+// seed, policy) triple always replays the identical experiment.
+//
+// The per-cycle path treats all request lines as one word, as a parallel
+// hardware arbiter does: a generator packs every task's arrival draw into
+// one BitVec without branching and keeps its jobs as a busy mask, and
+// both the generators and Drive touch per-task state only for the tasks
+// whose state changed that cycle.
 package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -64,9 +71,31 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// chance returns true with probability p.
-func (r *rng) chance(p float64) bool {
-	return float64(r.next()>>11)*(1.0/(1<<53)) < p
+// threshold converts a rate p in (0,1] into the integer bound
+// T = ceil(p·2^53) that draws are compared against: a draw x fires when
+// x>>11 < T. For every such p that is exactly the float test
+// float64(x>>11)·2^-53 < p, because x>>11 and p·2^53 are both exact in
+// float64 (scaling by a power of two loses nothing) and an integer is
+// below a real exactly when it is below the real's ceiling.
+func threshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// below returns 1 when u < t and 0 otherwise, without a branch: for
+// operands under 2^63, u−t wraps to a word with its top bit set exactly
+// when u < t.
+func below(u, t uint64) uint64 { return (u - t) >> 63 }
+
+// hit draws once from r and returns 1 when the draw fires against
+// threshold t, 0 otherwise.
+func (r *rng) hit(t uint64) uint64 { return below(r.next()>>11, t) }
+
+// hits draws once from every stream and packs the outcomes into a word:
+// bit i is set when stream i's draw fires against threshold t.
+func hits(streams []rng, t uint64) arbiter.BitVec {
+	var w arbiter.BitVec
+	for i := range streams {
+		w |= arbiter.BitVec(streams[i].hit(t)) << uint(i)
+	}
+	return w
 }
 
 // taskStreams derives one independent rng stream per task from the
@@ -83,30 +112,38 @@ func taskStreams(seed uint64, n int) []rng {
 	return streams
 }
 
-// jobs is the shared closed-loop core: need[i] is the number of granted
-// cycles task i's outstanding job still requires (0 = idle). A task
-// requests while need > 0 and consumes one unit per granted cycle.
+// jobs is the shared closed-loop core. busy marks the tasks with an
+// outstanding job, and need[i] counts the granted cycles busy task i's
+// job still requires. A busy task requests, consumes one unit per
+// granted cycle, and goes idle when its job is done.
 type jobs struct {
+	busy arbiter.BitVec
 	need []int
 	hold int
 }
 
 func newJobs(n, hold int) jobs { return jobs{need: make([]int, n), hold: hold} }
 
-// serve consumes grant feedback for task i, returning true if the task
-// is now idle.
-func (j *jobs) serve(i int, granted bool) bool {
-	if j.need[i] > 0 && granted {
+// step consumes last cycle's grants, then starts a hold-cycle job on
+// every idle task in arrive, and returns the busy word. Counters are
+// touched only for the tasks a grant served or an arrival spawned.
+func (j *jobs) step(prevGrant, arrive arbiter.BitVec) arbiter.BitVec {
+	for s := prevGrant & j.busy; s != 0; s &= s - 1 {
+		i := s.FirstSet()
 		j.need[i]--
+		if j.need[i] == 0 {
+			j.busy &^= arbiter.BitVec(1) << uint(i)
+		}
 	}
-	return j.need[i] == 0
+	spawn := arrive &^ j.busy
+	for s := spawn; s != 0; s &= s - 1 {
+		j.need[s.FirstSet()] = j.hold
+	}
+	j.busy |= spawn
+	return j.busy
 }
 
-func (j *jobs) reset() {
-	for i := range j.need {
-		j.need[i] = 0
-	}
-}
+func (j *jobs) reset() { j.busy = 0 }
 
 // bernoulli is the uniform/hotspot/hog family: per-task arrival
 // probability when idle, with optional always-requesting (pinned)
@@ -116,9 +153,17 @@ type bernoulli struct {
 	n       int
 	seed    uint64
 	streams []rng
-	p       []float64
-	pin     []bool
+	hot     uint64 // arrival threshold of task 1
+	cold    uint64 // arrival threshold of every other task
+	pin     arbiter.BitVec
 	jobs    jobs
+}
+
+func newBernoulli(name string, n int, pHot, pCold float64, hold int, seed uint64) *bernoulli {
+	return &bernoulli{
+		name: name, n: n, seed: seed, streams: taskStreams(seed, n),
+		hot: threshold(pHot), cold: threshold(pCold), jobs: newJobs(n, hold),
+	}
 }
 
 func (b *bernoulli) Name() string { return b.name }
@@ -133,28 +178,15 @@ func (b *bernoulli) Next(req, prevGrant []bool) {
 	b.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
 }
 
-// NextBits implements BitGenerator: the same draws in the same order as
-// the slice surface, assembled into one request word.
+// NextBits implements BitGenerator.
 //
 //sparcs:hotpath
 func (b *bernoulli) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	var req arbiter.BitVec
-	for i := 0; i < b.n; i++ {
-		// One draw per task per cycle, consumed unconditionally, so the
-		// arrival stream is independent of grant history.
-		arrive := b.streams[i].chance(b.p[i])
-		if b.pin != nil && b.pin[i] {
-			req |= 1 << uint(i)
-			continue
-		}
-		if b.jobs.serve(i, prevGrant.Bit(i)) && arrive {
-			b.jobs.need[i] = b.jobs.hold
-		}
-		if b.jobs.need[i] > 0 {
-			req |= 1 << uint(i)
-		}
-	}
-	return req
+	// One draw per task per cycle, consumed unconditionally (pinned
+	// tasks included), so the arrival stream is independent of grant
+	// history.
+	arrive := arbiter.BitVec(b.streams[0].hit(b.hot)) | hits(b.streams[1:], b.cold)<<1
+	return b.jobs.step(prevGrant, arrive&^b.pin) | b.pin
 }
 
 // NewBernoulli returns uniform Bernoulli traffic: every idle task
@@ -166,14 +198,10 @@ func NewBernoulli(n int, p float64, hold int, seed uint64) (Generator, error) {
 	if err := checkRate("bernoulli", p); err != nil {
 		return nil, err
 	}
-	ps := make([]float64, n)
-	for i := range ps {
-		ps[i] = p
+	if err := checkHold(hold); err != nil {
+		return nil, err
 	}
-	return &bernoulli{
-		name: fmt.Sprintf("bernoulli:%.2f", p),
-		n:    n, seed: seed, streams: taskStreams(seed, n), p: ps, jobs: newJobs(n, hold),
-	}, nil
+	return newBernoulli(fmt.Sprintf("bernoulli:%.2f", p), n, p, p, hold, seed), nil
 }
 
 // NewHotspot returns skewed traffic: task 1 arrives with probability
@@ -186,15 +214,10 @@ func NewHotspot(n int, pHot float64, hold int, seed uint64) (Generator, error) {
 	if err := checkRate("hotspot", pHot); err != nil {
 		return nil, err
 	}
-	ps := make([]float64, n)
-	for i := range ps {
-		ps[i] = pHot / 8
+	if err := checkHold(hold); err != nil {
+		return nil, err
 	}
-	ps[0] = pHot
-	return &bernoulli{
-		name: fmt.Sprintf("hotspot:%.2f", pHot),
-		n:    n, seed: seed, streams: taskStreams(seed, n), p: ps, jobs: newJobs(n, hold),
-	}, nil
+	return newBernoulli(fmt.Sprintf("hotspot:%.2f", pHot), n, pHot, pHot/8, hold, seed), nil
 }
 
 // NewHog returns adversarial traffic: task 1 requests every cycle and
@@ -205,16 +228,9 @@ func NewHog(n int, seed uint64) (Generator, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	ps := make([]float64, n)
-	for i := range ps {
-		ps[i] = 0.25
-	}
-	pin := make([]bool, n)
-	pin[0] = true
-	return &bernoulli{
-		name: "hog",
-		n:    n, seed: seed, streams: taskStreams(seed, n), p: ps, pin: pin, jobs: newJobs(n, 2),
-	}, nil
+	b := newBernoulli("hog", n, 0.25, 0.25, 2, seed)
+	b.pin = 1
+	return b, nil
 }
 
 // bursty is the per-task on/off source: each task flips between an ON
@@ -224,10 +240,10 @@ type bursty struct {
 	n       int
 	seed    uint64
 	streams []rng
-	on      []bool
-	pOffOn  float64 // per-cycle chance an OFF task turns ON  (mean idle 1/p)
-	pOnOff  float64 // per-cycle chance an ON task turns OFF  (mean burst 1/p)
-	pArrive float64 // arrival probability while ON
+	on      arbiter.BitVec // tasks in the ON state
+	offOn   uint64         // threshold of an OFF task turning ON (mean idle 1/p cycles)
+	onOff   uint64         // threshold of an ON task turning OFF (mean burst 1/p cycles)
+	arrival uint64         // arrival threshold while ON
 	jobs    jobs
 }
 
@@ -239,8 +255,7 @@ func NewBursty(n int, seed uint64) (Generator, error) {
 	}
 	return &bursty{
 		n: n, seed: seed, streams: taskStreams(seed, n),
-		on:     make([]bool, n),
-		pOffOn: 1.0 / 60, pOnOff: 1.0 / 20, pArrive: 0.9,
+		offOn: threshold(1.0 / 60), onOff: threshold(1.0 / 20), arrival: threshold(0.9),
 		jobs: newJobs(n, 2),
 	}, nil
 }
@@ -250,9 +265,7 @@ func (b *bursty) N() int       { return b.n }
 
 func (b *bursty) Reset() {
 	b.streams = taskStreams(b.seed, b.n)
-	for i := range b.on {
-		b.on[i] = false
-	}
+	b.on = 0
 	b.jobs.reset()
 }
 
@@ -264,44 +277,34 @@ func (b *bursty) Next(req, prevGrant []bool) {
 //
 //sparcs:hotpath
 func (b *bursty) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	var req arbiter.BitVec
-	for i := 0; i < b.n; i++ {
-		// Two draws per task per cycle (state flip, arrival), consumed
-		// unconditionally: the on/off trajectory and arrival stream are
-		// independent of grant history.
-		flip := b.streams[i].next()
-		arrive := b.streams[i].chance(b.pArrive)
-		if b.on[i] {
-			if float64(flip>>11)*(1.0/(1<<53)) < b.pOnOff {
-				b.on[i] = false
-			}
-		} else if float64(flip>>11)*(1.0/(1<<53)) < b.pOffOn {
-			b.on[i] = true
-		}
-		if b.jobs.serve(i, prevGrant.Bit(i)) && b.on[i] && arrive {
-			b.jobs.need[i] = b.jobs.hold
-		}
-		if b.jobs.need[i] > 0 {
-			req |= 1 << uint(i)
-		}
+	var turnOn, turnOff, arrive arbiter.BitVec
+	for i := range b.streams {
+		// Two draws per task per cycle (state flip, then arrival),
+		// consumed unconditionally: the on/off trajectory and arrival
+		// stream are independent of grant history.
+		flip := b.streams[i].next() >> 11
+		turnOn |= arbiter.BitVec(below(flip, b.offOn)) << uint(i)
+		turnOff |= arbiter.BitVec(below(flip, b.onOff)) << uint(i)
+		arrive |= arbiter.BitVec(b.streams[i].hit(b.arrival)) << uint(i)
 	}
-	return req
+	b.on = b.on&^turnOff | turnOn&^b.on
+	return b.jobs.step(prevGrant, arrive&b.on)
 }
 
 // markov is the globally modulated source: a two-state regime chain
 // (calm/storm) scales every task's arrival probability together, so the
 // whole system alternates between light load and saturation.
 type markov struct {
-	n          int
-	seed       uint64
-	regime     rng
-	streams    []rng
-	storm      bool
-	pCalmStorm float64
-	pStormCalm float64
-	pCalm      float64
-	pStorm     float64
-	jobs       jobs
+	n       int
+	seed    uint64
+	regime  rng
+	streams []rng
+	storm   bool
+	// Thresholds: regime flips calm→storm and storm→calm, then per-task
+	// arrival in each regime.
+	calmStorm, stormCalm uint64
+	calm, stormy         uint64
+	jobs                 jobs
 }
 
 // NewMarkov returns Markov-modulated traffic: calm regimes (arrival
@@ -313,8 +316,8 @@ func NewMarkov(n int, seed uint64) (Generator, error) {
 	}
 	return &markov{
 		n: n, seed: seed, regime: rng{state: seed}, streams: taskStreams(seed, n),
-		pCalmStorm: 1.0 / 200, pStormCalm: 1.0 / 50,
-		pCalm: 0.05, pStorm: 0.85,
+		calmStorm: threshold(1.0 / 200), stormCalm: threshold(1.0 / 50),
+		calm: threshold(0.05), stormy: threshold(0.85),
 		jobs: newJobs(n, 2),
 	}, nil
 }
@@ -341,27 +344,15 @@ func (m *markov) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 	// regardless of grant feedback, keeping the offered traffic
 	// identical across policies.
 	if m.storm {
-		if m.regime.chance(m.pStormCalm) {
-			m.storm = false
-		}
-	} else if m.regime.chance(m.pCalmStorm) {
-		m.storm = true
+		m.storm = m.regime.hit(m.stormCalm) == 0
+	} else {
+		m.storm = m.regime.hit(m.calmStorm) == 1
 	}
-	p := m.pCalm
+	t := m.calm
 	if m.storm {
-		p = m.pStorm
+		t = m.stormy
 	}
-	var req arbiter.BitVec
-	for i := 0; i < m.n; i++ {
-		arrive := m.streams[i].chance(p)
-		if m.jobs.serve(i, prevGrant.Bit(i)) && arrive {
-			m.jobs.need[i] = m.jobs.hold
-		}
-		if m.jobs.need[i] > 0 {
-			req |= 1 << uint(i)
-		}
-	}
-	return req
+	return m.jobs.step(prevGrant, hits(m.streams, t))
 }
 
 // silent is the zero-rate source: it never requests. Its Silent marker
@@ -470,9 +461,19 @@ func builtinTrace(n int) [][]bool {
 	return steps
 }
 
+// checkRate accepts rates in (0,1]. It is written so that NaN, which
+// fails every comparison, is rejected too.
 func checkRate(shape string, p float64) error {
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) {
 		return fmt.Errorf("workload: %s rate must be in (0,1], got %g", shape, p)
+	}
+	return nil
+}
+
+// checkHold rejects job lengths that would leave a source silent.
+func checkHold(hold int) error {
+	if hold < 1 {
+		return fmt.Errorf("workload: hold must be positive, got %d", hold)
 	}
 	return nil
 }

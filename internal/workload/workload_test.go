@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -183,10 +184,29 @@ func TestDriveErrors(t *testing.T) {
 func TestNewGeneratorErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "tsunami", "bernoulli:0", "bernoulli:1.5", "bernoulli:x",
+		"bernoulli:NaN", "hotspot:nan", "bernoulli:inf",
 		"hotspot:-1", "bursty:3", "markov:0.5", "hog:1", "trace:foo",
 	} {
 		if _, err := NewGenerator(spec, 4, 1); err == nil {
 			t.Errorf("NewGenerator(%q) should error", spec)
+		}
+	}
+	// The exported constructors reject what the grammar cannot express:
+	// a job that never requests, and a NaN rate.
+	for _, hold := range []int{0, -3} {
+		if _, err := NewBernoulli(4, 0.5, hold, 1); err == nil {
+			t.Errorf("NewBernoulli with hold %d should error", hold)
+		}
+		if _, err := NewHotspot(4, 0.5, hold, 1); err == nil {
+			t.Errorf("NewHotspot with hold %d should error", hold)
+		}
+	}
+	if _, err := NewBernoulli(4, math.NaN(), 2, 1); err == nil {
+		t.Error("NewBernoulli with a NaN rate should error")
+	}
+	for _, n := range []int{0, arbiter.MaxN + 1} {
+		if _, err := NewGenerator("bernoulli", n, 1); err == nil {
+			t.Errorf("NewGenerator at N=%d should error", n)
 		}
 	}
 	if _, err := NewTrace("empty", 2, nil); err == nil {
@@ -194,6 +214,58 @@ func TestNewGeneratorErrors(t *testing.T) {
 	}
 	if _, err := NewTrace("ragged", 2, [][]bool{{true}}); err == nil {
 		t.Error("ragged trace should error")
+	}
+}
+
+// TestArrivals: an arrival process reports only rising edges of its
+// generator's request line, only on stride boundaries, replays after
+// Reset, and rejects malformed specs.
+func TestArrivals(t *testing.T) {
+	const stride, ticks = 64, 100_000
+	a, err := NewArrivals("bursty/64", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Name() != "bursty/64" {
+		t.Errorf("name %q, want bursty/64", a.Name())
+	}
+	run := func() []int {
+		var at []int
+		for c := 0; c < ticks; c++ {
+			if a.Tick() {
+				at = append(at, c)
+			}
+		}
+		return at
+	}
+	first := run()
+	if len(first) == 0 {
+		t.Fatal("bursty/64 never arrived")
+	}
+	for _, c := range first {
+		if (c+1)%stride != 0 {
+			t.Fatalf("arrival at tick %d is off the stride-%d grid", c, stride)
+		}
+	}
+	a.Reset()
+	if again := run(); !reflect.DeepEqual(first, again) {
+		t.Error("Reset did not replay the arrival process")
+	}
+	// p=1 with hold 2: the line rises once and never drops, because each
+	// job ends on the cycle the next one arrives.
+	one, err := NewArrivals("bernoulli:1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 100; c++ {
+		if got := one.Tick(); got != (c == 0) {
+			t.Fatalf("bernoulli:1 tick %d: arrival %v", c, got)
+		}
+	}
+	for _, bad := range []string{"bursty/0", "bursty/x", "tsunami", "bernoulli:NaN/4"} {
+		if _, err := NewArrivals(bad, 1); err == nil {
+			t.Errorf("NewArrivals(%q) should error", bad)
+		}
 	}
 }
 
