@@ -1,10 +1,53 @@
 package sparcs_test
 
 import (
+	"testing"
+
+	"sparcs"
 	"sparcs/internal/behav"
 	"sparcs/internal/taskgraph"
 	"sparcs/internal/xc4000"
 )
+
+// fftCaseStudy holds the Section 5 reproduction outputs.
+type fftCaseStudy struct {
+	sys           *sparcs.System
+	res           *sparcs.Result
+	outputErr     error // the memory image against the fixed-point 2-D FFT
+	cyclesPerTile float64
+	hwSeconds     float64 // 512x512 image at 6 MHz
+	swSeconds     float64 // Pentium-150 model
+	speedup       float64
+}
+
+// runFFTCaseStudy builds the paper's 4x4 2-D FFT on the Wildforce model
+// with the three-stage temporal partitioning, runs it over a loaded
+// input image with every arbiter's trace tapped, verifies the memory
+// image and extrapolates full-image timings.
+func runFFTCaseStudy(tb testing.TB, tiles int) *fftCaseStudy {
+	tb.Helper()
+	sys, err := sparcs.FFTSystem(tiles)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mem := sparcs.NewMemory()
+	in := sparcs.LoadFFTInput(mem, tiles, 42)
+	res, err := sys.Run(sparcs.WithCapture(), sparcs.WithMemory(mem))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cpt := float64(res.TotalCycles) / float64(tiles)
+	cs := &fftCaseStudy{
+		sys:           sys,
+		res:           res,
+		outputErr:     sparcs.CheckFFTOutput(mem, in),
+		cyclesPerTile: cpt,
+		hwSeconds:     sparcs.FFTHardwareSeconds(cpt, 512),
+		swSeconds:     sparcs.FFTSoftwareSeconds(512),
+	}
+	cs.speedup = cs.swSeconds / cs.hwSeconds
+	return cs
+}
 
 // table1Graph builds the Table 1 / Figure 3 channel-sharing scenario: two
 // logical channels with different source tasks that will merge onto one

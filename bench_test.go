@@ -121,24 +121,20 @@ func BenchmarkTable1SharedChannel(b *testing.B) {
 // 6 MHz), the Pentium-150 software model, and the speedup. Paper: HW 4.4 s,
 // SW 6.8 s, speedup ~1.55x.
 func BenchmarkSection5FFT(b *testing.B) {
-	var cs *sparcs.FFTCaseStudy
+	var cs *fftCaseStudy
 	for i := 0; i < b.N; i++ {
-		var err error
-		cs, err = sparcs.RunFFTCaseStudy(6)
-		if err != nil {
-			b.Fatal(err)
+		cs = runFFTCaseStudy(b, 6)
+		if cs.outputErr != nil {
+			b.Fatalf("hardware output does not match the FFT reference: %v", cs.outputErr)
 		}
-		if !cs.OutputOK {
-			b.Fatal("hardware output does not match the FFT reference")
-		}
-		if len(cs.Result.Violations()) != 0 {
-			b.Fatalf("violations: %v", cs.Result.Violations())
+		if len(cs.res.Violations()) != 0 {
+			b.Fatalf("violations: %v", cs.res.Violations())
 		}
 	}
-	b.ReportMetric(cs.HWSeconds, "hw_s")
-	b.ReportMetric(cs.SWSeconds, "sw_s")
-	b.ReportMetric(cs.Speedup, "speedup")
-	b.ReportMetric(cs.CyclesPerTile, "cycles/tile")
+	b.ReportMetric(cs.hwSeconds, "hw_s")
+	b.ReportMetric(cs.swSeconds, "sw_s")
+	b.ReportMetric(cs.speedup, "speedup")
+	b.ReportMetric(cs.cyclesPerTile, "cycles/tile")
 }
 
 // BenchmarkProtocolOverhead measures the Section 4.3 claim: with an
@@ -301,7 +297,8 @@ func contentionRun(pol arbiter.Policy, n, cycles int) (worst, minG, maxG float64
 				req[i] = r.Intn(4) != 0
 			}
 		}
-		g := pol.Step(req)
+		g := make([]bool, n)
+		pol.StepBits(arbiter.PackBools(req)).WriteBools(g)
 		for i := range g {
 			if g[i] {
 				grants[i]++
@@ -310,7 +307,7 @@ func contentionRun(pol arbiter.Policy, n, cycles int) (worst, minG, maxG float64
 		}
 		trace = append(trace, arbiter.TraceStep{
 			Req:   append([]bool(nil), req...),
-			Grant: append([]bool(nil), g...),
+			Grant: g,
 		})
 	}
 	w := 0
@@ -371,30 +368,28 @@ func BenchmarkSimFFTStage(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
-// BenchmarkSimSweep measures the parallel sweep runner: GOMAXPROCS
-// workers fanning independent full FFT simulations (all three temporal
-// partitions each), the shape of every paper-table sweep above.
+// BenchmarkSimSweep measures the parallel sweep runner: System.Sweep
+// fanning independent full FFT simulations (all three temporal
+// partitions each) over GOMAXPROCS workers, the shape of every
+// paper-table sweep above.
 func BenchmarkSimSweep(b *testing.B) {
-	tiles := 4
-	opts := core.Options{Partition: partition.Options{FixedStages: fft.PaperStages()}}
-	g := fft.Taskgraph()
-	d, err := core.Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
+	const tiles, points = 4, 16
+	sys, err := sparcs.FFTSystem(tiles)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const points = 16
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sweep := make([]core.SweepPoint, points)
+		sweep := make([][]sparcs.RunOption, points)
 		for p := range sweep {
-			mem := sim.NewMemory()
-			fft.LoadInput(mem, tiles, int64(p))
-			sweep[p] = core.SweepPoint{Design: d, Memory: mem, Options: opts}
+			mem := sparcs.NewMemory()
+			sparcs.LoadFFTInput(mem, tiles, int64(p))
+			sweep[p] = []sparcs.RunOption{sparcs.WithMemory(mem)}
 		}
 		b.StartTimer()
-		results, err := core.SimulateSweep(sweep)
+		results, err := sys.Sweep(sweep...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -496,11 +491,10 @@ func BenchmarkPreemption(b *testing.B) {
 					pol = p
 				}
 				// Task 1 never releases; tasks 2..4 wait politely.
-				req := []bool{true, true, true, true}
+				req := arbiter.Mask(n)
 				waiting := 0
 				for c := 0; c < 1000; c++ {
-					g := pol.Step(req)
-					if !g[1] && !g[2] && !g[3] {
+					if pol.StepBits(req)&^1 == 0 {
 						waiting++
 					}
 				}

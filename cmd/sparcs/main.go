@@ -160,7 +160,24 @@ func runArbbench(o arbbenchOptions) error {
 		cols[i] = workload.SpecColumn(ws)
 	}
 	if o.fftColumn {
-		col, err := sparcs.FFTMeasuredColumn(o.fftTiles, o.n, o.fftPolicy)
+		// The request stream of the FFT case study's first -n line
+		// arbiter (n=6 selects the paper's contended bank), captured
+		// under -policy: closed-loop traffic, so the capture policy is
+		// part of the measurement.
+		if err := checkTiles("arbbench", o.fftTiles); err != nil {
+			return err
+		}
+		sys, err := sparcs.FFTSystem(o.fftTiles)
+		if err != nil {
+			return err
+		}
+		mem := sparcs.NewMemory()
+		sparcs.LoadFFTInput(mem, o.fftTiles, 42)
+		res, err := sys.Run(sparcs.WithPolicy(o.fftPolicy), sparcs.WithCapture(), sparcs.WithMemory(mem))
+		if err != nil {
+			return err
+		}
+		col, err := res.ColumnByWidth("fft", o.n)
 		if err != nil {
 			return err
 		}
@@ -172,6 +189,16 @@ func runArbbench(o arbbenchOptions) error {
 	}
 	fmt.Printf("== arbitration bench: N=%d, %d cycles/cell, seed %d ==\n", o.n, o.cycles, o.seed)
 	fmt.Print(workload.FormatTable(cells))
+	return nil
+}
+
+// checkTiles rejects tile counts below one. FFTSystem would substitute
+// its default of 6 while the caller loads, checks and reports the flag's
+// value, and a negative count cannot size the input image at all.
+func checkTiles(mode string, tiles int) error {
+	if tiles < 1 {
+		return fmt.Errorf("%s: -tiles must be positive, got %d", mode, tiles)
+	}
 	return nil
 }
 
@@ -189,6 +216,9 @@ type flowOptions struct {
 func runFlow(o flowOptions) error {
 	if o.design != "fft" {
 		return fmt.Errorf("unknown design %q (only fft is built in)", o.design)
+	}
+	if err := checkTiles("flow", o.tiles); err != nil {
+		return err
 	}
 	// Validate the policy spec up front: WithPolicy only checks it at
 	// Run time, after the compilation report has already printed. The
@@ -284,6 +314,9 @@ type scenarioOptions struct {
 func runScenario(o scenarioOptions) error {
 	if o.jobs < 1 {
 		return fmt.Errorf("scenario: -scn-jobs must be positive, got %d", o.jobs)
+	}
+	if err := checkTiles("scenario", o.tiles); err != nil {
+		return err
 	}
 	arrivals := o.arrivals
 	if arrivals == nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"sparcs"
+	"sparcs/internal/arbiter"
 )
 
 func main() {
@@ -20,22 +21,24 @@ func main() {
 
 	fmt.Println("== cycle-by-cycle arbitration (R = request, G = grant) ==")
 	// Tasks 1..4 all request; each holds for two accesses then releases
-	// (the paper's M=2 protocol), then re-requests.
-	req := []bool{true, true, true, true}
+	// (the paper's M=2 protocol), then re-requests. Request and grant
+	// lines travel as one word: bit i is task i+1's line.
+	req := arbiter.Mask(n)
 	held := make([]int, n)
 	for cycle := 0; cycle < 12; cycle++ {
-		grants := arb.Step(req)
+		grant := arb.StepBits(req)
 		fmt.Printf("cycle %2d  R=%s  G=%s  state=%s\n",
-			cycle, bits(req), bits(grants), arb.State())
-		for i := range req {
-			if grants[i] {
+			cycle, lines(req, n), lines(grant, n), arb.State())
+		for i := 0; i < n; i++ {
+			if grant.Bit(i) {
 				held[i]++
 			}
+			line := arbiter.BitVec(1) << i
 			if held[i] >= 2 {
-				req[i] = false
+				req &^= line
 				held[i] = 0
 			} else {
-				req[i] = true
+				req |= line
 			}
 		}
 	}
@@ -91,10 +94,11 @@ func main() {
 	}
 }
 
-func bits(v []bool) string {
+// lines renders the low n lines of a request or grant word, task 1 first.
+func lines(v arbiter.BitVec, n int) string {
 	var b strings.Builder
-	for _, x := range v {
-		if x {
+	for i := 0; i < n; i++ {
+		if v.Bit(i) {
 			b.WriteByte('1')
 		} else {
 			b.WriteByte('0')

@@ -17,8 +17,9 @@ import (
 // implementation's method body, so allocation hiding behind dynamic
 // dispatch is caught instead of silently skipped. Calls through plain
 // function values cannot be resolved and are reported as unprovable —
-// keep cycle-rate dispatch static, or devirtualized behind a checked
-// entry point as arbiter.AsBitStepper does.
+// keep cycle-rate dispatch static, or behind a module-local interface
+// method as the simulator's arbiter.Policy.StepBits and
+// sim.Requester.NextBits calls are.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "report allocating constructs in //sparcs:hotpath code and everything it can reach through the module call graph, interface dispatch included",

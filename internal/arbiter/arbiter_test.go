@@ -7,6 +7,15 @@ import (
 	"sparcs/internal/fsm"
 )
 
+// stepBools arbitrates one cycle of p on a per-bit request vector and
+// returns a fresh per-bit grant vector: the view the hand-written
+// expectations and the TraceStep property checks use.
+func stepBools(p BitStepper, req []bool) []bool {
+	grant := make([]bool, len(req))
+	p.StepBits(PackBools(req)).WriteBools(grant)
+	return grant
+}
+
 func TestMachineBounds(t *testing.T) {
 	if _, err := Machine(1); err == nil {
 		t.Error("N=1 should be rejected")
@@ -55,7 +64,7 @@ func TestMachineMatchesBehavioral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			behOut := beh.Step(req)
+			behOut := stepBools(beh, req)
 			for i := range fsmOut {
 				if fsmOut[i] != behOut[i] {
 					t.Fatalf("N=%d cycle %d req=%v: FSM grant[%d]=%v, behavioral %v",
@@ -73,19 +82,19 @@ func TestMachineMatchesBehavioral(t *testing.T) {
 func TestRoundRobinBasicRotation(t *testing.T) {
 	a := NewRoundRobin(3)
 	// All three request: grants must rotate 1, 2, 3 as each releases.
-	g := a.Step([]bool{true, true, true})
+	g := stepBools(a, []bool{true, true, true})
 	if !g[0] {
 		t.Fatalf("first grant should go to task 1, got %v", g)
 	}
-	g = a.Step([]bool{false, true, true}) // task 1 releases
+	g = stepBools(a, []bool{false, true, true}) // task 1 releases
 	if !g[1] {
 		t.Fatalf("second grant should go to task 2, got %v", g)
 	}
-	g = a.Step([]bool{true, false, true}) // task 2 releases, task 1 re-requests
+	g = stepBools(a, []bool{true, false, true}) // task 2 releases, task 1 re-requests
 	if !g[2] {
 		t.Fatalf("third grant should go to task 3 (cyclic), got %v", g)
 	}
-	g = a.Step([]bool{true, false, false})
+	g = stepBools(a, []bool{true, false, false})
 	if !g[0] {
 		t.Fatalf("fourth grant wraps to task 1, got %v", g)
 	}
@@ -93,9 +102,9 @@ func TestRoundRobinBasicRotation(t *testing.T) {
 
 func TestRoundRobinHolderNotPreempted(t *testing.T) {
 	a := NewRoundRobin(4)
-	a.Step([]bool{false, false, true, false})
+	stepBools(a, []bool{false, false, true, false})
 	for c := 0; c < 5; c++ {
-		g := a.Step([]bool{true, true, true, true})
+		g := stepBools(a, []bool{true, true, true, true})
 		if !g[2] {
 			t.Fatalf("cycle %d: holder task 3 preempted: %v", c, g)
 		}
@@ -104,12 +113,12 @@ func TestRoundRobinHolderNotPreempted(t *testing.T) {
 
 func TestRoundRobinPriorityPassesOnIdle(t *testing.T) {
 	a := NewRoundRobin(3)
-	a.Step([]bool{true, false, false})  // C1
-	a.Step([]bool{false, false, false}) // zeroes: priority passes to F2
+	stepBools(a, []bool{true, false, false})  // C1
+	stepBools(a, []bool{false, false, false}) // zeroes: priority passes to F2
 	if a.State() != "F2" {
 		t.Fatalf("state = %s, want F2", a.State())
 	}
-	g := a.Step([]bool{true, true, false})
+	g := stepBools(a, []bool{true, true, false})
 	if !g[1] {
 		t.Fatalf("task 2 has priority in F2, got %v", g)
 	}
@@ -149,7 +158,7 @@ func TestAllPoliciesSafety(t *testing.T) {
 				for i := range req {
 					req[i] = r.Intn(2) == 0
 				}
-				g := p.Step(req)
+				g := stepBools(p, req)
 				steps = append(steps, TraceStep{
 					Req:   append([]bool(nil), req...),
 					Grant: append([]bool(nil), g...),
@@ -185,7 +194,7 @@ func TestRoundRobinBoundedWaitProperty(t *testing.T) {
 					req[i] = r.Intn(2) == 0
 				}
 			}
-			g := a.Step(req)
+			g := stepBools(a, req)
 			for i := range g {
 				if g[i] {
 					held[i]++
@@ -212,7 +221,7 @@ func TestPriorityStarves(t *testing.T) {
 	req := []bool{true, true, true, true}
 	held := make([]int, n)
 	for c := 0; c < 200; c++ {
-		g := p.Step(req)
+		g := stepBools(p, req)
 		steps = append(steps, TraceStep{Req: append([]bool(nil), req...), Grant: append([]bool(nil), g...)})
 		if g[n-1] {
 			t.Fatalf("cycle %d: task N granted despite higher-priority pressure", c)
@@ -241,7 +250,7 @@ func TestPriorityStarves(t *testing.T) {
 	req = []bool{true, true, true, true}
 	held = make([]int, n)
 	for c := 0; c < 200; c++ {
-		g := rr.Step(req)
+		g := stepBools(rr, req)
 		steps = append(steps, TraceStep{Req: append([]bool(nil), req...), Grant: append([]bool(nil), g...)})
 		for i := 0; i < n; i++ {
 			if g[i] {
@@ -265,19 +274,19 @@ func TestPriorityStarves(t *testing.T) {
 func TestFIFOServesInArrivalOrder(t *testing.T) {
 	f := NewFIFO(3)
 	// Task 3 arrives first, then task 1, then task 2.
-	g := f.Step([]bool{false, false, true})
+	g := stepBools(f, []bool{false, false, true})
 	if !g[2] {
 		t.Fatalf("task 3 arrived first, got %v", g)
 	}
-	g = f.Step([]bool{true, false, true})
+	g = stepBools(f, []bool{true, false, true})
 	if !g[2] {
 		t.Fatalf("task 3 still holds, got %v", g)
 	}
-	g = f.Step([]bool{true, true, false}) // task 3 releases
+	g = stepBools(f, []bool{true, true, false}) // task 3 releases
 	if !g[0] {
 		t.Fatalf("task 1 queued before task 2, got %v", g)
 	}
-	g = f.Step([]bool{false, true, false})
+	g = stepBools(f, []bool{false, true, false})
 	if !g[1] {
 		t.Fatalf("task 2 served last, got %v", g)
 	}
@@ -292,8 +301,8 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 		for i := range req {
 			req[i] = r.Intn(2) == 0
 		}
-		ga := a.Step(req)
-		gb := b.Step(req)
+		ga := stepBools(a, req)
+		gb := stepBools(b, req)
 		for i := range ga {
 			if ga[i] != gb[i] {
 				t.Fatalf("cycle %d: same seed diverged", c)
@@ -339,86 +348,13 @@ func TestMaxWaitEpisodesCounts(t *testing.T) {
 
 func TestRoundRobinResetRestoresF1(t *testing.T) {
 	a := NewRoundRobin(3)
-	a.Step([]bool{false, false, true})
+	stepBools(a, []bool{false, false, true})
 	a.Reset()
 	if a.State() != "F1" {
 		t.Fatalf("state after reset = %s, want F1", a.State())
 	}
-	g := a.Step([]bool{false, true, true})
+	g := stepBools(a, []bool{false, true, true})
 	if !g[1] {
 		t.Fatalf("after reset task 2 beats task 3 from F1, got %v", g)
 	}
 }
-
-// TestStepIntoMatchesStep drives every policy with a deterministic
-// request pattern through both the allocating Step and the in-place
-// StepInto paths (on twin instances) and requires identical grant
-// streams — the contract the simulator's allocation-free hot loop
-// depends on.
-func TestStepIntoMatchesStep(t *testing.T) {
-	const n = 5
-	mk := func() map[string]func() Policy {
-		return map[string]func() Policy{
-			"round-robin": func() Policy { return NewRoundRobin(n) },
-			"fifo":        func() Policy { return NewFIFO(n) },
-			"priority":    func() Policy { return NewPriority(n) },
-			"random":      func() Policy { return NewRandom(n, 7) },
-			"preemptive": func() Policy {
-				p, err := NewPreemptiveRoundRobin(n, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			},
-			"fsm": func() Policy {
-				p, err := NewFSMPolicy(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			},
-		}
-	}
-	for name, ctor := range mk() {
-		t.Run(name, func(t *testing.T) {
-			plain := ctor()
-			inPlace := ctor()
-			grant := make([]bool, n)
-			req := make([]bool, n)
-			lfsr := uint32(0xACE1)
-			for c := 0; c < 500; c++ {
-				for i := range req {
-					lfsr = lfsr*1664525 + 1013904223
-					req[i] = lfsr&0x30000 != 0 // requests ~75% of the time
-				}
-				want := plain.Step(req)
-				StepInto(inPlace, req, grant)
-				for i := range grant {
-					if grant[i] != want[i] {
-						t.Fatalf("cycle %d: StepInto %v, Step %v", c, grant, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestStepIntoFallback exercises the adapter path for a policy that only
-// implements Step.
-func TestStepIntoFallback(t *testing.T) {
-	p := stepOnlyPolicy{inner: NewRoundRobin(3)}
-	grant := make([]bool, 3)
-	StepInto(p, []bool{false, true, true}, grant)
-	if !grant[1] || grant[0] || grant[2] {
-		t.Fatalf("fallback grant = %v, want task 2", grant)
-	}
-}
-
-// stepOnlyPolicy hides the in-place fast path, modeling an external
-// Policy implementation.
-type stepOnlyPolicy struct{ inner *RoundRobin }
-
-func (p stepOnlyPolicy) Name() string           { return "step-only" }
-func (p stepOnlyPolicy) N() int                 { return p.inner.N() }
-func (p stepOnlyPolicy) Reset()                 { p.inner.Reset() }
-func (p stepOnlyPolicy) Step(req []bool) []bool { return p.inner.Step(req) }

@@ -1,8 +1,9 @@
 // The bitset arbitration kernel: request and grant vectors packed into
 // single uint64 words, with the branchless rotate / isolate-lowest-set
-// round-robin scan high-speed parallel arbiters use in hardware. Every
-// behavioral policy in the package steps natively on BitVec words; the
-// []bool Step/StepInto surface remains as thin pack/unpack adapters.
+// round-robin scan high-speed parallel arbiters use in hardware. BitVec
+// is the one request/grant format every Policy steps on; []bool views
+// exist only at the per-bit edges (TraceStep capture and the gate-level
+// fsm/netlist policies).
 
 package arbiter
 
@@ -71,41 +72,16 @@ func (v BitVec) rotr(s, n int) BitVec {
 	return (v>>uint(s) | v<<uint(n-s)) & Mask(n)
 }
 
-// BitStepper is the word-level fast path of Policy: StepBits arbitrates
-// one cycle entirely on BitVec words. Bits at or above N() in req are
-// ignored; the returned grant is one-hot (or zero) below N(). State
-// advances exactly as Step — the two surfaces are interchangeable
-// cycle-by-cycle, never mixed views of different decisions.
-//
-// Every behavioral policy in this package implements it. Gate-level
-// policies (fsm, netlist) and external policies may only provide the
-// []bool Step; AsBitStepper adapts those.
+// BitStepper arbitrates one cycle entirely on BitVec words: StepBits
+// reads the request lines R1..RN (bit i = line i) and returns the grant
+// word G1..GN for the same cycle. Bits at or above N() in req are
+// ignored; the returned grant is one-hot (or zero) below N(). Every
+// Policy is a BitStepper.
 type BitStepper interface {
 	StepBits(req BitVec) BitVec
 }
 
-// AsBitStepper returns p's word-level stepper: p itself when it
-// implements BitStepper, otherwise an adapter whose []bool scratch is
-// allocated once here, so per-cycle stepping stays allocation-free
-// either way.
+// AsBitStepper returns p's word-level stepper, which is p itself.
 func AsBitStepper(p Policy) BitStepper {
-	if s, ok := p.(BitStepper); ok {
-		return s
-	}
-	n := p.N()
-	return &boolStepper{p: p, req: make([]bool, n), grant: make([]bool, n)}
-}
-
-// boolStepper packs and unpacks around the []bool surface of a policy
-// without a native word-level path.
-type boolStepper struct {
-	p          Policy
-	req, grant []bool
-}
-
-//sparcs:hotpath
-func (a *boolStepper) StepBits(req BitVec) BitVec {
-	req.WriteBools(a.req)
-	StepInto(a.p, a.req, a.grant)
-	return PackBools(a.grant)
+	return p
 }

@@ -63,7 +63,7 @@ func TestRoundRobinFamilyIdentical(t *testing.T) {
 					}
 				}
 			}
-			want := append([]bool(nil), ref.Step(req)...)
+			want := append([]bool(nil), stepBools(ref, req)...)
 			for i, g := range want {
 				if g {
 					held[i]++
@@ -73,7 +73,7 @@ func TestRoundRobinFamilyIdentical(t *testing.T) {
 				if p == ref {
 					continue
 				}
-				got := p.Step(req)
+				got := stepBools(p, req)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("N=%d cycle %d req=%v: %s grant %v, behavioral %v",
@@ -108,7 +108,7 @@ func TestWRRMatchesPreemptiveUniform(t *testing.T) {
 			for i := range req {
 				req[i] = r.Intn(3) != 0
 			}
-			a, b := wrr.Step(req), pre.Step(req)
+			a, b := stepBools(wrr, req), stepBools(pre, req)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("k=%d cycle %d req=%v: wrr %v, preemptive %v", k, c, req, a, b)
@@ -130,7 +130,7 @@ func TestWRRWeightShares(t *testing.T) {
 	grants := make([]int, 4)
 	const cycles = 6000 // 1000 rotations of the weight-6 period
 	for c := 0; c < cycles; c++ {
-		for i, g := range p.Step(req) {
+		for i, g := range stepBools(p, req) {
 			if g {
 				grants[i]++
 			}
@@ -156,7 +156,7 @@ func TestHierarchicalRotationOrder(t *testing.T) {
 	req := []bool{true, true, true, true}
 	want := []int{0, 2, 1, 3}
 	for c := 0; c < 40; c++ {
-		g := h.Step(req)
+		g := stepBools(h, req)
 		holder := holderOf(g)
 		if holder != want[c%4] {
 			t.Fatalf("cycle %d: grant to task %d, want %d (sequence %v)", c, holder+1, want[c%4]+1, want)
@@ -208,7 +208,7 @@ func TestNewPoliciesSafetyAndBoundedWait(t *testing.T) {
 						req[i] = r.Intn(2) == 0
 					}
 				}
-				g := p.Step(req)
+				g := stepBools(p, req)
 				for i := range g {
 					if g[i] {
 						held[i]++
@@ -243,7 +243,7 @@ func TestFIFOSteadyStateAllocationFree(t *testing.T) {
 				// Staggered toggling: constant arrivals and departures.
 				req[i] = (cycle+i*3)%7 < 4
 			}
-			f.StepInto(req, grant)
+			f.StepBits(PackBools(req)).WriteBools(grant)
 			cycle++
 		}
 	}
@@ -267,7 +267,7 @@ func TestFIFOSteadyStateAllocationFree(t *testing.T) {
 		for i := range req {
 			req[i] = r.Intn(2) == 0
 		}
-		a, b := f.Step(req), fresh.Step(req)
+		a, b := stepBools(f, req), stepBools(fresh, req)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("cycle %d: reset FIFO diverged from fresh FIFO", c)
@@ -294,7 +294,7 @@ func TestFIFOArrivalOrderUnderLongStreams(t *testing.T) {
 				req[i] = r.Intn(3) == 0
 			}
 		}
-		g := f.Step(req)
+		g := stepBools(f, req)
 		for i := range g {
 			if g[i] {
 				held[i]++

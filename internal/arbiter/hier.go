@@ -36,7 +36,6 @@ type Hierarchical struct {
 	size   []int    // per-group line count
 	gmask  []BitVec // per-group request window (low size[g] bits)
 	leaf   []int    // per-group member offset the intra-cluster scan starts at
-	grants []bool
 }
 
 // NewHierarchical returns a tree-of-round-robins arbiter over `groups`
@@ -75,7 +74,6 @@ func NewHierarchicalWidened(members, n, groups int) (*Hierarchical, error) {
 		name:   fmt.Sprintf("hierarchical-%dx%d", groups, size),
 		mask:   Mask(n),
 		holder: -1,
-		grants: make([]bool, n),
 	}
 	for g := 0; g < groups; g++ {
 		p.addGroup(g*size, size)
@@ -109,21 +107,6 @@ func (p *Hierarchical) Reset() {
 	for g := range p.leaf {
 		p.leaf[g] = 0
 	}
-}
-
-// Step implements Policy.
-func (p *Hierarchical) Step(req []bool) []bool {
-	p.StepInto(req, p.grants)
-	return p.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as
-// StepBits.
-//
-//sparcs:hotpath
-func (p *Hierarchical) StepInto(req, grant []bool) {
-	checkLanes(req, grant, p.n)
-	p.StepBits(PackBools(req)).WriteBools(grant)
 }
 
 // StepBits implements BitStepper: grant a still-requesting holder,

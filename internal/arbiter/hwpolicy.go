@@ -13,6 +13,7 @@ import (
 type FSMPolicy struct {
 	n   int
 	ref *fsm.Reference
+	req []bool // per-bit view of the request word, allocated once
 }
 
 // NewFSMPolicy builds the N-task round-robin machine and wraps its
@@ -22,7 +23,7 @@ func NewFSMPolicy(n int) (*FSMPolicy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FSMPolicy{n: n, ref: fsm.NewReference(m)}, nil
+	return &FSMPolicy{n: n, ref: fsm.NewReference(m), req: make([]bool, n)}, nil
 }
 
 // Name implements Policy.
@@ -34,23 +35,19 @@ func (p *FSMPolicy) N() int { return p.n }
 // Reset implements Policy.
 func (p *FSMPolicy) Reset() { p.ref.Reset() }
 
-// Step implements Policy.
-func (p *FSMPolicy) Step(req []bool) []bool {
-	out, err := p.ref.Step(req)
+// StepBits implements BitStepper. The machine is per-bit by nature: the
+// request word is unpacked into its input lines, and the transition
+// table's precomputed output row is packed into the grant word.
+//
+//sparcs:hotpath
+func (p *FSMPolicy) StepBits(req BitVec) BitVec {
+	req.WriteBools(p.req)
+	out, err := p.ref.Step(p.req)
 	if err != nil {
 		//sparcs:ignore hotpath cold panic path; the reference machine is validated at construction
 		panic(fmt.Sprintf("arbiter: FSM policy: %v", err))
 	}
-	return out
-}
-
-// StepInto implements InPlaceStepper. The reference interpreter returns
-// the transition table's precomputed output row, so the copy is the only
-// per-cycle work.
-//
-//sparcs:hotpath
-func (p *FSMPolicy) StepInto(req, grant []bool) {
-	copy(grant, p.Step(req))
+	return PackBools(out)
 }
 
 // NetlistPolicy drives a synthesized gate-level arbiter netlist as the
@@ -58,10 +55,10 @@ func (p *FSMPolicy) StepInto(req, grant []bool) {
 // simulation is arbitrated by the very gates the synthesis pipeline
 // produced.
 type NetlistPolicy struct {
-	n      int
-	name   string
-	sim    *netlist.Simulator
-	grants []bool
+	n          int
+	name       string
+	sim        *netlist.Simulator
+	req, grant []bool // per-bit views of the request and grant words, allocated once
 }
 
 // NewNetlistPolicy synthesizes the N-task round-robin arbiter under the
@@ -79,7 +76,10 @@ func NewNetlistPolicy(n int, enc fsm.Encoding) (*NetlistPolicy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &NetlistPolicy{n: n, name: fmt.Sprintf("round-robin-gates-%s", enc), sim: s, grants: make([]bool, n)}, nil
+	return &NetlistPolicy{
+		n: n, name: fmt.Sprintf("round-robin-gates-%s", enc), sim: s,
+		req: make([]bool, n), grant: make([]bool, n),
+	}, nil
 }
 
 // Name implements Policy.
@@ -91,22 +91,17 @@ func (p *NetlistPolicy) N() int { return p.n }
 // Reset implements Policy.
 func (p *NetlistPolicy) Reset() { p.sim.Reset() }
 
-// Step implements Policy, returning the policy-internal grant slice
-// like every other implementation in the package — the Step adapter
-// contract ("never a new grant slice") forbids allocating a fresh
-// result each cycle, which p.sim.Step would do.
-func (p *NetlistPolicy) Step(req []bool) []bool {
-	p.StepInto(req, p.grants)
-	return p.grants
-}
-
-// StepInto implements InPlaceStepper via the gate-level simulator's
-// allocation-free StepInto.
+// StepBits implements BitStepper. The gates are per-bit by nature: the
+// request word is unpacked into the netlist's input pins, clocked
+// through the gate-level simulator's allocation-free StepInto, and the
+// sampled grant pins are packed into the grant word.
 //
 //sparcs:hotpath
-func (p *NetlistPolicy) StepInto(req, grant []bool) {
-	if err := p.sim.StepInto(req, grant); err != nil {
+func (p *NetlistPolicy) StepBits(req BitVec) BitVec {
+	req.WriteBools(p.req)
+	if err := p.sim.StepInto(p.req, p.grant); err != nil {
 		//sparcs:ignore hotpath cold panic path; widths are validated at construction
 		panic(fmt.Sprintf("arbiter: netlist policy: %v", err))
 	}
+	return PackBools(p.grant)
 }

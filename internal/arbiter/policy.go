@@ -2,50 +2,23 @@ package arbiter
 
 import "fmt"
 
-// Policy is a cycle-level behavioral arbiter: each Step consumes the
-// request vector for one clock cycle and returns the grant vector for the
+// Policy is a cycle-level behavioral arbiter: each StepBits consumes the
+// request word for one clock cycle and returns the grant word for the
 // same cycle (Mealy semantics, matching the FSM).
 //
 // All implementations guarantee mutual exclusion (at most one grant) and
 // never grant a non-requester. Fairness properties differ by policy; the
 // paper selects round-robin as the only one that is both fair and cheap in
 // hardware.
-//
-// Every behavioral policy in this package arbitrates natively on BitVec
-// words (see BitStepper); Step and StepInto are thin pack/unpack adapters
-// over the same state, so the two surfaces are interchangeable.
 type Policy interface {
 	// Name identifies the policy ("round-robin", "fifo", ...).
 	Name() string
 	// N returns the number of request lines.
 	N() int
-	// Step arbitrates one cycle. len(req) must equal N; the returned
-	// slice is valid until the next Step.
-	Step(req []bool) []bool
+	// BitStepper arbitrates one cycle on the packed request word.
+	BitStepper
 	// Reset returns the policy to its initial state.
 	Reset()
-}
-
-// InPlaceStepper is the optional allocation-free fast path of Policy:
-// StepInto arbitrates one cycle, writing the grant vector into the
-// caller-owned slice instead of returning an internal one. len(req) and
-// len(grant) must both equal N. All policies in this package implement
-// it; external policies may provide only Step.
-type InPlaceStepper interface {
-	StepInto(req, grant []bool)
-}
-
-// StepInto arbitrates one cycle of p into grant, using the in-place fast
-// path when p implements InPlaceStepper and otherwise adapting the plain
-// Step (one policy-internal allocation at most, never a new grant slice).
-//
-//sparcs:hotpath
-func StepInto(p Policy, req, grant []bool) {
-	if s, ok := p.(InPlaceStepper); ok {
-		s.StepInto(req, grant)
-		return
-	}
-	copy(grant, p.Step(req))
 }
 
 // NewPolicy constructs a policy by name. Every implementation in the
@@ -60,15 +33,6 @@ func NewPolicy(name string, n int) (Policy, error) {
 	return sp.New(n)
 }
 
-// checkLanes panics on a request/grant slice whose length does not match
-// the policy width — the contract violation the []bool adapters guard.
-func checkLanes(req, grant []bool, n int) {
-	if len(req) != n || len(grant) != n {
-		//sparcs:ignore hotpath cold panic path; taken only on a caller contract violation
-		panic(fmt.Sprintf("arbiter: got %d requests / %d grants, want %d", len(req), len(grant), n))
-	}
-}
-
 // RoundRobin is the behavioral reference for the Figure 5 FSM,
 // implemented independently of internal/fsm so the two can cross-check.
 type RoundRobin struct {
@@ -76,12 +40,11 @@ type RoundRobin struct {
 	holder   int // task holding the resource, or -1
 	priority int // task with highest scan priority when free
 	mask     BitVec
-	grants   []bool
 }
 
 // NewRoundRobin returns a round-robin arbiter in state F1.
 func NewRoundRobin(n int) *RoundRobin {
-	return &RoundRobin{n: n, holder: -1, priority: 0, mask: Mask(n), grants: make([]bool, n)}
+	return &RoundRobin{n: n, holder: -1, priority: 0, mask: Mask(n)}
 }
 
 // Name implements Policy.
@@ -96,26 +59,12 @@ func (a *RoundRobin) Reset() {
 	a.priority = 0
 }
 
-// Step implements Policy with the exact Figure 5 semantics: scan requests
-// cyclically starting at the holder (if any) or the priority task; the
-// first requester found is granted and becomes the holder. With no
-// requests, a releasing holder passes priority to its successor.
-func (a *RoundRobin) Step(req []bool) []bool {
-	a.StepInto(req, a.grants)
-	return a.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as Step.
-//
-//sparcs:hotpath
-func (a *RoundRobin) StepInto(req, grant []bool) {
-	checkLanes(req, grant, a.n)
-	a.StepBits(PackBools(req)).WriteBools(grant)
-}
-
-// StepBits implements BitStepper: the cyclic priority scan as a
-// branchless rotate / isolate-lowest-set / rotate-back over the request
-// word — the parallel round-robin arbiter datapath.
+// StepBits implements BitStepper with the exact Figure 5 semantics: scan
+// requests cyclically starting at the holder (if any) or the priority
+// task; the first requester found is granted and becomes the holder.
+// With no requests, a releasing holder passes priority to its successor.
+// The scan is a branchless rotate / isolate-lowest-set / rotate-back
+// over the request word — the parallel round-robin arbiter datapath.
 //
 //sparcs:hotpath
 func (a *RoundRobin) StepBits(req BitVec) BitVec {
@@ -145,7 +94,7 @@ func (a *RoundRobin) StepBits(req BitVec) BitVec {
 
 // State reports the symbolic FSM state the behavioral arbiter is in, for
 // cross-checking against fsm.Reference ("C3", "F1", ...). It reflects the
-// state after the most recent Step.
+// state after the most recent StepBits.
 func (a *RoundRobin) State() string {
 	if a.holder >= 0 {
 		return fmt.Sprintf("C%d", a.holder+1)
@@ -170,16 +119,14 @@ type FIFO struct {
 	head   int // queue[head:] is live
 	queued BitVec
 	prev   BitVec
-	grants []bool
 }
 
 // NewFIFO returns a FIFO arbiter with an empty queue.
 func NewFIFO(n int) *FIFO {
 	return &FIFO{
-		n:      n,
-		mask:   Mask(n),
-		queue:  make([]int, 0, 2*n),
-		grants: make([]bool, n),
+		n:     n,
+		mask:  Mask(n),
+		queue: make([]int, 0, 2*n),
 	}
 }
 
@@ -195,20 +142,6 @@ func (a *FIFO) Reset() {
 	a.head = 0
 	a.queued = 0
 	a.prev = 0
-}
-
-// Step implements Policy.
-func (a *FIFO) Step(req []bool) []bool {
-	a.StepInto(req, a.grants)
-	return a.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as Step.
-//
-//sparcs:hotpath
-func (a *FIFO) StepInto(req, grant []bool) {
-	checkLanes(req, grant, a.n)
-	a.StepBits(PackBools(req)).WriteBools(grant)
 }
 
 // StepBits implements BitStepper: rising edges (req & ^prev & ^queued)
@@ -255,12 +188,11 @@ type Priority struct {
 	n      int
 	mask   BitVec
 	holder int
-	grants []bool
 }
 
 // NewPriority returns a static-priority arbiter (task 1 highest).
 func NewPriority(n int) *Priority {
-	return &Priority{n: n, mask: Mask(n), holder: -1, grants: make([]bool, n)}
+	return &Priority{n: n, mask: Mask(n), holder: -1}
 }
 
 // Name implements Policy.
@@ -271,20 +203,6 @@ func (a *Priority) N() int { return a.n }
 
 // Reset implements Policy.
 func (a *Priority) Reset() { a.holder = -1 }
-
-// Step implements Policy.
-func (a *Priority) Step(req []bool) []bool {
-	a.StepInto(req, a.grants)
-	return a.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as Step.
-//
-//sparcs:hotpath
-func (a *Priority) StepInto(req, grant []bool) {
-	checkLanes(req, grant, a.n)
-	a.StepBits(PackBools(req)).WriteBools(grant)
-}
 
 // StepBits implements BitStepper: a still-requesting holder persists,
 // otherwise the lowest set request bit wins (task 1 highest priority).
@@ -312,7 +230,6 @@ type Random struct {
 	lfsr   uint16
 	seed   uint16
 	holder int
-	grants []bool
 }
 
 // NewRandom returns a random arbiter seeded deterministically (seed must
@@ -321,7 +238,7 @@ func NewRandom(n int, seed uint16) *Random {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Random{n: n, mask: Mask(n), lfsr: seed, seed: seed, holder: -1, grants: make([]bool, n)}
+	return &Random{n: n, mask: Mask(n), lfsr: seed, seed: seed, holder: -1}
 }
 
 // Name implements Policy.
@@ -334,20 +251,6 @@ func (a *Random) N() int { return a.n }
 func (a *Random) Reset() {
 	a.lfsr = a.seed
 	a.holder = -1
-}
-
-// Step implements Policy.
-func (a *Random) Step(req []bool) []bool {
-	a.StepInto(req, a.grants)
-	return a.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as Step.
-//
-//sparcs:hotpath
-func (a *Random) StepInto(req, grant []bool) {
-	checkLanes(req, grant, a.n)
-	a.StepBits(PackBools(req)).WriteBools(grant)
 }
 
 // StepBits implements BitStepper: a still-requesting holder persists,

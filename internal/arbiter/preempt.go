@@ -18,7 +18,6 @@ type PreemptiveRoundRobin struct {
 	maxHold int
 	inner   *RoundRobin
 	heldFor int
-	grants  []bool
 }
 
 // NewPreemptiveRoundRobin returns a preempting arbiter; maxHold must be
@@ -34,7 +33,6 @@ func NewPreemptiveRoundRobin(n, maxHold int) (*PreemptiveRoundRobin, error) {
 		n:       n,
 		maxHold: maxHold,
 		inner:   NewRoundRobin(n),
-		grants:  make([]bool, n),
 	}, nil
 }
 
@@ -48,20 +46,6 @@ func (p *PreemptiveRoundRobin) N() int { return p.n }
 func (p *PreemptiveRoundRobin) Reset() {
 	p.inner.Reset()
 	p.heldFor = 0
-}
-
-// Step implements Policy.
-func (p *PreemptiveRoundRobin) Step(req []bool) []bool {
-	p.StepInto(req, p.grants)
-	return p.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as Step.
-//
-//sparcs:hotpath
-func (p *PreemptiveRoundRobin) StepInto(req, grant []bool) {
-	checkLanes(req, grant, p.n)
-	p.StepBits(PackBools(req)).WriteBools(grant)
 }
 
 // StepBits implements BitStepper: the inner round-robin scan, with the

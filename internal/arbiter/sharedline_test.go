@@ -112,7 +112,7 @@ func TestPreemptiveRevokesHog(t *testing.T) {
 	// Task 1 requests forever; task 2 joins and waits.
 	req := []bool{true, false, false}
 	for c := 0; c < 3; c++ {
-		g := p.Step(req)
+		g := stepBools(p, req)
 		if !g[0] {
 			t.Fatalf("cycle %d: task 1 should hold", c)
 		}
@@ -120,7 +120,7 @@ func TestPreemptiveRevokesHog(t *testing.T) {
 	req[1] = true // task 2 now waits
 	revoked := -1
 	for c := 0; c < 10; c++ {
-		g := p.Step(req)
+		g := stepBools(p, req)
 		if g[1] {
 			revoked = c
 			break
@@ -132,10 +132,10 @@ func TestPreemptiveRevokesHog(t *testing.T) {
 	// Non-preemptive round-robin starves task 2 on the same pattern.
 	rr := NewRoundRobin(3)
 	req = []bool{true, false, false}
-	rr.Step(req)
+	stepBools(rr, req)
 	req[1] = true
 	for c := 0; c < 10; c++ {
-		g := rr.Step(req)
+		g := stepBools(rr, req)
 		if g[1] {
 			t.Fatal("plain round-robin should not preempt")
 		}
@@ -149,7 +149,7 @@ func TestPreemptiveKeepsUncontestedHolder(t *testing.T) {
 	}
 	req := []bool{true, false}
 	for c := 0; c < 20; c++ {
-		g := p.Step(req)
+		g := stepBools(p, req)
 		if !g[0] {
 			t.Fatalf("cycle %d: uncontested holder must keep the grant", c)
 		}
@@ -169,7 +169,7 @@ func TestPreemptiveSafetyUnderRandomTraffic(t *testing.T) {
 		for i := range req {
 			req[i] = state&(1<<uint(i*8)) != 0
 		}
-		g := p.Step(req)
+		g := stepBools(p, req)
 		steps = append(steps, TraceStep{Req: append([]bool(nil), req...), Grant: append([]bool(nil), g...)})
 	}
 	if err := CheckMutualExclusion(steps); err != nil {

@@ -77,7 +77,7 @@ func TestNewPolicyReachesEveryImplementation(t *testing.T) {
 		if p.N() != n {
 			t.Fatalf("NewPolicy(%q).N() = %d, want %d", spec, p.N(), n)
 		}
-		g := p.Step(req)
+		g := stepBools(p, req)
 		if !g[1] {
 			t.Fatalf("NewPolicy(%q): sole requester not granted: %v", spec, g)
 		}
@@ -127,7 +127,7 @@ func TestRandomSeedVariesTraffic(t *testing.T) {
 				// The previous holder releases, forcing re-arbitration.
 				req[picks[len(picks)-1]] = false
 			}
-			picks = append(picks, holderOf(p.Step(req)))
+			picks = append(picks, holderOf(stepBools(p, req)))
 		}
 		return picks
 	}

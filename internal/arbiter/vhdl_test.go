@@ -169,7 +169,7 @@ func TestSynthesizedArbiterMatchesBehavioral(t *testing.T) {
 				for i := range req {
 					req[i] = r.Intn(3) != 0
 				}
-				want := beh.Step(req)
+				want := stepBools(beh, req)
 				got, err := sim.Step(req)
 				if err != nil {
 					t.Fatal(err)

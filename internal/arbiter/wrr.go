@@ -17,7 +17,6 @@ type WeightedRoundRobin struct {
 	weights []int
 	inner   *RoundRobin
 	heldFor int
-	grants  []bool
 }
 
 // NewWeightedRoundRobin returns a weighted round-robin arbiter; weights
@@ -38,7 +37,6 @@ func NewWeightedRoundRobin(n int, weights []int) (*WeightedRoundRobin, error) {
 		n:       n,
 		weights: append([]int(nil), weights...),
 		inner:   NewRoundRobin(n),
-		grants:  make([]bool, n),
 	}, nil
 }
 
@@ -52,20 +50,6 @@ func (p *WeightedRoundRobin) N() int { return p.n }
 func (p *WeightedRoundRobin) Reset() {
 	p.inner.Reset()
 	p.heldFor = 0
-}
-
-// Step implements Policy.
-func (p *WeightedRoundRobin) Step(req []bool) []bool {
-	p.StepInto(req, p.grants)
-	return p.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as Step.
-//
-//sparcs:hotpath
-func (p *WeightedRoundRobin) StepInto(req, grant []bool) {
-	checkLanes(req, grant, p.n)
-	p.StepBits(PackBools(req)).WriteBools(grant)
 }
 
 // StepBits implements BitStepper: the inner round-robin scan, with the

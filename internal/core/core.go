@@ -272,35 +272,6 @@ func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*si
 	return sim.Run(cfg)
 }
 
-// SweepPoint is one independent simulation of a compiled design in a
-// sweep: the design, the memory image it runs over, and its options.
-// Points must not share Memory instances — each runs concurrently.
-type SweepPoint struct {
-	Design  *Design
-	Memory  *sim.Memory
-	Options Options
-}
-
-// SimulateSweep runs independent design simulations concurrently across
-// GOMAXPROCS workers, returning per-point results in input order. Within
-// a point, stages still run sequentially (memory carries across
-// reconfigurations); the parallelism is across points, which is how the
-// paper-table sweeps (policy ablations, M sweeps, tile scaling) are
-// shaped. The first error (by input order) is returned.
-func SimulateSweep(points []SweepPoint) ([]*RunResult, error) {
-	out := make([]*RunResult, len(points))
-	errs := make([]error, len(points))
-	sim.ParallelFor(len(points), func(i int) {
-		out[i], errs[i] = Simulate(points[i].Design, points[i].Memory, points[i].Options)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("core: sweep point %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
 // Report renders a human-readable compilation summary resembling the
 // paper's Figure 11 description.
 func (d *Design) Report() string {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -296,59 +297,91 @@ func TestPortabilityAcrossBoards(t *testing.T) {
 	}
 }
 
-// TestSimulateSweepMatchesSequential fans the FFT design across the
-// parallel sweep runner at several tile counts and requires each point
-// to reproduce the sequential Simulate bit for bit (total cycles,
-// violations, and verified memory output).
-func TestSimulateSweepMatchesSequential(t *testing.T) {
-	tileCounts := []int{1, 2, 3, 4}
-	var points []SweepPoint
-	var inputs [][][]int64
-	for _, tiles := range tileCounts {
-		opts := paperOpts()
-		g := fft.Taskgraph()
-		d, err := Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem := sim.NewMemory()
-		inputs = append(inputs, fft.LoadInput(mem, tiles, int64(tiles)))
-		points = append(points, SweepPoint{Design: d, Memory: mem, Options: opts})
-	}
-	results, err := SimulateSweep(points)
+// TestSimulateStageMatchesSimulate: running a design stage by stage
+// through SimulateStage, carrying one memory image across stages the way
+// Simulate does, reproduces each stage of Simulate bit for bit — with
+// and without background contention, whose per-stage seeds must derive
+// the same way — and stage indices outside the design are errors.
+func TestSimulateStageMatchesSimulate(t *testing.T) {
+	const tiles = 2
+	d, _, _ := compileFFT(t, tiles, paperOpts())
+	contended := paperOpts()
+	specs, shared, err := ParseMixedContention("M1=bursty/1,M1+M3=corr:0.25/1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tiles := range tileCounts {
-		if len(results[i].Violations()) != 0 {
-			t.Fatalf("tiles=%d: violations %v", tiles, results[i].Violations())
-		}
-		if err := fft.CheckOutput(points[i].Memory, inputs[i]); err != nil {
-			t.Fatalf("tiles=%d: %v", tiles, err)
-		}
-		// Cross-check against a sequential rerun of the same point.
-		opts := paperOpts()
-		g := fft.Taskgraph()
-		d, err := Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
+	contended.Contention, contended.Shared, contended.ContentionSeed = specs, shared, 7
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"quiet", paperOpts()}, {"contended", contended}} {
+		name, opts := tc.name, tc.opts
+		wholeMem := sim.NewMemory()
+		fft.LoadInput(wholeMem, tiles, 42)
+		whole, err := Simulate(d, wholeMem, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		mem := sim.NewMemory()
-		fft.LoadInput(mem, tiles, int64(tiles))
-		seq, err := Simulate(d, mem, opts)
-		if err != nil {
-			t.Fatal(err)
+		stagedMem := sim.NewMemory()
+		in := fft.LoadInput(stagedMem, tiles, 42)
+		for si := range d.Stages {
+			st, err := SimulateStage(d, si, stagedMem, opts)
+			if err != nil {
+				t.Fatalf("%s stage %d: %v", name, si, err)
+			}
+			if !reflect.DeepEqual(st, whole.Stages[si].Stats) {
+				t.Fatalf("%s stage %d: SimulateStage diverges from the same stage inside Simulate", name, si)
+			}
 		}
-		if seq.TotalCycles != results[i].TotalCycles {
-			t.Fatalf("tiles=%d: sweep %d cycles, sequential %d", tiles, results[i].TotalCycles, seq.TotalCycles)
+		if err := fft.CheckOutput(stagedMem, in); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for _, si := range []int{-1, len(d.Stages)} {
+		if _, err := SimulateStage(d, si, sim.NewMemory(), paperOpts()); err == nil {
+			t.Errorf("stage index %d of %d should be rejected", si, len(d.Stages))
 		}
 	}
 }
 
-// TestSimulateSweepEmpty: a zero-length sweep is a no-op.
-func TestSimulateSweepEmpty(t *testing.T) {
-	res, err := SimulateSweep(nil)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("res=%v err=%v", res, err)
+// TestFootprintIsPeakStageArea: StageAreas prices each stage as its
+// tasks plus its arbiters — widened by expected contention — and
+// FootprintCLBs is the largest of them.
+func TestFootprintIsPeakStageArea(t *testing.T) {
+	d, _, _ := compileFFT(t, 2, paperOpts())
+	peak := func(areas []int) int {
+		hi := 0
+		for _, a := range areas {
+			hi = max(hi, a)
+		}
+		return hi
+	}
+	plain := d.StageAreas(partition.Options{})
+	widened := partition.Options{ExpectedContention: map[string]int{"M1": 2}}
+	wide := d.StageAreas(widened)
+	if len(plain) != len(d.Stages) || len(wide) != len(d.Stages) {
+		t.Fatalf("got %d and %d areas for %d stages", len(plain), len(wide), len(d.Stages))
+	}
+	for si, sp := range d.Stages {
+		tasks := 0
+		for _, name := range sp.Stage.Tasks {
+			tasks += d.Graph.TaskByName(name).AreaCLBs
+		}
+		if hasArbs := len(sp.Stage.Arbiters) > 0; plain[si] < tasks || (plain[si] > tasks) != hasArbs {
+			t.Errorf("stage %d: area %d for %d task CLBs and %d arbiters", si, plain[si], tasks, len(sp.Stage.Arbiters))
+		}
+		hostsM1 := false
+		for _, a := range sp.Stage.Arbiters {
+			hostsM1 = hostsM1 || a.Resource == "M1"
+		}
+		if (wide[si] > plain[si]) != hostsM1 || wide[si] < plain[si] {
+			t.Errorf("stage %d: widening M1 moved the area %d -> %d (hosts M1: %v)", si, plain[si], wide[si], hostsM1)
+		}
+	}
+	if got, want := d.FootprintCLBs(partition.Options{}), peak(plain); got != want || want <= 0 {
+		t.Errorf("FootprintCLBs = %d, peak stage area %d", got, want)
+	}
+	if got, want := d.FootprintCLBs(widened), peak(wide); got != want {
+		t.Errorf("widened FootprintCLBs = %d, peak stage area %d", got, want)
 	}
 }

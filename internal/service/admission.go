@@ -65,9 +65,9 @@ type admission struct {
 	slots   int // max concurrently executing experiments
 	depth   int // per-class queue bound
 
-	// stepper picks the next class to dispatch; nil (single class)
+	// wrr picks the next class to dispatch; nil (single class)
 	// degenerates to FIFO.
-	stepper arbiter.BitStepper
+	wrr *arbiter.WeightedRoundRobin
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -111,7 +111,7 @@ func newAdmission(classes []Class, slots, depth int) (*admission, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.stepper = arbiter.AsBitStepper(p)
+		a.wrr = p
 	}
 	return a, nil
 }
@@ -170,7 +170,7 @@ func (a *admission) acquire(ctx context.Context, class string) error {
 
 // tryFastGrantLocked admits immediately when a slot is free and no
 // waiter is queued — wrr only matters under contention, so an idle
-// server grants without touching the stepper or the heap. This is the
+// server grants without touching the wrr arbiter or the heap. This is the
 // per-request fast path: it must stay allocation-free
 // (TestAdmissionFastPathAllocs pins it at zero).
 //
@@ -198,7 +198,7 @@ func (a *admission) release() {
 
 // dispatchLocked hands free slots to queued waiters, one wrr step per
 // slot: the request word has bit c set when class c has queued work,
-// and the stepper's grant picks the class to dequeue from.
+// and the wrr grant picks the class to dequeue from.
 func (a *admission) dispatchLocked() {
 	for a.inflight < a.slots {
 		var req arbiter.BitVec
@@ -211,8 +211,8 @@ func (a *admission) dispatchLocked() {
 			return
 		}
 		ci := req.FirstSet()
-		if a.stepper != nil {
-			if g := a.stepper.StepBits(req); g != 0 {
+		if a.wrr != nil {
+			if g := a.wrr.StepBits(req); g != 0 {
 				ci = g.FirstSet()
 			}
 		}

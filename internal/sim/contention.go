@@ -6,40 +6,24 @@ import (
 	"sparcs/internal/arbiter"
 )
 
-// BitRequester is the optional word-level fast path of Requester: a
-// source implementing it is driven directly on arbiter.BitVec words
-// (bit i = phantom line i), skipping the []bool pack/unpack entirely.
-// It is structurally identical to workload.BitGenerator, so the
-// workload generators take the fast path without an import cycle.
-// NextBits must advance the same state as Next — the two surfaces are
-// interchangeable cycle-by-cycle.
-type BitRequester interface {
-	// NextBits returns the request word for the coming cycle after
-	// observing prevGrant, the grants issued to these lines last cycle.
-	// Bits at or above N() are ignored.
-	NextBits(prevGrant arbiter.BitVec) arbiter.BitVec
-}
-
 // Requester is a closed-loop background traffic source for contention
-// injection: each cycle Next observes the grants its lines received
-// last cycle and fills the request lines for the coming cycle. It is
+// injection: each cycle NextBits observes the grants its lines received
+// last cycle and returns the request word for the coming cycle. It is
 // structurally identical to workload.Generator, so any generator from
 // internal/workload can be attached to a Config without an import cycle
 // (workload already imports sim for its grid fan-out).
 //
-// Implementations must be deterministic and allocation-free in Next;
-// Run passes setup-allocated scratch slices into the callback (or skips
-// []bool entirely for BitRequesters), keeping the hot loop
-// allocation-free.
+// Implementations must be deterministic and allocation-free in
+// NextBits, keeping the hot loop allocation-free.
 type Requester interface {
 	// Name identifies the traffic shape ("bursty", "hog", ...).
 	Name() string
 	// N returns the number of phantom request lines the source claims.
 	N() int
-	// Next fills req for one cycle after observing prevGrant, the
-	// grants issued to these lines last cycle. len(req) and
-	// len(prevGrant) equal N.
-	Next(req, prevGrant []bool)
+	// NextBits returns the request word for the coming cycle (bit i =
+	// phantom line i) after observing prevGrant, the grants issued to
+	// these lines last cycle. Bits at or above N() are ignored.
+	NextBits(prevGrant arbiter.BitVec) arbiter.BitVec
 	// Reset returns the source to its initial state. Run calls it once
 	// at setup so a source replays identically across runs.
 	Reset()
@@ -66,8 +50,8 @@ type StaticallySilent interface {
 // for grants exactly like a compiled task — the grants it wins are fed
 // back into its closed loop and starve or delay the real tasks.
 //
-// Sources are stateful: each Config needs its own instances (RunBatch
-// runs configs concurrently).
+// Sources are stateful: each Config needs its own instances (concurrent
+// runs must not share one).
 type ContentionSource struct {
 	// Resource names the arbitrated bank or physical channel; it must
 	// have an arbiter in the Config.
@@ -91,31 +75,11 @@ type ContentionStats struct {
 }
 
 // contSource is one wired (non-elided) phantom source: its line window
-// [off, off+n) in the owning arbInst's request/grant words. Sources
-// implementing BitRequester run word-to-word; the rest go through
-// setup-allocated []bool scratch.
+// [off, off+N()) in the owning arbInst's request/grant words.
 type contSource struct {
 	gen  Requester
-	bits BitRequester // non-nil: the word-level fast path
 	off  int
-	n    int
-	mask arbiter.BitVec // low n bits
-	// []bool scratch for sources without a word-level path.
-	reqBuf, grantBuf []bool
-}
-
-// next produces the source's request word for the coming cycle from its
-// current request and previous-grant windows.
-//
-//sparcs:hotpath
-func (cs *contSource) next(req, prevGrant arbiter.BitVec) arbiter.BitVec {
-	if cs.bits != nil {
-		return cs.bits.NextBits(prevGrant)
-	}
-	req.WriteBools(cs.reqBuf)
-	prevGrant.WriteBools(cs.grantBuf)
-	cs.gen.Next(cs.reqBuf, cs.grantBuf)
-	return arbiter.PackBools(cs.reqBuf)
+	mask arbiter.BitVec // low N() bits
 }
 
 // wireContention validates the configured sources and appends phantom
@@ -144,14 +108,7 @@ func wireContention(sources []ContentionSource, arbs map[string]*arbInst) error 
 				src.Resource, ai.width+n, arbiter.MaxN)
 		}
 		src.Gen.Reset()
-		cs := contSource{gen: src.Gen, off: ai.width, n: n, mask: arbiter.Mask(n)}
-		if b, ok := src.Gen.(BitRequester); ok {
-			cs.bits = b
-		} else {
-			cs.reqBuf = make([]bool, n)
-			cs.grantBuf = make([]bool, n)
-		}
-		ai.sources = append(ai.sources, cs)
+		ai.sources = append(ai.sources, contSource{gen: src.Gen, off: ai.width, mask: arbiter.Mask(n)})
 		ai.width += n
 	}
 	return nil

@@ -22,26 +22,24 @@ func (c *countedRequester) Name() string { return "counted" }
 func (c *countedRequester) N() int       { return 1 }
 func (c *countedRequester) Reset()       { c.observed = 0 }
 
-func (c *countedRequester) Next(req, prevGrant []bool) {
-	if prevGrant[0] {
+func (c *countedRequester) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+	if prevGrant.Bit(0) {
 		c.observed++
 	}
-	req[0] = c.observed < c.want
+	if c.observed < c.want {
+		return 1
+	}
+	return 0
 }
 
 // quietRequester never requests but is not statically silent, so its
 // lines are wired and the policy widened.
 type quietRequester struct{ n int }
 
-func (q *quietRequester) Name() string       { return "quiet" }
-func (q *quietRequester) N() int             { return q.n }
-func (q *quietRequester) Reset()             {}
-func (q *quietRequester) Next(req, _ []bool) { clearBools(req) }
-func clearBools(b []bool) {
-	for i := range b {
-		b[i] = false
-	}
-}
+func (q *quietRequester) Name() string                           { return "quiet" }
+func (q *quietRequester) N() int                                 { return q.n }
+func (q *quietRequester) Reset()                                 {}
+func (q *quietRequester) NextBits(arbiter.BitVec) arbiter.BitVec { return 0 }
 
 // silentRequester is the statically silent variant sim must elide.
 type silentRequester struct{ quietRequester }

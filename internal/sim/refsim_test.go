@@ -145,7 +145,8 @@ func referenceRun(cfg Config) (*Stats, error) {
 		sort.Strings(resNames)
 		for _, r := range resNames {
 			ai := arbs[r]
-			grants := ai.policy.Step(ai.req)
+			grants := make([]bool, len(ai.req))
+			ai.policy.StepBits(arbiter.PackBools(ai.req)).WriteBools(grants)
 			for t := range ai.granted {
 				delete(ai.granted, t)
 			}
@@ -494,10 +495,10 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSequential fans a mixed bag of scenarios through
-// RunBatch and requires each result to deep-equal the sequential Run of
-// the same config.
-func TestRunBatchMatchesSequential(t *testing.T) {
+// TestParallelForMatchesSequential fans a mixed bag of scenarios through
+// ParallelFor and requires each concurrent Run to deep-equal the
+// sequential Run of the same config.
+func TestParallelForMatchesSequential(t *testing.T) {
 	scenarios := equivScenarios(t)
 	var batch []Config
 	var want []*Stats
@@ -511,38 +512,27 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		cfgPar, _ := sc.cfg()
 		batch = append(batch, cfgPar)
 	}
-	got, err := RunBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := make([]*Stats, len(batch))
+	errs := make([]error, len(batch))
+	ParallelFor(len(batch), func(i int) {
+		got[i], errs[i] = Run(batch[i])
+	})
 	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("entry %d (%s): %v", i, scenarios[i].name, errs[i])
+		}
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("batch entry %d (%s) diverges from sequential run", i, scenarios[i].name)
+			t.Fatalf("entry %d (%s) diverges from sequential run", i, scenarios[i].name)
 		}
 	}
 }
 
-// TestRunBatchError surfaces the first failing entry by index while
-// still returning stats for clean siblings.
-func TestRunBatchError(t *testing.T) {
-	good, _ := equivScenarios(t)[0].cfg()
-	bad := good
-	bad.Tasks = []string{"A", "Z"} // Z has no program
-	bad.Memory = NewMemory()       // batch entries run concurrently; they must not share one image
-	stats, err := RunBatch([]Config{good, bad})
-	if err == nil {
-		t.Fatal("expected error for missing program")
-	}
-	if stats[0] == nil {
-		t.Fatal("clean entry should still carry stats")
-	}
-}
-
-// TestRunBatchEmpty: a zero-length batch is a no-op, not a hang.
-func TestRunBatchEmpty(t *testing.T) {
-	stats, err := RunBatch(nil)
-	if err != nil || len(stats) != 0 {
-		t.Fatalf("stats=%v err=%v", stats, err)
+// TestParallelForEmpty: a zero-length fan-out is a no-op, not a hang.
+func TestParallelForEmpty(t *testing.T) {
+	calls := 0
+	ParallelFor(0, func(int) { calls++ })
+	if calls != 0 {
+		t.Fatalf("fn called %d times for n=0", calls)
 	}
 }
 

@@ -6,17 +6,6 @@ import (
 	"sparcs/internal/arbiter"
 )
 
-// BitSharedRequester is the optional word-level fast path of
-// SharedRequester: NextBits rewrites req[r] (resource r's lane word,
-// bit j = lane j) in place after observing prevGrant[r], the grants
-// those lanes received last cycle. It is structurally identical to the
-// workload package's shared-source word surface, so correlated
-// generators take the fast path without an import cycle. NextBits must
-// advance the same state as Next.
-type BitSharedRequester interface {
-	NextBits(req, prevGrant []arbiter.BitVec)
-}
-
 // SharedRequester is a closed-loop background traffic source whose single
 // generator drives request lines on SEVERAL arbiters at once — the
 // correlated multi-resource pattern a per-arbiter Requester cannot
@@ -31,12 +20,11 @@ type BitSharedRequester interface {
 // the next — the hold-and-wait discipline behind deadlock-adjacent
 // sharing patterns.
 //
-// Next is called once per cycle before any arbiter steps, observing the
-// previous cycle's grants on every resource coherently. Implementations
-// must be deterministic and allocation-free in Next; Run passes
-// setup-allocated scratch buffers (or BitVec words, for
-// BitSharedRequesters) and copies the results into the arbiters'
-// request words.
+// NextBits is called once per cycle before any arbiter steps, observing
+// the previous cycle's grants on every resource coherently.
+// Implementations must be deterministic and allocation-free in NextBits;
+// Run passes setup-allocated per-resource lane words and copies the
+// results into the arbiters' request words.
 type SharedRequester interface {
 	// Name identifies the source ("corr:0.10").
 	Name() string
@@ -46,10 +34,12 @@ type SharedRequester interface {
 	// Lanes returns the number of independent jobs the source runs; each
 	// lane claims one request line on every resource.
 	Lanes() int
-	// Next fills req[r][j] (resource r's line for lane j) for the coming
-	// cycle after observing prevGrant, the grants those lines received
-	// last cycle. len(req) == len(Resources()); len(req[r]) == Lanes().
-	Next(req, prevGrant [][]bool)
+	// NextBits rewrites req[r], resource r's lane word (bit j = lane j),
+	// in place for the coming cycle after observing prevGrant[r], the
+	// grants those lanes received last cycle. len(req) ==
+	// len(prevGrant) == len(Resources()); bits at or above Lanes() are
+	// ignored.
+	NextBits(req, prevGrant []arbiter.BitVec)
 	// Reset returns the source to its initial state. Run calls it once at
 	// setup so a source replays identically across runs.
 	Reset()
@@ -93,20 +83,16 @@ type SharedStats struct {
 
 // sharedInst is one wired shared source: per resource, the lane window
 // [offs[r], offs[r]+lanes) in arbs[r]'s request/grant words, plus
-// reusable per-resource scratch — BitVec words for BitSharedRequesters,
-// owned [][]bool buffers for sources with only the slice surface.
+// reusable per-resource lane-word scratch.
 type sharedInst struct {
-	gen       SharedRequester
-	bits      BitSharedRequester // non-nil: the word-level fast path
-	arbs      []*arbInst
-	offs      []int
-	lanes     int
-	laneMask  arbiter.BitVec   // low `lanes` bits
-	reqW      []arbiter.BitVec // per-resource lane-word scratch
-	prevW     []arbiter.BitVec
-	reqView   [][]bool // []bool scratch for slice-only sources
-	grantView [][]bool
-	stats     *SharedStats
+	gen      SharedRequester
+	arbs     []*arbInst
+	offs     []int
+	lanes    int
+	laneMask arbiter.BitVec   // low `lanes` bits
+	reqW     []arbiter.BitVec // per-resource lane-word scratch
+	prevW    []arbiter.BitVec
+	stats    *SharedStats
 }
 
 // next refreshes the source's lane windows on every spanned resource
@@ -119,18 +105,7 @@ func (inst *sharedInst) next() {
 		inst.reqW[r] = ai.req >> off & inst.laneMask
 		inst.prevW[r] = ai.grant >> off & inst.laneMask
 	}
-	if inst.bits != nil {
-		inst.bits.NextBits(inst.reqW, inst.prevW)
-	} else {
-		for r := range inst.arbs {
-			inst.reqW[r].WriteBools(inst.reqView[r])
-			inst.prevW[r].WriteBools(inst.grantView[r])
-		}
-		inst.gen.Next(inst.reqView, inst.grantView)
-		for r := range inst.arbs {
-			inst.reqW[r] = arbiter.PackBools(inst.reqView[r])
-		}
-	}
+	inst.gen.NextBits(inst.reqW, inst.prevW)
 	for r, ai := range inst.arbs {
 		off := uint(inst.offs[r])
 		ai.req = ai.req&^(inst.laneMask<<off) | (inst.reqW[r]&inst.laneMask)<<off
@@ -188,16 +163,6 @@ func wireShared(sources []SharedSource, arbs map[string]*arbInst) ([]*sharedInst
 				Grants:    make([]int, len(resources)),
 				Waits:     make([]int, len(resources)),
 			},
-		}
-		if b, ok := src.Gen.(BitSharedRequester); ok {
-			inst.bits = b
-		} else {
-			inst.reqView = make([][]bool, len(resources))
-			inst.grantView = make([][]bool, len(resources))
-			for r := range resources {
-				inst.reqView[r] = make([]bool, lanes)
-				inst.grantView[r] = make([]bool, lanes)
-			}
 		}
 		for _, r := range resources {
 			ai := arbs[r]

@@ -87,9 +87,13 @@ func (o *orderedAcquirer) Reset() {
 	}
 }
 
-func (o *orderedAcquirer) Next(req, prevGrant [][]bool) {
+func (o *orderedAcquirer) NextBits(req, prevGrant []arbiter.BitVec) {
 	k := len(o.resources)
+	for r := range req {
+		req[r] = 0
+	}
 	for j := 0; j < o.lanes; j++ {
+		bit := arbiter.BitVec(1) << uint(j)
 		switch {
 		case o.stage[j] < 0:
 			if o.idleLeft[j] > 0 {
@@ -98,14 +102,14 @@ func (o *orderedAcquirer) Next(req, prevGrant [][]bool) {
 				o.stage[j] = 0
 			}
 		case o.stage[j] < k:
-			if prevGrant[o.stage[j]][j] {
+			if prevGrant[o.stage[j]]&bit != 0 {
 				o.stage[j]++
 			}
 		}
 		if o.stage[j] == k {
 			all := true
 			for r := 0; r < k; r++ {
-				all = all && prevGrant[r][j]
+				all = all && prevGrant[r]&bit != 0
 			}
 			if all {
 				o.heldFor[j]++
@@ -116,8 +120,8 @@ func (o *orderedAcquirer) Next(req, prevGrant [][]bool) {
 				o.idleLeft[j] = o.gap
 			}
 		}
-		for r := 0; r < k; r++ {
-			req[r][j] = o.stage[j] >= 0 && r <= o.stage[j]
+		for r := 0; r <= o.stage[j] && r < k; r++ {
+			req[r] |= bit
 		}
 	}
 }
@@ -133,11 +137,9 @@ func (gr *greedyShared) Name() string        { return "greedy" }
 func (gr *greedyShared) Resources() []string { return gr.resources }
 func (gr *greedyShared) Lanes() int          { return gr.lanes }
 func (gr *greedyShared) Reset()              {}
-func (gr *greedyShared) Next(req, _ [][]bool) {
+func (gr *greedyShared) NextBits(req, _ []arbiter.BitVec) {
 	for r := range req {
-		for j := range req[r] {
-			req[r][j] = true
-		}
+		req[r] = arbiter.Mask(gr.lanes)
 	}
 }
 
@@ -146,9 +148,9 @@ func (gr *greedyShared) Next(req, _ [][]bool) {
 type silentShared struct{ greedyShared }
 
 func (s *silentShared) Silent() bool { return true }
-func (s *silentShared) Next(req, _ [][]bool) {
+func (s *silentShared) NextBits(req, _ []arbiter.BitVec) {
 	for r := range req {
-		clearBools(req[r])
+		req[r] = 0
 	}
 }
 

@@ -141,11 +141,10 @@ type arbInst struct {
 	res        string
 	spec       partition.ArbiterSpec
 	policy     arbiter.Policy
-	stepper    arbiter.BitStepper // word-level fast path of policy
-	index      map[string]int     // task -> line (setup only)
-	memberN    int                // request lines belonging to member tasks
-	width      int                // total request lines (members + phantoms)
-	memberMask arbiter.BitVec     // low memberN bits
+	index      map[string]int // task -> line (setup only)
+	memberN    int            // request lines belonging to member tasks
+	width      int            // total request lines (members + phantoms)
+	memberMask arbiter.BitVec // low memberN bits
 	req        arbiter.BitVec
 	grant      arbiter.BitVec
 	grants     int  // member grants, flushed to Stats.GrantsByRes after the run
@@ -309,9 +308,7 @@ func Run(cfg Config) (*Stats, error) {
 		ai.capture = !cfg.DisableTraces && (cfg.CaptureOnly == nil || captureSet[ai.res])
 	}
 	// Construct policies in cfg.Arbiters order (not map order), so a
-	// stateful NewPolicy closure sees a deterministic call sequence. Each
-	// policy is stepped through its word-level surface: natively for
-	// BitSteppers, via a setup-allocated []bool adapter otherwise.
+	// stateful NewPolicy closure sees a deterministic call sequence.
 	for _, spec := range cfg.Arbiters {
 		ai := arbs[spec.Resource]
 		if ai.width > ai.memberN && cfg.NewPolicyWidened != nil {
@@ -319,7 +316,6 @@ func Run(cfg Config) (*Stats, error) {
 		} else {
 			ai.policy = newPolicy(ai.width)
 		}
-		ai.stepper = arbiter.AsBitStepper(ai.policy)
 	}
 	arbList := make([]*arbInst, 0, len(arbs))
 	//sparcs:ignore determinism values are collected then sorted by resource name on the next line
@@ -452,14 +448,14 @@ func Run(cfg Config) (*Stats, error) {
 			for i := range ai.sources {
 				cs := &ai.sources[i]
 				off := uint(cs.off)
-				out := cs.next(ai.req>>off&cs.mask, ai.grant>>off&cs.mask)
+				out := cs.gen.NextBits(ai.grant >> off & cs.mask)
 				ai.req = ai.req&^(cs.mask<<off) | (out&cs.mask)<<off
 			}
-			ai.grant = ai.stepper.StepBits(ai.req)
+			ai.grant = ai.policy.StepBits(ai.req)
 			ai.grants += (ai.grant & ai.memberMask).Count()
 			if ai.phGrants != nil {
 				for i := range ai.phGrants {
-					//sparcs:ignore bitwidth memberN+i < width <= MaxN by wiring-time checkLanes validation
+					//sparcs:ignore bitwidth memberN+i < width <= MaxN, bounded by wireContention/wireShared
 					bit := arbiter.BitVec(1) << uint(ai.memberN+i)
 					switch {
 					case ai.grant&bit != 0:

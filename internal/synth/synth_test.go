@@ -99,13 +99,13 @@ func TestToolNetlistsAreEquivalent(t *testing.T) {
 				for i := range req {
 					req[i] = r.Intn(3) != 0
 				}
-				want := beh.Step(req)
+				want := beh.StepBits(arbiter.PackBools(req))
 				got, err := sim.Step(req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range want {
-					if got[i] != want[i] {
+				for i := range got {
+					if got[i] != want.Bit(i) {
 						t.Fatalf("N=%d %s cycle %d: grant mismatch", n, v.Tool.Name, c)
 					}
 				}

@@ -22,7 +22,6 @@ import (
 // line toggles at the shape's natural job cadence regardless of how the
 // scenario disposes of each arrival.
 type Arrivals struct {
-	bits   BitGenerator
 	gen    Generator
 	name   string
 	stride int
@@ -45,15 +44,11 @@ func NewArrivals(spec string, seed uint64) (*Arrivals, error) {
 	if err != nil {
 		return nil, err
 	}
-	bg, ok := g.(BitGenerator)
-	if !ok {
-		return nil, fmt.Errorf("workload: generator %s lacks the word-level path required for arrivals", g.Name())
-	}
 	name := g.Name()
 	if stride > 1 {
 		name = fmt.Sprintf("%s/%d", name, stride)
 	}
-	return &Arrivals{bits: bg, gen: g, name: name, stride: stride}, nil
+	return &Arrivals{gen: g, name: name, stride: stride}, nil
 }
 
 // Name identifies the process with its parameters ("bursty/64").
@@ -69,7 +64,7 @@ func (a *Arrivals) Tick() bool {
 		return false
 	}
 	a.phase = 0
-	req := a.bits.NextBits(a.prev) & 1
+	req := a.gen.NextBits(a.prev) & 1
 	rising := req == 1 && a.prev == 0
 	a.prev = req
 	return rising

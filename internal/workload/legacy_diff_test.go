@@ -361,14 +361,16 @@ func diffPolicySpecs(n int) []string {
 
 // TestBitsetMatchesLegacyGrantStreams drives every behavioral policy
 // spec against its frozen pre-bitset implementation under every default
-// workload shape at N ∈ {2, 4, 16}, through the exact word-level path
-// Drive and the simulator use (BitGenerator.NextBits feeding
-// BitStepper.StepBits), and requires bit-identical request and grant
-// words on every cycle.
+// workload shape at N ∈ {2, 4, 16, 64}, through the exact word-level
+// path Drive and the simulator use (Generator.NextBits feeding
+// Policy.StepBits), and requires bit-identical request and grant words
+// on every cycle. N=64 fills the whole word, where a shift overflow in
+// the kernel would wrap silently; every N is even because hier:2 needs
+// it.
 func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 	const cycles = 4096
 	workloads := append(DefaultWorkloads(), "silent")
-	for _, n := range []int{2, 4, 16} {
+	for _, n := range []int{2, 4, 16, 64} {
 		for _, pspec := range diffPolicySpecs(n) {
 			for _, wspec := range workloads {
 				legacy, err := newLegacy(pspec, n)
@@ -379,7 +381,6 @@ func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 				if err != nil {
 					t.Fatalf("N=%d %s: %v", n, pspec, err)
 				}
-				stepper := arbiter.AsBitStepper(p)
 				gL, err := NewGenerator(wspec, n, 1)
 				if err != nil {
 					t.Fatalf("N=%d %s: %v", n, wspec, err)
@@ -387,10 +388,6 @@ func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 				gB, err := NewGenerator(wspec, n, 1)
 				if err != nil {
 					t.Fatalf("N=%d %s: %v", n, wspec, err)
-				}
-				bg, ok := gB.(BitGenerator)
-				if !ok {
-					t.Fatalf("N=%d %s: generator does not implement BitGenerator", n, wspec)
 				}
 
 				reqL := make([]bool, n)
@@ -400,10 +397,10 @@ func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 					// Both loops are closed: the generators react to
 					// their own side's previous grant, so a divergence
 					// cannot silently re-converge.
-					gL.Next(reqL, grantL)
+					gL.NextBits(arbiter.PackBools(grantL)).WriteBools(reqL)
 					legacy.step(reqL, grantL)
-					req = bg.NextBits(grant)
-					grant = stepper.StepBits(req)
+					req = gB.NextBits(grant)
+					grant = p.StepBits(req)
 					if wantReq := arbiter.PackBools(reqL); req != wantReq {
 						t.Fatalf("N=%d %s under %s cycle %d: bitset req %064b, legacy %064b",
 							n, pspec, wspec, c, req, wantReq)

@@ -222,12 +222,10 @@ func histBucket(wait int) int {
 // Drive runs generator g against policy p for the given number of
 // cycles and returns the aggregated metrics. The hot loop is
 // allocation-free and runs on single request/grant words: the generator
-// produces one BitVec per cycle (directly for BitGenerators, through
-// setup-allocated scratch otherwise), the policy steps through the
-// word-level BitStepper fast path, and the online safety checks are
-// single word operations (mutual exclusion = popcount ≤ 1, grant ⊆
-// request = grant &^ req == 0, work conservation = grant presence
-// matches request presence).
+// produces one BitVec per cycle, the policy steps it, and the online
+// safety checks are single word operations (mutual exclusion =
+// popcount ≤ 1, grant ⊆ request = grant &^ req == 0, work conservation
+// = grant presence matches request presence).
 //
 // The per-task bookkeeping is mask arithmetic over a waiting word, the
 // tasks requesting without a grant, so per-cycle work scales with the
@@ -256,13 +254,6 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 		Cycles:   cycles,
 		Tasks:    make([]TaskMetrics, n),
 	}
-	stepper := arbiter.AsBitStepper(p)
-	bg, bitGen := g.(BitGenerator)
-	var reqBuf, grantBuf []bool
-	if !bitGen {
-		reqBuf = make([]bool, n)
-		grantBuf = make([]bool, n)
-	}
 	lanes := arbiter.Mask(n)
 	var req, grant, waiting arbiter.BitVec
 	// For each waiting task: the cycle its wait began, and the episode
@@ -276,15 +267,8 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 	for cycle := 0; cycle < cycles; cycle++ {
 		// grant still holds last cycle's decision — the closed-loop
 		// feedback the generators react to.
-		if bitGen {
-			req = bg.NextBits(grant)
-		} else {
-			req.WriteBools(reqBuf)
-			grant.WriteBools(grantBuf)
-			g.Next(reqBuf, grantBuf)
-			req = arbiter.PackBools(reqBuf)
-		}
-		grant = stepper.StepBits(req)
+		req = g.NextBits(grant)
+		grant = p.StepBits(req)
 
 		granted := grant.Count()
 		holder := grant.FirstSet()

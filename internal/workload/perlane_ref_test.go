@@ -239,13 +239,6 @@ func refDrive(p arbiter.Policy, g Generator, cycles int) *Metrics {
 		Cycles:   cycles,
 		Tasks:    make([]TaskMetrics, n),
 	}
-	stepper := arbiter.AsBitStepper(p)
-	bg, bitGen := g.(BitGenerator)
-	var reqBuf, grantBuf []bool
-	if !bitGen {
-		reqBuf = make([]bool, n)
-		grantBuf = make([]bool, n)
-	}
 	var req, grant arbiter.BitVec
 	waiting := make([]bool, n)
 	waitStart := make([]int, n)
@@ -253,15 +246,8 @@ func refDrive(p arbiter.Policy, g Generator, cycles int) *Metrics {
 	prevHolder := -1
 
 	for cycle := 0; cycle < cycles; cycle++ {
-		if bitGen {
-			req = bg.NextBits(grant)
-		} else {
-			req.WriteBools(reqBuf)
-			grant.WriteBools(grantBuf)
-			g.Next(reqBuf, grantBuf)
-			req = arbiter.PackBools(reqBuf)
-		}
-		grant = stepper.StepBits(req)
+		req = g.NextBits(grant)
+		grant = p.StepBits(req)
 
 		granted := grant.Count()
 		holder := grant.FirstSet()

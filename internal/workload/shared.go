@@ -50,8 +50,6 @@ type SharedSource struct {
 	stage []int
 	// Per lane: all-held cycles accumulated toward the hold time.
 	heldFor []int
-	// Per-resource lane-word scratch for the []bool Next adapter.
-	reqW, prevW []arbiter.BitVec
 }
 
 // NewShared returns a correlated source over the named resources in
@@ -94,8 +92,6 @@ func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) 
 		hold:      hold,
 		stage:     make([]int, lanes),
 		heldFor:   make([]int, lanes),
-		reqW:      make([]arbiter.BitVec, len(resources)),
-		prevW:     make([]arbiter.BitVec, len(resources)),
 	}
 	s.Reset()
 	return s, nil
@@ -119,21 +115,10 @@ func (s *SharedSource) Reset() {
 	}
 }
 
-// Next advances every lane one cycle: consume last cycle's grants, then
-// fill req[r][j] for resource r, lane j. Allocation-free.
-func (s *SharedSource) Next(req, prevGrant [][]bool) {
-	for r := range s.resources {
-		s.prevW[r] = arbiter.PackBools(prevGrant[r])
-	}
-	s.NextBits(s.reqW, s.prevW)
-	for r := range s.resources {
-		s.reqW[r].WriteBools(req[r])
-	}
-}
-
-// NextBits is the word-level core of Next (bit j of each word = lane j);
-// it implements sim.BitSharedRequester, rewriting req[r] in place. The
-// draw order matches the slice surface exactly.
+// NextBits advances every lane one cycle: it consumes last cycle's
+// grants prevGrant[r] and rewrites req[r], resource r's lane word (bit
+// j = lane j), in place. It implements sim.SharedRequester and is
+// allocation-free.
 //
 //sparcs:hotpath
 func (s *SharedSource) NextBits(req, prevGrant []arbiter.BitVec) {

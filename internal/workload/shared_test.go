@@ -4,16 +4,33 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"sparcs/internal/arbiter"
 )
 
-// step drives one Next cycle against scripted previous grants.
+// nextBools drives one NextBits cycle on per-bit views: prevGrant[r][j]
+// is packed into resource r's lane word, and the request words are
+// unpacked into req[r][j].
+func nextBools(s *SharedSource, req, prevGrant [][]bool) {
+	reqW := make([]arbiter.BitVec, len(req))
+	prevW := make([]arbiter.BitVec, len(prevGrant))
+	for r := range prevGrant {
+		prevW[r] = arbiter.PackBools(prevGrant[r])
+	}
+	s.NextBits(reqW, prevW)
+	for r := range req {
+		reqW[r].WriteBools(req[r])
+	}
+}
+
+// step drives one cycle against scripted previous grants.
 func step(t *testing.T, s *SharedSource, prevGrant [][]bool) [][]bool {
 	t.Helper()
 	req := make([][]bool, len(s.Resources()))
 	for r := range req {
 		req[r] = make([]bool, s.Lanes())
 	}
-	s.Next(req, prevGrant)
+	nextBools(s, req, prevGrant)
 	return req
 }
 
@@ -86,7 +103,7 @@ func TestSharedResetReplaysIdentically(t *testing.T) {
 			for r := range req {
 				req[r] = make([]bool, 2)
 			}
-			s.Next(req, grant)
+			nextBools(s, req, grant)
 			out = append(out, req)
 			// Scripted arbiter: grant whatever is requested every third
 			// cycle, one resource at a time.
@@ -118,7 +135,7 @@ func TestSharedLaneIndependence(t *testing.T) {
 	differ := false
 	for c := 0; c < 500 && !differ; c++ {
 		req := [][]bool{make([]bool, 2), make([]bool, 2)}
-		s.Next(req, grant)
+		nextBools(s, req, grant)
 		if req[0][0] != req[0][1] || req[1][0] != req[1][1] {
 			differ = true
 		}

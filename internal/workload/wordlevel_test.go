@@ -84,13 +84,13 @@ func TestWordGeneratorsMatchPerLane(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						feed.step = arbiter.AsBitStepper(p)
+						feed.step = p
 					}
 					what := fmt.Sprintf("%s N=%d seed %d random=%v", spec, n, seed, random)
-					matchWords(t, what, g.(BitGenerator), ref, feed, cycles)
+					matchWords(t, what, g, ref, feed, cycles)
 					g.Reset()
 					ref.Reset()
-					matchWords(t, what+" after Reset", g.(BitGenerator), ref, feed, cycles)
+					matchWords(t, what+" after Reset", g, ref, feed, cycles)
 				}
 			}
 		}
@@ -103,7 +103,7 @@ func TestWordGeneratorsMatchPerLane(t *testing.T) {
 				t.Fatal(err)
 			}
 			feed := &grantFeed{random: true, r: rng{state: uint64(hold)}}
-			matchWords(t, fmt.Sprintf("NewBernoulli hold %d N=%d", hold, n), g.(BitGenerator), newRefBernoulli(n, 0.4, hold, 7), feed, cycles)
+			matchWords(t, fmt.Sprintf("NewBernoulli hold %d N=%d", hold, n), g, newRefBernoulli(n, 0.4, hold, 7), feed, cycles)
 		}
 	}
 }
@@ -114,13 +114,12 @@ func TestWordGeneratorsMatchPerLane(t *testing.T) {
 // grant under demand.
 type brokenPolicy struct {
 	arbiter.Policy
-	step  arbiter.BitStepper
 	kind  string
 	cycle int
 }
 
 func (b *brokenPolicy) StepBits(req arbiter.BitVec) arbiter.BitVec {
-	grant := b.step.StepBits(req)
+	grant := b.Policy.StepBits(req)
 	b.cycle++
 	n := b.N()
 	switch {
@@ -137,10 +136,6 @@ func (b *brokenPolicy) StepBits(req arbiter.BitVec) arbiter.BitVec {
 	}
 	return grant
 }
-
-// sliceOnly hides a generator's NextBits, sending Drive down its []bool
-// adapter path.
-type sliceOnly struct{ Generator }
 
 // compareDrive runs Drive and the frozen refDrive on freshly built,
 // identical policy/generator pairs and requires deeply equal Metrics.
@@ -160,7 +155,7 @@ func compareDrive(t *testing.T, what string, build func() (arbiter.Policy, Gener
 // TestDriveMatchesPerLane holds Drive to the frozen per-lane loop: every
 // policy × shape at N ∈ {2, 6, 33, 64}, then broken steppers, whose
 // violations, censored waits and open waits at run end exercise every
-// flush, and the []bool generator path.
+// flush.
 func TestDriveMatchesPerLane(t *testing.T) {
 	const cycles = 4000
 	shapes := append(DefaultWorkloads(), "silent")
@@ -189,18 +184,11 @@ func TestDriveMatchesPerLane(t *testing.T) {
 		}
 		for _, kind := range []string{"two-grants", "non-requester", "line-n", "starve"} {
 			broken := func(p arbiter.Policy) arbiter.Policy {
-				return &brokenPolicy{Policy: p, step: arbiter.AsBitStepper(p), kind: kind}
+				return &brokenPolicy{Policy: p, kind: kind}
 			}
 			for _, wspec := range shapes {
 				compareDrive(t, fmt.Sprintf("N=%d broken %s × %s", n, kind, wspec), build("rr", wspec, n, broken), cycles)
 			}
-		}
-		for _, wspec := range []string{"bernoulli:0.30", "hog"} {
-			inner := build("rr", wspec, n, same)
-			compareDrive(t, fmt.Sprintf("N=%d rr × []bool %s", n, wspec), func() (arbiter.Policy, Generator) {
-				p, g := inner()
-				return p, sliceOnly{g}
-			}, cycles)
 		}
 	}
 }
@@ -295,11 +283,10 @@ func checkWordGenerator(t *testing.T, in wordFuzzInput) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg := g.(BitGenerator)
 	for pass := 0; pass < 2; pass++ {
 		var grant arbiter.BitVec
 		for c := 0; c < 512; c++ {
-			req := bg.NextBits(grant)
+			req := g.NextBits(grant)
 			if want := ref.NextBits(grant); req != want {
 				t.Fatalf("%s N=%d seed %d pass %d cycle %d: grant %064b\nword-level req %064b\nper-lane req   %064b",
 					spec, n, in.seed, pass, c, grant, req, want)

@@ -1,8 +1,8 @@
 // Package workload is a deterministic synthetic request-traffic engine
 // for exercising arbitration policies standalone, outside the full
 // system simulator: it drives any arbiter.Policy at millions of cycles
-// per second through the word-level BitStepper fast path, under traffic shapes
-// the paper's single FFT case study never produces — uniform Bernoulli
+// per second, one request word per cycle, under traffic shapes the
+// paper's single FFT case study never produces — uniform Bernoulli
 // arrivals, bursty on/off sources, hotspot skew, Markov-modulated load
 // regimes, an adversarial hog, and recorded-trace replay.
 //
@@ -29,32 +29,29 @@ import (
 	"sparcs/internal/arbiter"
 )
 
-// Generator produces one request vector per cycle. Next fills req for
-// the coming cycle after observing prevGrant, the grants the arbiter
-// issued last cycle (all false on the first call). Implementations must
-// be deterministic: Reset followed by the same grant feedback replays
-// the identical request stream.
+// Generator produces one request word per cycle through its embedded
+// BitGenerator: NextBits returns the request word for the coming cycle
+// after observing the grants the arbiter issued last cycle (zero on the
+// first call). Implementations must be deterministic: Reset followed by
+// the same grant feedback replays the identical request stream. Every
+// Generator is a sim.Requester, so any of them can be attached to a
+// simulation as background contention.
 type Generator interface {
 	// Name identifies the shape with its parameters ("bernoulli:0.30").
 	Name() string
 	// N returns the number of request lines.
 	N() int
-	// Next fills req for one cycle; len(req) and len(prevGrant) must
-	// equal N.
-	Next(req, prevGrant []bool)
+	// BitGenerator produces the request word for one cycle.
+	BitGenerator
 	// Reset returns the generator to its initial state, including the
 	// random stream.
 	Reset()
 }
 
-// BitGenerator is the word-level fast path of Generator: NextBits
-// returns the request word for the coming cycle (bit i = line i) after
-// observing prevGrant, the grants issued last cycle. It advances the
-// same state as Next — the two surfaces are interchangeable
-// cycle-by-cycle, and every generator in this package implements both
-// (NextBits is the core; Next is a pack/unpack adapter). It is
-// structurally identical to sim.BitRequester, so sources attached as
-// simulator contention take the simulator's word-level path too.
+// BitGenerator is the per-cycle core of Generator: NextBits returns the
+// request word for the coming cycle (bit i = line i) after observing
+// prevGrant, the grants issued to these lines last cycle. Bits at or
+// above N() in prevGrant are ignored.
 type BitGenerator interface {
 	NextBits(prevGrant arbiter.BitVec) arbiter.BitVec
 }
@@ -174,10 +171,6 @@ func (b *bernoulli) Reset() {
 	b.jobs.reset()
 }
 
-func (b *bernoulli) Next(req, prevGrant []bool) {
-	b.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
-
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
@@ -269,10 +262,6 @@ func (b *bursty) Reset() {
 	b.jobs.reset()
 }
 
-func (b *bursty) Next(req, prevGrant []bool) {
-	b.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
-
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
@@ -332,10 +321,6 @@ func (m *markov) Reset() {
 	m.jobs.reset()
 }
 
-func (m *markov) Next(req, prevGrant []bool) {
-	m.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
-
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
@@ -377,12 +362,6 @@ func (s *silent) Reset()       {}
 // Silent marks the generator as statically request-free.
 func (s *silent) Silent() bool { return true }
 
-func (s *silent) Next(req, prevGrant []bool) {
-	for i := range req {
-		req[i] = false
-	}
-}
-
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
@@ -421,10 +400,6 @@ func NewTrace(name string, n int, steps [][]bool) (Generator, error) {
 func (t *trace) Name() string { return t.name }
 func (t *trace) N() int       { return t.n }
 func (t *trace) Reset()       { t.pos = 0 }
-
-func (t *trace) Next(req, prevGrant []bool) {
-	t.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
 
 // NextBits implements BitGenerator.
 //

@@ -321,16 +321,15 @@ func TestNewPoliciesCheckAllUnderEveryWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			req := make([]bool, n)
-			grant := make([]bool, n)
+			var req, grant arbiter.BitVec
 			steps := make([]arbiter.TraceStep, 0, cycles)
 			for c := 0; c < cycles; c++ {
-				g.Next(req, grant)
-				arbiter.StepInto(p, req, grant)
-				steps = append(steps, arbiter.TraceStep{
-					Req:   append([]bool(nil), req...),
-					Grant: append([]bool(nil), grant...),
-				})
+				req = g.NextBits(grant)
+				grant = p.StepBits(req)
+				st := arbiter.TraceStep{Req: make([]bool, n), Grant: make([]bool, n)}
+				req.WriteBools(st.Req)
+				grant.WriteBools(st.Grant)
+				steps = append(steps, st)
 			}
 			if err := arbiter.CheckAll(n, steps); err != nil {
 				t.Errorf("%s × %s: %v", pspec, wspec, err)

@@ -61,10 +61,6 @@
 //   - The Section 5 case study: the 4x4 2-D FFT on the Annapolis
 //     Wildforce board (internal/fft, rc).
 //
-// The pre-System facade (Compile, Simulate and the flat core.Options
-// bag) remains as deprecated wrappers with identical outputs, proven by
-// the differential tests in system_test.go.
-//
 // See the runnable programs under examples/, README.md for a quickstart
 // and the old→new migration table, and the benchmark harness in
 // bench_test.go, which regenerates every figure and table of the paper's
@@ -74,19 +70,15 @@ package sparcs
 import (
 	"sparcs/internal/arbiter"
 	"sparcs/internal/behav"
-	"sparcs/internal/core"
-	"sparcs/internal/fft"
 	"sparcs/internal/fsm"
 	"sparcs/internal/rc"
-	"sparcs/internal/sim"
 	"sparcs/internal/synth"
-	"sparcs/internal/taskgraph"
 	"sparcs/internal/workload"
 )
 
 // NewArbiter returns the behavioral N-input round-robin arbiter
-// (Figure 5 semantics): call Step with the request vector each cycle and
-// receive the grant vector.
+// (Figure 5 semantics): call StepBits with the request word each cycle
+// and receive the grant word.
 func NewArbiter(n int) (*arbiter.RoundRobin, error) {
 	if n < arbiter.MinN || n > arbiter.MaxN {
 		return nil, arbiter.RangeError(n)
@@ -159,59 +151,6 @@ func CaptureColumn(name string, steps []arbiter.TraceStep) (WorkloadColumn, erro
 	return workload.FromArbiterTrace(name, steps)
 }
 
-// FFTMeasuredColumn runs the Section 5 FFT case study under the named
-// arbitration policy (with trace recording on), captures the request
-// stream of the first arbiter with n request lines — n=6 selects the
-// paper's contended Arb6 bank — and returns it as a replayable grid
-// column named "fft:<resource>". The request stream is closed-loop
-// traffic shaped by the capture policy, so the policy spec is part of
-// the measurement; "round-robin" reproduces the paper's setup.
-//
-// Deprecated: thin wrapper over the System API — FFTSystem, then
-// Run(WithPolicy(policy), WithCapture()) and Result.ColumnByWidth; keep
-// the System to capture several resources or policies without
-// recompiling.
-func FFTMeasuredColumn(tiles, n int, policy string) (WorkloadColumn, error) {
-	if tiles <= 0 {
-		tiles = 6
-	}
-	sys, err := FFTSystem(tiles)
-	if err != nil {
-		return WorkloadColumn{}, err
-	}
-	mem := NewMemory()
-	LoadFFTInput(mem, tiles, 42)
-	res, err := sys.Run(WithPolicy(policy), WithCapture(), WithMemory(mem))
-	if err != nil {
-		return WorkloadColumn{}, err
-	}
-	return res.ColumnByWidth("fft", n)
-}
-
-// ContentionSpec asks a run to inject one background phantom requester
-// alongside the compiled tasks (see core.ContentionSpec and the
-// "resource=workload[/lines]" grammar of ParseContention).
-type ContentionSpec = core.ContentionSpec
-
-// SharedContentionSpec asks a run to inject one correlated
-// multi-resource background source: a single generator spanning several
-// arbiters with hold-A-while-waiting-on-B acquisition (see
-// core.SharedContentionSpec and the "res1+res2=workload[/lanes]" grammar
-// of ParseSharedContention).
-type SharedContentionSpec = core.SharedContentionSpec
-
-// ParseContention parses a comma-separated contention spec list, e.g.
-// "M1=hog/2,M3=bernoulli:0.50", for core.Options.Contention.
-func ParseContention(s string) ([]ContentionSpec, error) {
-	return core.ParseContention(s)
-}
-
-// ParseSharedContention parses a comma-separated correlated contention
-// spec list, e.g. "M1+M3=corr:0.25/2", for core.Options.Shared.
-func ParseSharedContention(s string) ([]SharedContentionSpec, error) {
-	return core.ParseSharedContention(s)
-}
-
 // ArbiterVHDL renders the N-input round-robin arbiter as synthesizable
 // VHDL, mirroring the paper's arbiter generator. Encoding is "one-hot",
 // "compact", or "gray".
@@ -246,84 +185,5 @@ func CharacterizeArbiter(n int, tool, encoding string) (synth.Result, error) {
 // Wildforce returns the paper's target board model.
 func Wildforce() *rc.Board { return rc.Wildforce() }
 
-// FFTCaseStudy holds the Section 5 reproduction outputs.
-type FFTCaseStudy struct {
-	Design        *core.Design
-	Result        *core.RunResult
-	Report        string
-	CyclesPerTile float64
-	HWSeconds     float64 // 512x512 image at 6 MHz
-	SWSeconds     float64 // Pentium-150 model
-	Speedup       float64
-	OutputOK      bool
-}
-
-// RunFFTCaseStudy compiles and simulates the paper's 4x4 2-D FFT on the
-// Wildforce model with the paper's three-stage temporal partitioning,
-// verifying the hardware memory image against the fixed-point reference
-// and extrapolating full-image timings.
-//
-// Deprecated: thin wrapper over the System API — FFTSystem once, then
-// Run per experiment; keep the System to vary policies or contention
-// without recompiling.
-func RunFFTCaseStudy(tiles int) (*FFTCaseStudy, error) {
-	if tiles <= 0 {
-		tiles = 6
-	}
-	sys, err := FFTSystem(tiles)
-	if err != nil {
-		return nil, err
-	}
-	mem := NewMemory()
-	in := LoadFFTInput(mem, tiles, 42)
-	res, err := sys.Run(WithCapture(), WithMemory(mem))
-	if err != nil {
-		return nil, err
-	}
-	cpt := float64(res.TotalCycles) / float64(tiles)
-	cs := &FFTCaseStudy{
-		Design:        sys.Design(),
-		Result:        res.RunResult,
-		Report:        sys.Report(),
-		CyclesPerTile: cpt,
-		HWSeconds:     fft.HardwareSeconds(cpt, 512),
-		SWSeconds:     fft.SoftwareSeconds(512),
-		OutputOK:      CheckFFTOutput(mem, in) == nil,
-	}
-	cs.Speedup = cs.SWSeconds / cs.HWSeconds
-	return cs, nil
-}
-
-// Compile runs the full SPARCS-like flow on an arbitrary taskgraph.
-//
-// Deprecated: use Build, which returns a System handle that composes
-// per-run options instead of threading one core.Options bag through
-// Compile and Simulate.
-func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]Program, opts core.Options) (*core.Design, error) {
-	return core.Compile(g, board, programs, opts)
-}
-
-// Simulate executes a compiled design stage by stage.
-//
-// Deprecated: use System.Run with functional options (WithPolicy,
-// WithContention, WithCapture, WithSeed) composed per experiment.
-func Simulate(d *core.Design, mem *sim.Memory, opts core.Options) (*core.RunResult, error) {
-	return core.Simulate(d, mem, opts)
-}
-
-// SweepPoint aliases one independent simulation in a parallel sweep.
-type SweepPoint = core.SweepPoint
-
-// SimulateSweep runs independent design simulations concurrently across
-// GOMAXPROCS workers. Points must not share Memory instances. Results
-// come back in input order.
-//
-// Deprecated: use System.Sweep, which fans out composable RunOption
-// sets over one compiled System instead of threading explicit
-// (design, memory, options) triples.
-func SimulateSweep(points []SweepPoint) ([]*core.RunResult, error) {
-	return core.SimulateSweep(points)
-}
-
-// Program aliases the behavioral task program type used by Compile.
+// Program aliases the behavioral task program type used by Build.
 type Program = behav.Program

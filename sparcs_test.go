@@ -16,9 +16,9 @@ func TestNewArbiterPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := arb.Step([]bool{false, true, true})
-	if !g[1] {
-		t.Fatalf("grant = %v, want task 2 first", g)
+	g := arb.StepBits(0b110) // tasks 2 and 3 request
+	if !g.Bit(1) {
+		t.Fatalf("grant = %03b, want task 2 first", g)
 	}
 	if _, err := sparcs.NewArbiter(1); err == nil {
 		t.Fatal("N=1 should be rejected")
@@ -71,22 +71,20 @@ func TestWildforcePublicAPI(t *testing.T) {
 }
 
 // TestRunFFTCaseStudyPublicAPI is the headline integration test through
-// the public facade: structure, correctness, and timing shape all at once.
+// the public System API (FFTSystem, then Run): structure, correctness,
+// and timing shape all at once.
 func TestRunFFTCaseStudyPublicAPI(t *testing.T) {
-	cs, err := sparcs.RunFFTCaseStudy(4)
-	if err != nil {
-		t.Fatal(err)
+	cs := runFFTCaseStudy(t, 4)
+	if cs.outputErr != nil {
+		t.Fatalf("output check failed: %v", cs.outputErr)
 	}
-	if !cs.OutputOK {
-		t.Fatal("output check failed")
+	if n := len(cs.sys.Design().Stages); n != 3 {
+		t.Fatalf("stages = %d, want 3", n)
 	}
-	if len(cs.Design.Stages) != 3 {
-		t.Fatalf("stages = %d, want 3", len(cs.Design.Stages))
+	if cs.speedup <= 1 {
+		t.Fatalf("speedup = %.2f, hardware should win", cs.speedup)
 	}
-	if cs.Speedup <= 1 {
-		t.Fatalf("speedup = %.2f, hardware should win", cs.Speedup)
-	}
-	if !strings.Contains(cs.Report, "Arb6") {
+	if !strings.Contains(cs.sys.Report(), "Arb6") {
 		t.Fatal("report missing the 6-input arbiter")
 	}
 }
@@ -144,17 +142,14 @@ func TestArbiterVHDLErrors(t *testing.T) {
 // and the exact arbiter set — so any simulator change that perturbs
 // scheduling shows up as a diff here.
 func TestRunFFTCaseStudyGolden(t *testing.T) {
-	cs, err := sparcs.RunFFTCaseStudy(2)
-	if err != nil {
-		t.Fatal(err)
+	cs := runFFTCaseStudy(t, 2)
+	if cs.outputErr != nil {
+		t.Fatalf("hardware memory image must match the fixed-point FFT reference: %v", cs.outputErr)
 	}
-	if !cs.OutputOK {
-		t.Fatal("hardware memory image must match the fixed-point FFT reference")
-	}
-	if v := cs.Result.Violations(); len(v) != 0 {
+	if v := cs.res.Violations(); len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}
-	arbs := cs.Design.Arbiters()
+	arbs := cs.sys.Design().Arbiters()
 	want := []string{"0:M1:6", "0:M3:2", "1:M3:4"}
 	if len(arbs) != len(want) {
 		t.Fatalf("arbiters = %v, want %v", arbs, want)
@@ -164,36 +159,8 @@ func TestRunFFTCaseStudyGolden(t *testing.T) {
 			t.Fatalf("arbiters = %v, want %v", arbs, want)
 		}
 	}
-	if cs.CyclesPerTile <= 0 || cs.HWSeconds <= 0 || cs.SWSeconds <= 0 {
-		t.Fatalf("degenerate timings: %+v", cs)
-	}
-}
-
-// TestSimulateSweepPublicAPI runs a multi-point sweep of the compiled
-// FFT design through the facade and checks each point agrees with the
-// case study's own simulation.
-func TestSimulateSweepPublicAPI(t *testing.T) {
-	cs, err := sparcs.RunFFTCaseStudy(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []sparcs.SweepPoint
-	for p := 0; p < 4; p++ {
-		mem := sim.NewMemory()
-		fft.LoadInput(mem, 2, 42)
-		points = append(points, sparcs.SweepPoint{Design: cs.Design, Memory: mem})
-	}
-	results, err := sparcs.SimulateSweep(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if len(r.Violations()) != 0 {
-			t.Fatalf("point %d: violations %v", i, r.Violations())
-		}
-		if r.TotalCycles != cs.Result.TotalCycles {
-			t.Fatalf("point %d: %d cycles, case study ran %d", i, r.TotalCycles, cs.Result.TotalCycles)
-		}
+	if cs.cyclesPerTile <= 0 || cs.hwSeconds <= 0 || cs.swSeconds <= 0 {
+		t.Fatalf("degenerate timings: %.1f cycles/tile, HW %g s, SW %g s", cs.cyclesPerTile, cs.hwSeconds, cs.swSeconds)
 	}
 }
 
@@ -251,11 +218,21 @@ func TestEvaluatePoliciesPublicAPI(t *testing.T) {
 
 // TestFFTMeasuredColumnRoundTrip is the acceptance test for the
 // capture→replay loop: the FFT case study's measured bank-M1 request
-// stream converts into a workload column (backed by workload.NewTrace)
-// and evaluates in the same grid as synthetic shapes, under policies
-// the capture never ran.
+// stream (FFTSystem, Run with WithCapture, ColumnByWidth) converts into
+// a workload column (backed by workload.NewTrace) and evaluates in the
+// same grid as synthetic shapes, under policies the capture never ran.
 func TestFFTMeasuredColumnRoundTrip(t *testing.T) {
-	col, err := sparcs.FFTMeasuredColumn(2, 6, "round-robin")
+	sys, err := sparcs.FFTSystem(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := sparcs.NewMemory()
+	sparcs.LoadFFTInput(mem, 2, 42)
+	res, err := sys.Run(sparcs.WithPolicy("round-robin"), sparcs.WithCapture(), sparcs.WithMemory(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := res.ColumnByWidth("fft", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,16 +276,17 @@ func TestFFTMeasuredColumnRoundTrip(t *testing.T) {
 		}
 	}
 	// A width mismatch is a clean error, not a silent truncation.
-	if _, err := sparcs.FFTMeasuredColumn(2, 16, "rr"); err == nil {
+	if _, err := res.ColumnByWidth("fft", 16); err == nil {
 		t.Fatal("no 16-line arbiter exists; expected an error")
 	}
 }
 
 // TestContentionPublicAPI drives background contention through the
-// facade: the FFT under bursty phantoms still verifies its output, the
-// run reports phantom stats, and the grammar round-trips.
+// flat-options flow (core.Compile, core.Simulate): the FFT under bursty
+// phantoms still verifies its output, the run reports phantom stats,
+// and the grammar round-trips.
 func TestContentionPublicAPI(t *testing.T) {
-	specs, err := sparcs.ParseContention("M1=bursty/2")
+	specs, err := core.ParseContention("M1=bursty/2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +301,7 @@ func TestContentionPublicAPI(t *testing.T) {
 	// Contention-aware partitioning prices M1's arbiter at its simulated
 	// width (6 members + 2 phantoms): Arb8 costs 37 CLBs and PE1
 	// genuinely overflows, which Compile must now report.
-	if _, err := sparcs.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts); err == nil {
+	if _, err := core.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts); err == nil {
 		t.Fatal("phantom-widened Arb8 should overflow PE1's CLB capacity")
 	} else if !strings.Contains(err.Error(), "over capacity") {
 		t.Fatalf("want an over-capacity error, got: %v", err)
@@ -331,13 +309,13 @@ func TestContentionPublicAPI(t *testing.T) {
 	// An explicit (empty) estimate opts out of the derived width bump —
 	// the escape hatch for phantom-only experiments on a full board.
 	opts.Partition.ExpectedContention = map[string]int{}
-	d, err := sparcs.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts)
+	d, err := core.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := sim.NewMemory()
 	in := fft.LoadInput(mem, 2, 42)
-	res, err := sparcs.Simulate(d, mem, opts)
+	res, err := core.Simulate(d, mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +334,10 @@ func TestContentionPublicAPI(t *testing.T) {
 	if !found {
 		t.Fatal("no stage reported contention stats for M1")
 	}
-	if _, err := sparcs.ParseContention("M1=notashape"); err == nil {
+	if _, err := core.ParseContention("M1=notashape"); err == nil {
 		t.Fatal("bad workload shape should error")
 	}
-	if _, err := sparcs.ParseContention("M1"); err == nil {
+	if _, err := core.ParseContention("M1"); err == nil {
 		t.Fatal("missing '=' should error")
 	}
 }

@@ -16,11 +16,10 @@ import (
 	"sparcs/internal/workload"
 )
 
-// TestSystemFFTDifferentialEquivalence is the deprecated-wrapper
-// contract: the old flat-options path (core.Compile + core.Simulate),
-// the deprecated facade wrappers, and a direct System run must produce
-// deeply equal per-stage stats — including traces — and identical
-// memory images for the FFT case study.
+// TestSystemFFTDifferentialEquivalence: the flat-options path
+// (core.Compile + core.Simulate) and a System run must produce deeply
+// equal per-stage stats — including traces — and identical memory
+// images for the FFT case study.
 func TestSystemFFTDifferentialEquivalence(t *testing.T) {
 	const tiles = 3
 
@@ -49,26 +48,15 @@ func TestSystemFFTDifferentialEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deprecated wrapper path.
-	cs, err := sparcs.RunFFTCaseStudy(tiles)
-	if err != nil {
-		t.Fatal(err)
+	if newRes.TotalCycles != oldRes.TotalCycles {
+		t.Fatalf("System.Run: TotalCycles %d != old %d", newRes.TotalCycles, oldRes.TotalCycles)
 	}
-
-	for name, got := range map[string]*core.RunResult{
-		"System.Run":      newRes.RunResult,
-		"RunFFTCaseStudy": cs.Result,
-	} {
-		if got.TotalCycles != oldRes.TotalCycles {
-			t.Fatalf("%s: TotalCycles %d != old %d", name, got.TotalCycles, oldRes.TotalCycles)
-		}
-		if len(got.Stages) != len(oldRes.Stages) {
-			t.Fatalf("%s: %d stages != %d", name, len(got.Stages), len(oldRes.Stages))
-		}
-		for si := range got.Stages {
-			if !reflect.DeepEqual(got.Stages[si].Stats, oldRes.Stages[si].Stats) {
-				t.Fatalf("%s: stage %d stats diverge from the old facade path", name, si)
-			}
+	if len(newRes.Stages) != len(oldRes.Stages) {
+		t.Fatalf("System.Run: %d stages != %d", len(newRes.Stages), len(oldRes.Stages))
+	}
+	for si := range newRes.Stages {
+		if !reflect.DeepEqual(newRes.Stages[si].Stats, oldRes.Stages[si].Stats) {
+			t.Fatalf("System.Run: stage %d stats diverge from the flat-options path", si)
 		}
 	}
 	// Memory images agree segment by segment.
@@ -82,33 +70,35 @@ func TestSystemFFTDifferentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestSystemArbbenchGridEquivalence: the grid built from the deprecated
-// FFTMeasuredColumn wrapper and the grid built from a System capture
-// must be cell-for-cell DeepEqual — the arbbench half of the wrapper
-// contract.
+// TestSystemArbbenchGridEquivalence: the grid built from an
+// every-arbiter capture (WithCapture(), as sparcs -mode arbbench
+// -fft-column runs it) and the grid built from a single-resource
+// capture (WithCapture("M1")) must be cell-for-cell DeepEqual — a
+// capture tap records the stream without perturbing it.
 func TestSystemArbbenchGridEquivalence(t *testing.T) {
 	const tiles = 2
-	oldCol, err := sparcs.FFTMeasuredColumn(tiles, 6, "round-robin")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	sys, err := sparcs.FFTSystem(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := sparcs.NewMemory()
-	sparcs.LoadFFTInput(mem, tiles, 42)
-	res, err := sys.Run(sparcs.WithCapture("M1"), sparcs.WithMemory(mem))
-	if err != nil {
-		t.Fatal(err)
+	capture := func(opts ...sparcs.RunOption) sparcs.WorkloadColumn {
+		t.Helper()
+		mem := sparcs.NewMemory()
+		sparcs.LoadFFTInput(mem, tiles, 42)
+		res, err := sys.Run(append(opts, sparcs.WithMemory(mem))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := res.ColumnByWidth("fft", 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col
 	}
-	newCol, err := res.ColumnByWidth("fft", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldCol := capture(sparcs.WithPolicy("round-robin"), sparcs.WithCapture())
+	newCol := capture(sparcs.WithCapture("M1"))
 	if oldCol.Name != newCol.Name {
-		t.Fatalf("column names: old %q, new %q", oldCol.Name, newCol.Name)
+		t.Fatalf("column names: capture-all %q, capture M1 %q", oldCol.Name, newCol.Name)
 	}
 
 	policies := []string{"rr", "fifo", "priority", "preemptive:4"}
@@ -122,7 +112,7 @@ func TestSystemArbbenchGridEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(oldCells, newCells) {
-		t.Fatal("grid cells diverge between the deprecated wrapper column and the System capture column")
+		t.Fatal("grid cells diverge between the capture-all column and the capture-M1 column")
 	}
 	// And the spec-string front end still matches the columns front end.
 	oldGrid, err := sparcs.EvaluatePolicies(policies, []string{"hog", "bursty"}, opt)
