@@ -85,8 +85,10 @@ func TestRoundRobinFamilyIdentical(t *testing.T) {
 	}
 }
 
-// TestWRRMatchesPreemptiveUniform: uniform-weight WRR is exactly the
-// preemptive round-robin with maxHold equal to the weight.
+// TestWRRMatchesPreemptiveUniform: the preemptive round-robin is
+// exactly uniform-weight WRR with every quantum equal to maxHold, so
+// NewPreemptiveRoundRobin must grant as an explicitly built uniform WRR
+// does.
 func TestWRRMatchesPreemptiveUniform(t *testing.T) {
 	const n = 5
 	for _, k := range []int{1, 3} {

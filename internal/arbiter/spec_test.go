@@ -58,8 +58,8 @@ func TestParsePolicySpecErrors(t *testing.T) {
 
 // TestNewPolicyReachesEveryImplementation: the satellite bugfix — every
 // policy implementation in the package must be constructible by name,
-// including FSMPolicy, NetlistPolicy, and PreemptiveRoundRobin, which
-// the old constructor could not reach.
+// including FSMPolicy, NetlistPolicy, and the preemptive round-robin,
+// which the old constructor could not reach.
 func TestNewPolicyReachesEveryImplementation(t *testing.T) {
 	const n = 6
 	specs := []string{

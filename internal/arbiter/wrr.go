@@ -2,17 +2,18 @@ package arbiter
 
 import "fmt"
 
-// WeightedRoundRobin generalizes the preemptive round-robin with
-// per-task service quanta: a holder keeps the resource while it keeps
-// requesting, but once it has held for weights[holder] consecutive
-// granted cycles while another task waits, its grant is revoked and the
-// cyclic scan resumes at the next task. Under saturation every task's
-// long-run grant share is proportional to its weight, while the
-// round-robin scan order preserves the N-1 grant-episode wait bound
-// (each competitor is served at most one episode per rotation). With no
-// competing requests the holder keeps the resource indefinitely, so
-// work conservation is preserved.
+// WeightedRoundRobin is the round-robin arbiter with per-task service
+// quanta: a holder keeps the resource while it keeps requesting, but
+// once it has held for weights[holder] consecutive granted cycles while
+// another task waits, its grant is revoked and the cyclic scan resumes
+// at the next task. Under saturation every task's long-run grant share
+// is proportional to its weight, while the round-robin scan order
+// preserves the N-1 grant-episode wait bound (each competitor is served
+// at most one episode per rotation). With no competing requests the
+// holder keeps the resource indefinitely, so work conservation is
+// preserved.
 type WeightedRoundRobin struct {
+	name    string
 	n       int
 	weights []int
 	inner   *RoundRobin
@@ -34,14 +35,42 @@ func NewWeightedRoundRobin(n int, weights []int) (*WeightedRoundRobin, error) {
 		}
 	}
 	return &WeightedRoundRobin{
+		name:    "weighted-round-robin",
 		n:       n,
 		weights: append([]int(nil), weights...),
 		inner:   NewRoundRobin(n),
 	}, nil
 }
 
+// NewPreemptiveRoundRobin returns the extension the paper's conclusion
+// proposes as future work: "preemption techniques could be introduced
+// to ensure that no task is granted access to a shared resource and
+// never relinquishes its request." It is the round-robin arbiter, except
+// that a holder that keeps requesting for more than maxHold consecutive
+// granted cycles while another task waits has its grant revoked — that
+// is, weighted round-robin with every quantum equal to maxHold. maxHold
+// must be at least 1.
+func NewPreemptiveRoundRobin(n, maxHold int) (*WeightedRoundRobin, error) {
+	if n < MinN || n > MaxN {
+		return nil, RangeError(n)
+	}
+	if maxHold < 1 {
+		return nil, fmt.Errorf("arbiter: maxHold must be >= 1, got %d", maxHold)
+	}
+	weights := make([]int, n)
+	for i := range weights {
+		weights[i] = maxHold
+	}
+	p, err := NewWeightedRoundRobin(n, weights)
+	if err != nil {
+		return nil, err
+	}
+	p.name = "round-robin-preemptive"
+	return p, nil
+}
+
 // Name implements Policy.
-func (p *WeightedRoundRobin) Name() string { return "weighted-round-robin" }
+func (p *WeightedRoundRobin) Name() string { return p.name }
 
 // N implements Policy.
 func (p *WeightedRoundRobin) N() int { return p.n }

@@ -11,10 +11,10 @@ import (
 )
 
 // TestDuplicateResourceRejected pins the typed rejection of duplicate
-// resources across all three parser front ends — and that the
-// compositional cases (single+shared on one resource, repeated shared
-// spans) remain accepted: those describe independent background
-// processes, not a silently merged one.
+// resources in both kinds of spec — and that the compositional cases
+// (independent+correlated on one resource, repeated correlated spans)
+// remain accepted: those describe independent background processes,
+// not a silently merged one.
 func TestDuplicateResourceRejected(t *testing.T) {
 	assertDup := func(t *testing.T, err error, resource string) {
 		t.Helper()
@@ -37,48 +37,49 @@ func TestDuplicateResourceRejected(t *testing.T) {
 		t.Fatalf("distinct resources rejected: %v", err)
 	}
 
-	shared, err := ParseSharedContention("M1+M3+M1=corr")
-	if shared != nil {
-		t.Fatalf("duplicate span returned partial specs %+v", shared)
+	specs, err = ParseContention("M1+M3+M1=corr")
+	if specs != nil {
+		t.Fatalf("duplicate span returned partial specs %+v", specs)
 	}
 	assertDup(t, err, "M1")
 
-	single, mixed, err := ParseMixedContention("M1=hog,M1=bursty,M2+M3=corr")
-	if single != nil || mixed != nil {
-		t.Fatalf("duplicate mixed list returned partial specs %+v / %+v", single, mixed)
+	specs, err = ParseContention("M1=hog,M2+M3=corr,M1=bursty")
+	if specs != nil {
+		t.Fatalf("duplicate mixed list returned partial specs %+v", specs)
 	}
 	assertDup(t, err, "M1")
 
 	// A resource under both independent and correlated load is two
 	// distinct background processes — still accepted.
-	if _, _, err := ParseMixedContention("M1=hog,M1+M3=corr"); err != nil {
-		t.Fatalf("single+shared composition rejected: %v", err)
+	if _, err := ParseContention("M1=hog,M1+M3=corr"); err != nil {
+		t.Fatalf("independent+correlated composition rejected: %v", err)
 	}
-	// Repeating a shared span across entries adds lanes of another
+	// Repeating a correlated span across entries adds lanes of another
 	// correlated source — still accepted.
-	if _, err := ParseSharedContention("M1+M3=corr,M1+M3=corr:0.50"); err != nil {
-		t.Fatalf("repeated shared span rejected: %v", err)
+	if _, err := ParseContention("M1+M3=corr,M1+M3=corr:0.50"); err != nil {
+		t.Fatalf("repeated correlated span rejected: %v", err)
 	}
+
+	// The run validator applies the same check to the list a run
+	// composes, whichever parse (or none) each spec came from.
+	d := fakeDesign([]string{"M1", "M3"})
+	hog := ContentionSpec{Resources: []string{"M1"}, Workload: "hog"}
+	assertDup(t, validateContention(d, []ContentionSpec{hog, hog}), "M1")
+	assertDup(t, validateContention(d, []ContentionSpec{{Resources: []string{"M1", "M3", "M1"}, Workload: "corr"}}), "M1")
 }
 
 // TestContentionRejectsNaNRate: a NaN arrival rate fails at parse time
-// in every contention grammar, instead of building a background source
-// that never requests.
+// in both kinds of spec, instead of building a background source that
+// never requests.
 func TestContentionRejectsNaNRate(t *testing.T) {
-	if _, err := ParseContention("M1=bernoulli:NaN/4"); err == nil {
-		t.Error("ParseContention accepted a NaN bernoulli rate")
-	}
-	if _, err := ParseSharedContention("M1+M3=corr:NaN"); err == nil {
-		t.Error("ParseSharedContention accepted a NaN corr rate")
-	}
-	if _, _, err := ParseMixedContention("M1=hotspot:nan,M1+M3=corr"); err == nil {
-		t.Error("ParseMixedContention accepted a NaN hotspot rate")
+	for _, spec := range []string{"M1=bernoulli:NaN/4", "M1+M3=corr:NaN", "M1=hotspot:nan,M1+M3=corr"} {
+		if _, err := ParseContention(spec); err == nil {
+			t.Errorf("ParseContention accepted the NaN rate in %q", spec)
+		}
 	}
 }
 
-// policyOpts returns paper options with NewPolicy backed by the given
-// spec string, panicking on sizes the spec cannot serve (the tests only
-// use specs valid for every arbiter they reach).
+// policyOpts returns paper options running the given policy spec.
 func policyOpts(t *testing.T, spec string) Options {
 	t.Helper()
 	sp, err := arbiter.ParsePolicySpec(spec)
@@ -86,20 +87,7 @@ func policyOpts(t *testing.T, spec string) Options {
 		t.Fatal(err)
 	}
 	opts := paperOpts()
-	opts.NewPolicy = func(n int) arbiter.Policy {
-		p, err := sp.New(n)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}
-	opts.NewPolicyWidened = func(members, width int) arbiter.Policy {
-		p, err := sp.NewWidened(members, width)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}
+	opts.Policy = sp
 	return opts
 }
 
@@ -137,8 +125,8 @@ func TestZeroRateContentionByteIdentical(t *testing.T) {
 
 			opts := policyOpts(t, spec)
 			opts.Contention = []ContentionSpec{
-				{Resource: "M1", Workload: "silent", Lines: 2},
-				{Resource: "M3", Workload: "silent", Lines: 1},
+				{Resources: []string{"M1"}, Workload: "silent", Lines: 2},
+				{Resources: []string{"M3"}, Workload: "silent", Lines: 1},
 			}
 			quiet, memQuiet := runFFT(t, opts)
 
@@ -155,7 +143,7 @@ func TestZeroRateContentionByteIdentical(t *testing.T) {
 // neutralPolicies are the specs for which appending request lines that
 // never assert cannot change the member grant stream: either the grant
 // decisions depend only on the requesting subset and its cyclic order,
-// or — for hier — the widened constructor (NewPolicyWidened /
+// or — for hier — the widened constructor (PolicySpec.NewWidened /
 // arbiter.NewHierarchicalWidened) keeps the member-line tree layout
 // identical to the unwidened arbiter's and parks the appended lanes in
 // their own always-idle cluster.
@@ -226,8 +214,7 @@ func simulateWithQuietTrace(t *testing.T, d *Design, mem *sim.Memory, opts Optio
 			Arbiters:          sp.Inserted.Arbiters,
 			ResourceOfSegment: sp.Inserted.ResourceOfSegment,
 			ResourceOfChannel: sp.Inserted.ResourceOfChannel,
-			NewPolicy:         opts.NewPolicy,
-			NewPolicyWidened:  opts.NewPolicyWidened,
+			Policy:            opts.Policy,
 			Memory:            mem,
 		}
 		for _, a := range sp.Inserted.Arbiters {

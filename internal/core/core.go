@@ -24,42 +24,32 @@ type Options struct {
 	Partition partition.Options
 	// Insert options (M accesses per grant, conservative mode).
 	Insert arbinsert.Options
-	// NewPolicy picks the arbiter implementation for simulation; nil uses
-	// the behavioral round-robin.
-	NewPolicy func(n int) arbiter.Policy
-	// NewPolicyWidened, when non-nil, constructs policies for arbiters
-	// widened by background contention (see sim.Config.NewPolicyWidened):
-	// it receives the member line count alongside the total simulated
-	// width so layout-sensitive policies (the hierarchical tree) can keep
-	// their member-line structure stable under widening. Nil widens via
-	// NewPolicy(width).
-	NewPolicyWidened func(members, width int) arbiter.Policy
+	// Policy picks the arbiter implementation for simulation (see
+	// sim.Config.Policy); nil uses the behavioral round-robin.
+	Policy *arbiter.PolicySpec
 	// MaxCyclesPerStage bounds each stage simulation.
 	MaxCyclesPerStage int
 	// DisableTraces skips per-cycle arbiter trace recording — the one
 	// part of simulation whose memory cost grows with cycle count.
 	// Sweeps that only need cycle/violation/grant statistics set this.
 	DisableTraces bool
-	// Contention injects background phantom requesters alongside the
-	// compiled tasks: each spec attaches a workload generator to the
-	// named arbiter in every stage where the resource is arbitrated.
-	// NewPolicy then receives the widened line count (members plus
-	// phantom lines) for those arbiters.
+	// Contention injects background load alongside the compiled tasks
+	// (see ContentionSpec): an independent spec attaches a workload
+	// generator to its resource's arbiter in every stage that arbitrates
+	// it; a correlated spec drives all its resources' arbiters from one
+	// generator in every stage that arbitrates them together, and its
+	// cross-resource overlap and wait statistics land in that stage's
+	// sim.Stats.Shared. Policy is instantiated at the widened line count
+	// (StageWidths) of every arbiter the load reaches.
 	Contention []ContentionSpec
-	// Shared injects correlated multi-resource background sources: one
-	// generator spans several arbiters with hold-A-while-waiting-on-B
-	// semantics, wired into every stage that arbitrates ALL its
-	// resources (see SharedContentionSpec). Cross-resource overlap and
-	// wait statistics land in each stage's sim.Stats.Shared.
-	Shared []SharedContentionSpec
 	// ContentionSeed seeds the background generators' random streams
 	// (0 means 1). Runs are deterministic for a given seed.
 	ContentionSeed uint64
 	// UnsafeProtocols skips the acquisition-order deadlock check on the
-	// Shared specs (CheckProtocols): cyclic hold-and-wait protocols run
-	// anyway, guarded only by the MaxCyclesPerStage watchdog. This is
-	// the deadlock experiments' escape hatch; leave it false everywhere
-	// else.
+	// Contention specs (CheckProtocols): cyclic hold-and-wait protocols
+	// run anyway, guarded only by the MaxCyclesPerStage watchdog. This
+	// is the deadlock experiments' escape hatch; leave it false
+	// everywhere else.
 	UnsafeProtocols bool
 	// CaptureOnly restricts per-cycle arbiter trace recording to the
 	// named resources when non-nil (DisableTraces false): a run that
@@ -83,25 +73,11 @@ type Design struct {
 }
 
 // Compile runs partitioning, channel routing, and arbiter insertion.
-// programs supplies the raw (unarbitrated) behavior of every task.
+// programs supplies the raw (unarbitrated) behavior of every task. Only
+// opts.Partition and opts.Insert shape the design: background load that
+// later runs inject widens the arbiters' area only as far as
+// Partition.ExpectedContention declares it (sparcs.WithExpectedContention).
 func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Program, opts Options) (*Design, error) {
-	// Refuse deadlock-prone acquisition orders at build time: a design
-	// compiled against a cyclic hold-and-wait protocol would only ever
-	// "work" by timing out its watchdog.
-	if !opts.UnsafeProtocols {
-		if err := CheckProtocols(opts.Shared); err != nil {
-			return nil, err
-		}
-	}
-	// Contention-aware partitioning: unless the caller set an explicit
-	// estimate, price each arbiter at the width it will be SIMULATED at
-	// (members + phantom lines + shared lanes), not its member width, so
-	// the memory mapper's area model matches the widened hardware.
-	if opts.Partition.ExpectedContention == nil {
-		if extra := expectedLines(opts); len(extra) > 0 {
-			opts.Partition.ExpectedContention = extra
-		}
-	}
 	stages, err := partition.Temporal(g, board, opts.Partition)
 	if err != nil {
 		return nil, err
@@ -188,19 +164,8 @@ func Simulate(d *Design, mem *sim.Memory, opts Options) (*RunResult, error) {
 	if mem == nil {
 		mem = sim.NewMemory()
 	}
-	if err := validateContention(d, opts.Contention); err != nil {
+	if err := validateRun(d, opts); err != nil {
 		return nil, err
-	}
-	if err := validateShared(d, opts.Shared); err != nil {
-		return nil, err
-	}
-	// Experiments compose contention per run, after Compile has already
-	// vetted the build-time specs — so the acquisition-order check runs
-	// here too, against whatever protocol this run actually injects.
-	if !opts.UnsafeProtocols {
-		if err := CheckProtocols(opts.Shared); err != nil {
-			return nil, err
-		}
 	}
 	res := &RunResult{Memory: mem}
 	for _, sp := range d.Stages {
@@ -216,7 +181,7 @@ func Simulate(d *Design, mem *sim.Memory, opts Options) (*RunResult, error) {
 
 // SimulateStage runs one temporal partition of a compiled design over the
 // given memory image, with exactly the option composition Simulate uses
-// for that stage (same contention/shared seed derivation, same config).
+// for that stage (same contention seed derivation, same config).
 // This is the entry point for schedulers that interleave stages of many
 // designs on one fabric (internal/scenario): a design's stage i executed
 // here is cycle-identical to its execution inside Simulate.
@@ -227,29 +192,17 @@ func SimulateStage(d *Design, si int, mem *sim.Memory, opts Options) (*sim.Stats
 	if mem == nil {
 		mem = sim.NewMemory()
 	}
-	if err := validateContention(d, opts.Contention); err != nil {
+	if err := validateRun(d, opts); err != nil {
 		return nil, err
-	}
-	if err := validateShared(d, opts.Shared); err != nil {
-		return nil, err
-	}
-	if !opts.UnsafeProtocols {
-		if err := CheckProtocols(opts.Shared); err != nil {
-			return nil, err
-		}
 	}
 	return simulateStage(d, d.Stages[si], mem, opts)
 }
 
 // simulateStage is the shared per-stage body of Simulate and
-// SimulateStage: compose this stage's contention and shared-resource
-// specs from the run options and execute the sim hot loop.
+// SimulateStage: build this stage's background sources from the run's
+// contention specs and execute the sim hot loop.
 func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*sim.Stats, error) {
-	contention, err := stageContention(sp, opts.Contention, opts.ContentionSeed)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := stageShared(sp, opts.Shared, opts.ContentionSeed, len(opts.Contention))
+	contention, shared, err := stageSources(sp, opts.Contention, opts.ContentionSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -260,8 +213,7 @@ func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*si
 		Arbiters:          sp.Inserted.Arbiters,
 		ResourceOfSegment: sp.Inserted.ResourceOfSegment,
 		ResourceOfChannel: sp.Inserted.ResourceOfChannel,
-		NewPolicy:         opts.NewPolicy,
-		NewPolicyWidened:  opts.NewPolicyWidened,
+		Policy:            opts.Policy,
 		MaxCycles:         opts.MaxCyclesPerStage,
 		Memory:            mem,
 		DisableTraces:     opts.DisableTraces,

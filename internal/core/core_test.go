@@ -218,13 +218,7 @@ func TestAutomaticPartitioningAlsoWorks(t *testing.T) {
 func TestGateLevelArbitersEndToEnd(t *testing.T) {
 	tiles := 2
 	opts := paperOpts()
-	opts.NewPolicy = func(n int) arbiter.Policy {
-		p, err := arbiter.NewNetlistPolicy(n, fsm.OneHot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
+	opts.Policy = &arbiter.PolicySpec{Kind: "netlist", Encoding: fsm.OneHot}
 	g := fft.Taskgraph()
 	d, err := Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
 	if err != nil {
@@ -306,11 +300,11 @@ func TestSimulateStageMatchesSimulate(t *testing.T) {
 	const tiles = 2
 	d, _, _ := compileFFT(t, tiles, paperOpts())
 	contended := paperOpts()
-	specs, shared, err := ParseMixedContention("M1=bursty/1,M1+M3=corr:0.25/1")
+	specs, err := ParseContention("M1=bursty/1,M1+M3=corr:0.25/1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	contended.Contention, contended.Shared, contended.ContentionSeed = specs, shared, 7
+	contended.Contention, contended.ContentionSeed = specs, 7
 	for _, tc := range []struct {
 		name string
 		opts Options

@@ -13,10 +13,11 @@ import (
 // the watchdog fires. Cycle names the resources in acquisition order,
 // with the first resource repeated at the end ("M1 -> M3 -> M1").
 //
-// The checker runs at build time (Compile) and again when experiments
-// compose per-run contention (Simulate); Options.UnsafeProtocols — the
+// The checker vets the protocol a System declares at build time
+// (sparcs.WithExpectedContention) and the contention every run composes
+// (Simulate, SimulateStage); Options.UnsafeProtocols — the
 // sparcs.WithUnsafeProtocols run option — restores the historical
-// watchdog-only behavior for the deadlock experiments.
+// watchdog-only behavior for the deadlock experiments' runs.
 type DeadlockProneError struct {
 	// Cycle is the offending acquisition cycle, first resource repeated
 	// at the end; len >= 2.
@@ -30,15 +31,15 @@ func (e *DeadlockProneError) Error() string {
 
 // CheckProtocols verifies that the correlated sources' acquisition
 // orders embed in one global resource order — the classical
-// ordered-acquisition deadlock-avoidance discipline. Each spec holds
-// every earlier resource in its Resources list while it waits for the
-// next, so the union of the per-spec chains is exactly the protocol's
-// hold-and-wait graph; a cycle in it means two sources can block each
-// other forever. Returns a *DeadlockProneError naming the first cycle
-// (deterministically chosen), or nil for protocols that admit a global
-// order. Single-resource contention cannot hold-and-wait and never
-// contributes edges.
-func CheckProtocols(specs []SharedContentionSpec) error {
+// ordered-acquisition deadlock-avoidance discipline. Each correlated
+// spec holds every earlier resource in its Resources list while it
+// waits for the next, so the union of the per-spec chains is exactly
+// the protocol's hold-and-wait graph; a cycle in it means two sources
+// can block each other forever. Returns a *DeadlockProneError naming
+// the first cycle (deterministically chosen), or nil for protocols that
+// admit a global order. Independent (one-resource) specs cannot
+// hold-and-wait and never contribute edges.
+func CheckProtocols(specs []ContentionSpec) error {
 	// next[u] collects the resources some source waits for while
 	// holding u.
 	next := map[string][]string{}

@@ -6,18 +6,16 @@ import (
 	"strings"
 	"testing"
 
-	"sparcs/internal/fft"
-	"sparcs/internal/rc"
 	"sparcs/internal/sim"
 )
 
-func mustShared(t *testing.T, spec string) []SharedContentionSpec {
+func mustContention(t *testing.T, spec string) []ContentionSpec {
 	t.Helper()
-	_, shared, err := ParseMixedContention(spec)
+	specs, err := ParseContention(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return shared
+	return specs
 }
 
 // TestCheckProtocols pins the acquisition-order checker: protocols that
@@ -45,12 +43,12 @@ func TestCheckProtocols(t *testing.T) {
 			// The grammar itself rejects a repeated resource inside one
 			// spec (DuplicateResourceError), so a one-source cycle cannot
 			// even be expressed; nothing for CheckProtocols to do.
-			if _, _, err := ParseMixedContention("M1+M3+M1=corr:0.25"); err == nil {
+			if _, err := ParseContention("M1+M3+M1=corr:0.25"); err == nil {
 				t.Error("duplicate resource inside one spec should not parse")
 			}
 			continue
 		}
-		err := CheckProtocols(mustShared(t, tc.spec))
+		err := CheckProtocols(mustContention(t, tc.spec))
 		if tc.cycle == nil {
 			if err != nil {
 				t.Errorf("%s: unexpected rejection: %v", tc.name, err)
@@ -68,33 +66,6 @@ func TestCheckProtocols(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsDeadlockProneProtocol: the PR 5 circular
-// hold-and-wait repro must no longer reach simulation — Compile refuses
-// it with the typed error naming the cycle, and UnsafeProtocols restores
-// the watchdog-only path (TestSharedContentionDeadlockAdjacent proves
-// the watchdog still fires there).
-func TestCompileRejectsDeadlockProneProtocol(t *testing.T) {
-	opts := paperOpts()
-	opts.Shared = mustShared(t, "M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1")
-	opts.Partition.ExpectedContention = map[string]int{}
-	_, err := Compile(fft.Taskgraph(), rc.Wildforce(), fft.Programs(2), opts)
-	var dp *DeadlockProneError
-	if !errors.As(err, &dp) {
-		t.Fatalf("Compile = %v, want *DeadlockProneError", err)
-	}
-	if want := []string{"M1", "M3", "M1"}; !reflect.DeepEqual(dp.Cycle, want) {
-		t.Fatalf("cycle = %v, want %v", dp.Cycle, want)
-	}
-	if !strings.Contains(err.Error(), "M1 -> M3 -> M1") {
-		t.Fatalf("error does not name the cycle: %v", err)
-	}
-
-	opts.UnsafeProtocols = true
-	if _, err := Compile(fft.Taskgraph(), rc.Wildforce(), fft.Programs(2), opts); err != nil {
-		t.Fatalf("UnsafeProtocols Compile failed: %v", err)
-	}
-}
-
 // TestSimulateRejectsDeadlockProneProtocol covers the per-run
 // composition path (the System API compiles once with no contention and
 // injects it at Run time): a clean build plus a cyclic run protocol must
@@ -102,12 +73,15 @@ func TestCompileRejectsDeadlockProneProtocol(t *testing.T) {
 func TestSimulateRejectsDeadlockProneProtocol(t *testing.T) {
 	d, mem, _ := compileFFT(t, 2, paperOpts())
 	opts := paperOpts()
-	opts.Shared = mustShared(t, "M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1")
+	opts.Contention = mustContention(t, "M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1")
 	opts.MaxCyclesPerStage = 20_000
 	_, err := Simulate(d, mem, opts)
 	var dp *DeadlockProneError
 	if !errors.As(err, &dp) {
 		t.Fatalf("Simulate = %v, want *DeadlockProneError", err)
+	}
+	if !strings.Contains(err.Error(), "M1 -> M3 -> M1") {
+		t.Fatalf("error does not name the cycle: %v", err)
 	}
 }
 
@@ -117,7 +91,7 @@ func TestSimulateRejectsDeadlockProneProtocol(t *testing.T) {
 func TestSafeSharedProtocolUnaffected(t *testing.T) {
 	mk := func(unsafe bool) *sim.Stats {
 		opts := paperOpts()
-		opts.Shared = mustShared(t, "M1+M3=corr:0.25/1")
+		opts.Contention = mustContention(t, "M1+M3=corr:0.25/1")
 		opts.ContentionSeed = 3
 		opts.UnsafeProtocols = unsafe
 		d, mem, _ := compileFFT(t, 2, opts)

@@ -27,7 +27,7 @@ var ErrUnhashable = errors.New("core: build options contain a function value, wh
 // lets a compile cache (cmd/sparcsd) key on the fingerprint and skip
 // Compile entirely on repeat designs.
 //
-// Run-time options (NewPolicy, contention, seeds, capture) are
+// Run-time options (Policy, contention, seeds, capture) are
 // deliberately outside the hash — they parameterize experiments, not
 // the compiled design. One caveat: behav.Instr.Fn transform functions
 // contribute only their presence, not their behavior; programs that

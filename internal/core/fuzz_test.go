@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// fuzzContentionSeeds is the seed corpus for the single-resource
-// grammar: every documented form, the /lines corners, and
-// representative junk.
+// fuzzContentionSeeds is the seed corpus for independent
+// (one-resource) entries: every documented form, the /lines corners,
+// and representative junk.
 func fuzzContentionSeeds() []string {
 	return []string{
 		"", " ", "M1=hog", "M1=hog/2", "M1=bernoulli:0.50", "M3=bursty",
@@ -21,7 +21,7 @@ func fuzzContentionSeeds() []string {
 	}
 }
 
-// fuzzSharedSeeds is the seed corpus for the correlated grammar.
+// fuzzSharedSeeds is the seed corpus for correlated entries.
 func fuzzSharedSeeds() []string {
 	return []string{
 		"", "M1+M3=corr", "M1+M3=corr:0.25", "M1+M3=corr:0.25/2",
@@ -33,7 +33,9 @@ func fuzzSharedSeeds() []string {
 	}
 }
 
-// fuzzMixedSeeds covers the one-flag front end mixing both grammars.
+// fuzzMixedSeeds covers lists mixing both kinds of entry, so the
+// one-resource/correlated boundary (a '+' left of '=') gets exercised
+// from both sides.
 func fuzzMixedSeeds() []string {
 	return []string{
 		"", "M1=hog,M1+M3=corr:0.25", "M1+M3=corr,M1=hog/2",
@@ -44,19 +46,14 @@ func fuzzMixedSeeds() []string {
 	}
 }
 
-// canonContention renders the canonical comma-joined form of a parsed
-// single-resource spec list.
-func canonContention(specs []ContentionSpec) string {
-	parts := make([]string, len(specs))
-	for i, cs := range specs {
-		parts[i] = cs.String()
-	}
-	return strings.Join(parts, ",")
+// allContentionSeeds is the union of the three corpora, in that order.
+func allContentionSeeds() []string {
+	return append(append(fuzzContentionSeeds(), fuzzSharedSeeds()...), fuzzMixedSeeds()...)
 }
 
-// canonShared renders the canonical comma-joined form of a parsed
-// shared spec list.
-func canonShared(specs []SharedContentionSpec) string {
+// canonContention renders the canonical comma-joined form of a parsed
+// spec list.
+func canonContention(specs []ContentionSpec) string {
 	parts := make([]string, len(specs))
 	for i, cs := range specs {
 		parts[i] = cs.String()
@@ -66,8 +63,9 @@ func canonShared(specs []SharedContentionSpec) string {
 
 // checkContentionRoundTrip is the fuzz property for ParseContention:
 // parsing never panics, errors carry the package prefix and come
-// without a partial result, and every accepted input canonicalizes
-// through String() to a fixed point of parse∘String.
+// without a partial result, every entry of an accepted input becomes
+// exactly one spec (none is silently dropped), and every accepted input
+// canonicalizes through String() to a fixed point of parse∘String.
 func checkContentionRoundTrip(t *testing.T, s string) {
 	t.Helper()
 	specs, err := ParseContention(s)
@@ -86,6 +84,9 @@ func checkContentionRoundTrip(t *testing.T, s string) {
 		}
 		return
 	}
+	if entries := strings.Count(s, ",") + 1; len(specs) != entries {
+		t.Fatalf("ParseContention(%q) returned %d specs for %d entries", s, len(specs), entries)
+	}
 	canon := canonContention(specs)
 	specs2, err := ParseContention(canon)
 	if err != nil {
@@ -99,78 +100,40 @@ func checkContentionRoundTrip(t *testing.T, s string) {
 	}
 }
 
-// checkSharedRoundTrip is the same property for ParseSharedContention.
-func checkSharedRoundTrip(t *testing.T, s string) {
-	t.Helper()
-	specs, err := ParseSharedContention(s)
-	if err != nil {
-		if specs != nil {
-			t.Fatalf("ParseSharedContention(%q) returned both specs and error %v", s, err)
-		}
-		if !strings.Contains(err.Error(), "core:") {
-			t.Fatalf("ParseSharedContention(%q) error %q lacks the package prefix", s, err)
-		}
-		return
-	}
-	if len(specs) == 0 {
-		if strings.TrimSpace(s) != "" {
-			t.Fatalf("ParseSharedContention(%q) accepted non-blank input with no specs", s)
-		}
-		return
-	}
-	canon := canonShared(specs)
-	specs2, err := ParseSharedContention(canon)
-	if err != nil {
-		t.Fatalf("canonical form %q of %q does not reparse: %v", canon, s, err)
-	}
-	if !reflect.DeepEqual(specs, specs2) {
-		t.Fatalf("round trip diverges for %q: %+v -> %q -> %+v", s, specs, canon, specs2)
-	}
-	if got := canonShared(specs2); got != canon {
-		t.Fatalf("String is not a fixed point for %q: %q -> %q", s, canon, got)
-	}
-}
-
-// checkMixedRoundTrip covers ParseMixedContention: the split into
-// single and shared lists must itself round-trip through the joined
-// canonical form (singles first, then shared — reclassification is
-// stable because only shared entries contain '+' left of '=').
+// checkMixedRoundTrip extends checkContentionRoundTrip to the order of
+// the two kinds of entry: an accepted list, reordered independent specs
+// first and correlated ones after (each in list order, the order
+// stageSources numbers seeds in), must parse to exactly that reordered
+// list, so acceptance never depends on how the kinds are interleaved.
 func checkMixedRoundTrip(t *testing.T, s string) {
 	t.Helper()
-	single, shared, err := ParseMixedContention(s)
-	if err != nil {
-		if single != nil || shared != nil {
-			t.Fatalf("ParseMixedContention(%q) returned specs alongside error %v", s, err)
-		}
-		if !strings.Contains(err.Error(), "core:") {
-			t.Fatalf("ParseMixedContention(%q) error %q lacks the package prefix", s, err)
-		}
+	checkContentionRoundTrip(t, s)
+	specs, err := ParseContention(s)
+	if err != nil || len(specs) == 0 {
 		return
 	}
-	if len(single) == 0 && len(shared) == 0 {
-		return
+	var reordered []ContentionSpec
+	for _, correlated := range []bool{false, true} {
+		for _, cs := range specs {
+			if cs.correlated() == correlated {
+				reordered = append(reordered, cs)
+			}
+		}
 	}
-	var parts []string
-	if c := canonContention(single); c != "" {
-		parts = append(parts, c)
-	}
-	if c := canonShared(shared); c != "" {
-		parts = append(parts, c)
-	}
-	canon := strings.Join(parts, ",")
-	single2, shared2, err := ParseMixedContention(canon)
+	canon := canonContention(reordered)
+	got, err := ParseContention(canon)
 	if err != nil {
-		t.Fatalf("canonical form %q of %q does not reparse: %v", canon, s, err)
+		t.Fatalf("independent-first form %q of %q does not reparse: %v", canon, s, err)
 	}
-	if !reflect.DeepEqual(single, single2) || !reflect.DeepEqual(shared, shared2) {
-		t.Fatalf("round trip diverges for %q via %q:\n singles %+v -> %+v\n shared  %+v -> %+v",
-			s, canon, single, single2, shared, shared2)
+	if !reflect.DeepEqual(got, reordered) {
+		t.Fatalf("independent-first round trip diverges for %q via %q: %+v -> %+v", s, canon, reordered, got)
 	}
 }
 
-// FuzzParseContention fuzzes the single-resource contention grammar:
-// no input may panic, and every accepted input must round-trip through
-// its canonical String() form. CI smokes this with a short -fuzztime.
+// FuzzParseContention fuzzes the contention grammar from independent
+// entries: no input may panic, and every accepted input must round-trip
+// through its canonical String() form. CI smokes this and the two
+// targets below with a short -fuzztime.
 func FuzzParseContention(f *testing.F) {
 	for _, s := range fuzzContentionSeeds() {
 		f.Add(s)
@@ -180,28 +143,21 @@ func FuzzParseContention(f *testing.F) {
 	})
 }
 
-// FuzzParseSharedContention fuzzes the correlated grammar under the
-// same never-panic/round-trip property.
+// FuzzParseSharedContention fuzzes the same grammar and property from
+// correlated entries.
 func FuzzParseSharedContention(f *testing.F) {
 	for _, s := range fuzzSharedSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		checkSharedRoundTrip(t, s)
+		checkContentionRoundTrip(t, s)
 	})
 }
 
-// FuzzParseMixedContention fuzzes the mixed front-end grammar; seeds
-// include both sub-grammars' corpora so the classifier boundary (a '+'
-// left of '=') gets exercised from both sides.
+// FuzzParseMixedContention fuzzes lists mixing both kinds of entry from
+// all three corpora, under the independent-first reordering property.
 func FuzzParseMixedContention(f *testing.F) {
-	for _, s := range fuzzContentionSeeds() {
-		f.Add(s)
-	}
-	for _, s := range fuzzSharedSeeds() {
-		f.Add(s)
-	}
-	for _, s := range fuzzMixedSeeds() {
+	for _, s := range allContentionSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -213,13 +169,7 @@ func FuzzParseMixedContention(f *testing.F) {
 // seed corpora in plain `go test`, so the round-trip invariants are
 // enforced on every run, not only when the fuzzer is invoked.
 func TestContentionGrammarSeedCorpus(t *testing.T) {
-	for _, s := range fuzzContentionSeeds() {
-		checkContentionRoundTrip(t, s)
-	}
-	for _, s := range fuzzSharedSeeds() {
-		checkSharedRoundTrip(t, s)
-	}
-	for _, s := range append(fuzzContentionSeeds(), append(fuzzSharedSeeds(), fuzzMixedSeeds()...)...) {
+	for _, s := range allContentionSeeds() {
 		checkMixedRoundTrip(t, s)
 	}
 }

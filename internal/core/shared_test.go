@@ -9,24 +9,26 @@ import (
 	"sparcs/internal/partition"
 )
 
+// TestParseSharedContentionGrammar pins the correlated (shared) half of
+// the grammar: entries spanning two or more resources.
 func TestParseSharedContentionGrammar(t *testing.T) {
-	specs, err := ParseSharedContention("M1+M3=corr:0.25/2, M1+M2+M3=corr")
+	specs, err := ParseContention("M1+M3=corr:0.25/2, M1+M2+M3=corr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) != 2 {
 		t.Fatalf("parsed %d specs", len(specs))
 	}
-	if !reflect.DeepEqual(specs[0].Resources, []string{"M1", "M3"}) || specs[0].Workload != "corr:0.25" || specs[0].Lanes != 2 {
+	if !reflect.DeepEqual(specs[0].Resources, []string{"M1", "M3"}) || specs[0].Workload != "corr:0.25" || specs[0].Lines != 2 {
 		t.Fatalf("spec 0 = %+v", specs[0])
 	}
 	if got := specs[0].String(); got != "M1+M3=corr:0.25/2" {
 		t.Fatalf("String() = %q", got)
 	}
-	if len(specs[1].Resources) != 3 || specs[1].Lanes != 1 {
+	if len(specs[1].Resources) != 3 || specs[1].Lines != 1 {
 		t.Fatalf("spec 1 = %+v", specs[1])
 	}
-	if out, err := ParseSharedContention("   "); err != nil || out != nil {
+	if out, err := ParseContention("   "); err != nil || out != nil {
 		t.Fatalf("blank spec: %v %v", out, err)
 	}
 	for _, bad := range []string{
@@ -36,57 +38,61 @@ func TestParseSharedContentionGrammar(t *testing.T) {
 		"M1+M3=corr/0",      // bad lane count
 		"M1+M3=corr/x",      // bad lane count
 		"M1+M3=bursty",      // not a shared shape
-		"M1=corr",           // one resource (ParseSharedContention path)
+		"M1=corr",           // one resource: an independent spec, and corr is no generator
 		"M1+M1=corr",        // duplicate resource
 		"M1+M3=corr:oops",   // bad rate
 		"M1+M3=corr:0.5:no", // bad hold
 	} {
-		if _, err := ParseSharedContention(bad); err == nil {
+		if _, err := ParseContention(bad); err == nil {
 			t.Errorf("spec %q should error", bad)
 		}
 	}
 }
 
+// TestParseMixedContention pins lists mixing independent and
+// correlated entries, and the rejection of empty entries.
 func TestParseMixedContention(t *testing.T) {
-	single, shared, err := ParseMixedContention("M1=hog/2, M1+M3=corr:0.30/1, M3=bernoulli:0.50")
+	specs, err := ParseContention("M1=hog/2, M1+M3=corr:0.30/1, M3=bernoulli:0.50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(single) != 2 || single[0].Resource != "M1" || single[0].Workload != "hog" || single[0].Lines != 2 {
-		t.Fatalf("single = %+v", single)
+	if len(specs) != 3 || !reflect.DeepEqual(specs[0].Resources, []string{"M1"}) || specs[0].Workload != "hog" || specs[0].Lines != 2 {
+		t.Fatalf("specs = %+v", specs)
 	}
-	if len(shared) != 1 || !reflect.DeepEqual(shared[0].Resources, []string{"M1", "M3"}) {
-		t.Fatalf("shared = %+v", shared)
+	if !reflect.DeepEqual(specs[1].Resources, []string{"M1", "M3"}) || !reflect.DeepEqual(specs[2].Resources, []string{"M3"}) {
+		t.Fatalf("specs = %+v", specs)
 	}
-	if s, sh, err := ParseMixedContention(""); err != nil || s != nil || sh != nil {
-		t.Fatalf("blank: %v %v %v", s, sh, err)
+	if s, err := ParseContention(""); err != nil || s != nil {
+		t.Fatalf("blank: %v %v", s, err)
 	}
-	for _, bad := range []string{"M1+M3=nope", "M1=notashape", "M1+M3"} {
-		if _, _, err := ParseMixedContention(bad); err == nil {
+	for _, bad := range []string{
+		"M1+M3=nope", "M1=notashape", "M1+M3",
+		"M1=hog,,M3=bursty", "M1=hog,", ",M1=hog", // empty entries
+	} {
+		if _, err := ParseContention(bad); err == nil {
 			t.Errorf("spec %q should error", bad)
 		}
 	}
 }
 
-func TestSharedLinesAndExpected(t *testing.T) {
-	shared, err := ParseSharedContention("M1+M3=corr:0.25/2")
+// TestExtraLines: independent specs add their lines to their resource
+// unless statically silent; correlated specs add theirs to every
+// resource they span.
+func TestExtraLines(t *testing.T) {
+	specs, err := ParseContention("M1+M3=corr:0.25/2,M1=hog/1,M2=silent/3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := ParseContention("M1=hog/1,M2=silent/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := expectedLines(Options{Contention: single, Shared: shared})
+	extra := ExtraLines(specs)
 	// hog adds 1 on M1, silent is elided, corr adds 2 lanes to M1 and M3.
 	want := map[string]int{"M1": 3, "M3": 2}
 	if !reflect.DeepEqual(extra, want) {
-		t.Fatalf("expectedLines = %v, want %v", extra, want)
+		t.Fatalf("ExtraLines = %v, want %v", extra, want)
 	}
 }
 
 // fakeDesign builds a Design skeleton with the given per-stage arbiter
-// resource lists, enough for validateShared/StageWidths.
+// resource lists, enough for validateContention/StageWidths.
 func fakeDesign(stages ...[]string) *Design {
 	d := &Design{}
 	for _, resources := range stages {
@@ -106,11 +112,11 @@ func TestValidateSharedRequiresCoArbitration(t *testing.T) {
 	// correlated source spanning them is meaningless and must be
 	// rejected, not silently skipped.
 	d := fakeDesign([]string{"M1"}, []string{"M3"})
-	specs, err := ParseSharedContention("M1+M3=corr")
+	specs, err := ParseContention("M1+M3=corr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = validateShared(d, specs)
+	err = validateContention(d, specs)
 	if err == nil {
 		t.Fatal("want an error for never-co-arbitrated resources")
 	}
@@ -118,18 +124,18 @@ func TestValidateSharedRequiresCoArbitration(t *testing.T) {
 		t.Fatalf("unhelpful error: %v", err)
 	}
 	// Together in stage 0: fine.
-	if err := validateShared(fakeDesign([]string{"M1", "M3"}, []string{"M3"}), specs); err != nil {
+	if err := validateContention(fakeDesign([]string{"M1", "M3"}, []string{"M3"}), specs); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStageWidths(t *testing.T) {
 	d := fakeDesign([]string{"M1", "M3"}, []string{"M3"})
-	single, shared, err := ParseMixedContention("M1=hog/2,M1+M3=corr:0.30/1")
+	specs, err := ParseContention("M1=hog/2,M1+M3=corr:0.30/1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	widths := StageWidths(d, Options{Contention: single, Shared: shared})
+	widths := StageWidths(d, specs)
 	// Stage 0: M1 = 3 members + 2 hog + 1 corr lane; M3 = 3 members + 1
 	// corr lane. Stage 1 hosts no corr source (M1 missing): M3 = 3
 	// members only... but the hog spec attaches wherever M1 is
@@ -150,7 +156,7 @@ func TestStageWidths(t *testing.T) {
 func TestSharedContentionFFTEndToEnd(t *testing.T) {
 	opts := paperOpts()
 	var err error
-	if opts.Contention, opts.Shared, err = ParseMixedContention("M1+M3=corr:0.30/1"); err != nil {
+	if opts.Contention, err = ParseContention("M1+M3=corr:0.30/1"); err != nil {
 		t.Fatal(err)
 	}
 	opts.ContentionSeed = 11
@@ -207,13 +213,9 @@ func TestSharedContentionFFTEndToEnd(t *testing.T) {
 func TestSharedContentionDeterministic(t *testing.T) {
 	opts := paperOpts()
 	var err error
-	if _, opts.Shared, err = ParseMixedContention("M1+M3=corr:0.30/2"); err != nil {
+	if opts.Contention, err = ParseContention("M1+M3=corr:0.30/2"); err != nil {
 		t.Fatal(err)
 	}
-	// Two lanes widen M1 past PE1's CLB budget under the derived
-	// contention-aware pricing; this test is about simulation
-	// determinism, so opt the mapper out explicitly.
-	opts.Partition.ExpectedContention = map[string]int{}
 	opts.ContentionSeed = 3
 	a, _ := runFFT(t, opts)
 	b, _ := runFFT(t, opts)
@@ -235,15 +237,12 @@ func TestSharedContentionDeterministic(t *testing.T) {
 func TestSharedContentionDeadlockAdjacent(t *testing.T) {
 	opts := paperOpts()
 	var err error
-	if _, opts.Shared, err = ParseMixedContention("M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1"); err != nil {
+	if opts.Contention, err = ParseContention("M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1"); err != nil {
 		t.Fatal(err)
 	}
-	// The two extra M1 lanes overflow PE1 under contention-aware area
-	// pricing; this experiment is about the interlock, not board fit.
-	opts.Partition.ExpectedContention = map[string]int{}
 	// The circular acquisition order is the whole point here, so opt out
-	// of the build-time ordered-acquisition gate and let the watchdog do
-	// the detecting (the pre-checker behavior this test predates).
+	// of the run's ordered-acquisition gate and let the watchdog do the
+	// detecting (the pre-checker behavior this test predates).
 	opts.UnsafeProtocols = true
 	opts.ContentionSeed = 1
 	opts.MaxCyclesPerStage = 20_000
@@ -277,15 +276,15 @@ func TestSharedContentionDeadlockAdjacent(t *testing.T) {
 	}
 }
 
-// TestSharedContentionSilentElision: a statically silent shared source
-// must not exist — the corr grammar has no zero rate — but wiring an
-// explicitly silent generator through sim directly is elided; here we
-// pin the cheaper core-level guarantee that empty Shared changes
-// nothing.
+// TestSharedContentionEmptyIsNoOp: a statically silent correlated
+// source cannot exist — the corr grammar has no zero rate — though an
+// explicitly silent one wired through sim directly is elided; here we
+// pin the cheaper core-level guarantee that an empty contention list
+// changes nothing, whatever the seed.
 func TestSharedContentionEmptyIsNoOp(t *testing.T) {
 	base, segsA := runFFT(t, paperOpts())
 	opts := paperOpts()
-	opts.Shared = nil
+	opts.Contention = nil
 	opts.ContentionSeed = 99 // irrelevant without sources
 	with, segsB := runFFT(t, opts)
 	if !reflect.DeepEqual(base, with) || !reflect.DeepEqual(segsA, segsB) {

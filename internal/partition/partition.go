@@ -29,8 +29,8 @@ type Options struct {
 	// add. The area model then prices each arbiter at its simulated
 	// width — members plus expected phantoms — instead of member width,
 	// so a design that fits at compile time still fits once contention
-	// widens its arbiters (core.Compile derives this from
-	// Options.Contention/Shared when unset).
+	// widens its arbiters (sparcs.WithExpectedContention fills it from a
+	// contention spec; nil prices member widths).
 	ExpectedContention map[string]int
 	// BusPins is the pin cost of one PE-to-remote-bank bus (address +
 	// data + mode lines); 0 means the default 25, matching the paper's

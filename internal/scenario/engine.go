@@ -111,6 +111,9 @@ func newEngine(cfg *Config) (*engine, error) {
 		if c.Design == nil {
 			return nil, fmt.Errorf("scenario: class %d (%s) has no compiled design", i, c.Name)
 		}
+		if cfg.CrossContention != "" && len(c.Opts.Contention) > 0 {
+			return nil, fmt.Errorf("scenario: class %d (%s) carries its own contention, which CrossContention would replace on every running stage; use one or the other", i, c.Name)
+		}
 	}
 	cols, rows := cfg.FabricCols, cfg.FabricRows
 	if cols == 0 && rows == 0 {
@@ -430,9 +433,9 @@ func (e *engine) startStage(j *job) error {
 			var specs []core.ContentionSpec
 			for _, arb := range ci.design.Stages[j.stage].Inserted.Arbiters {
 				specs = append(specs, core.ContentionSpec{
-					Resource: arb.Resource,
-					Workload: e.cfg.CrossContention,
-					Lines:    lines,
+					Resources: []string{arb.Resource},
+					Workload:  e.cfg.CrossContention,
+					Lines:     lines,
 				})
 			}
 			if len(specs) > 0 {

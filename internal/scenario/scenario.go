@@ -80,8 +80,11 @@ type Config struct {
 	// CrossContention, when non-empty, is a workload spec injected as
 	// phantom request lines on every arbiter of a running stage, one
 	// line per co-resident (capped at MaxCrossLines) — the fabric-bus
-	// interference neighbors impose on each other. Empty keeps stage
-	// executions bit-identical to a solo System.Run.
+	// interference neighbors impose on each other. The cross lines
+	// replace a stage's contention rather than adding to it, so a class
+	// whose Opts carry their own Contention is rejected while this is
+	// set. Empty keeps stage executions bit-identical to a solo
+	// System.Run.
 	CrossContention string
 	// MaxCrossLines caps the phantom lines per arbiter; 0 means 4.
 	MaxCrossLines int

@@ -163,26 +163,22 @@ func TestContentionErrors(t *testing.T) {
 	}
 }
 
-// TestContentionPolicySizing: the NewPolicy callback receives the
-// widened line count — members plus every attached source's lines —
-// and multiple sources on one resource stack in config order.
+// TestContentionPolicySizing: the policy is sized at the widened line
+// count — members plus every attached source's lines — which the
+// recorded trace shows, and multiple sources on one resource stack in
+// config order.
 func TestContentionPolicySizing(t *testing.T) {
 	cfg := contendedConfig()
 	cfg.Contention = []ContentionSource{
 		{Resource: "bankS", Gen: &quietRequester{n: 2}},
 		{Resource: "bankS", Gen: &quietRequester{n: 1}},
 	}
-	var sizes []int
-	cfg.NewPolicy = func(n int) arbiter.Policy {
-		sizes = append(sizes, n)
-		return arbiter.NewRoundRobin(n)
-	}
 	stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sizes) != 1 || sizes[0] != 5 {
-		t.Fatalf("policy sized %v, want [5] (2 members + 2 + 1 phantom lines)", sizes)
+	if tr := stats.ArbiterTraces["bankS"]; len(tr) == 0 || len(tr[0].Req) != 5 || len(tr[0].Grant) != 5 {
+		t.Fatalf("trace of %d steps does not record 5 lines (2 members + 2 + 1 phantom lines)", len(tr))
 	}
 	cs := stats.Contention["bankS"]
 	if cs == nil || len(cs.Grants) != 3 {

@@ -56,9 +56,9 @@ func referenceRun(cfg Config) (*Stats, error) {
 	if mem == nil {
 		mem = NewMemory()
 	}
-	newPolicy := cfg.NewPolicy
-	if newPolicy == nil {
-		newPolicy = func(n int) arbiter.Policy { return arbiter.NewRoundRobin(n) }
+	policy := cfg.Policy
+	if policy == nil {
+		policy = &arbiter.PolicySpec{Kind: "round-robin"}
 	}
 
 	type arbInst struct {
@@ -71,7 +71,10 @@ func referenceRun(cfg Config) (*Stats, error) {
 	}
 	arbs := map[string]*arbInst{}
 	for _, spec := range cfg.Arbiters {
-		pol := newPolicy(spec.N())
+		pol, err := policy.New(spec.N())
+		if err != nil {
+			return nil, err
+		}
 		ai := &arbInst{
 			spec:    spec,
 			policy:  pol,
@@ -359,14 +362,11 @@ func equivScenarios(t *testing.T) []equivScenario {
 				}, Repeat: 25}
 			}
 			mem := NewMemory()
-			var newPol func(n int) arbiter.Policy
+			var spec *arbiter.PolicySpec
 			if policy != "" {
-				newPol = func(n int) arbiter.Policy {
-					p, err := arbiter.NewPolicy(policy, n)
-					if err != nil {
-						panic(err)
-					}
-					return p
+				var err error
+				if spec, err = arbiter.ParsePolicySpec(policy); err != nil {
+					panic(err)
 				}
 			}
 			return Config{
@@ -375,7 +375,7 @@ func equivScenarios(t *testing.T) []equivScenario {
 				Programs:          map[string]behav.Program{"A": prog(0), "B": prog(100)},
 				Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
 				ResourceOfSegment: map[string]string{"S": "bankS"},
-				NewPolicy:         newPol,
+				Policy:            spec,
 				Memory:            mem,
 			}, mem
 		}

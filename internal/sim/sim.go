@@ -50,21 +50,15 @@ type Config struct {
 	// ResourceOfChannel maps logical channels to physical channel
 	// resources ("" or absent = on-chip, conflict-free).
 	ResourceOfChannel map[string]string
-	// NewPolicy constructs the arbiter implementation for n request
-	// lines; nil uses the behavioral round-robin. Substituting
-	// arbiter.NewFSMPolicy or a netlist-backed policy simulates the
-	// actual generated hardware.
-	NewPolicy func(n int) arbiter.Policy
-	// NewPolicyWidened, when non-nil, constructs the policy for arbiters
-	// whose request vectors background sources widened: members is the
-	// member-task line count and width the total (members + phantom +
-	// shared lanes). Policies whose internal structure depends on how
-	// lines are grouped (the hierarchical tree) use it to keep the
-	// member-line layout identical to the unwidened arbiter's —
-	// arbiter.PolicySpec.NewWidened is the canonical implementation.
-	// Unwidened arbiters always use NewPolicy; nil falls back to
-	// NewPolicy(width) for widened ones too.
-	NewPolicyWidened func(members, width int) arbiter.Policy
+	// Policy is the arbiter implementation every arbiter instantiates,
+	// through NewWidened(members, width): members is the member-task
+	// line count and width the total once background sources widen the
+	// request vector, so a layout-sensitive policy (the hierarchical
+	// tree) keeps its member-line structure under widening. A width the
+	// spec cannot serve fails Run with the spec's error. Nil uses the
+	// behavioral round-robin; "fsm" or "netlist" simulates the actual
+	// generated hardware.
+	Policy *arbiter.PolicySpec
 	// MaxCycles bounds the run (deadlock watchdog). 0 means 10 million.
 	MaxCycles int
 	// Memory carries segment contents across stages; nil starts blank.
@@ -251,6 +245,10 @@ type pendingSend struct {
 	value int64
 }
 
+// roundRobin is the policy a Config without one simulates: the paper's
+// behavioral round-robin (Figure 5 semantics). Run only reads it.
+var roundRobin = arbiter.PolicySpec{Kind: "round-robin"}
+
 // Run simulates one stage to completion (or MaxCycles).
 func Run(cfg Config) (*Stats, error) {
 	maxCycles := cfg.MaxCycles
@@ -261,9 +259,9 @@ func Run(cfg Config) (*Stats, error) {
 	if mem == nil {
 		mem = NewMemory()
 	}
-	newPolicy := cfg.NewPolicy
-	if newPolicy == nil {
-		newPolicy = func(n int) arbiter.Policy { return arbiter.NewRoundRobin(n) }
+	policy := cfg.Policy
+	if policy == nil {
+		policy = &roundRobin
 	}
 
 	// Arbiter instances and request-line plumbing, stepped each cycle in
@@ -307,15 +305,15 @@ func Run(cfg Config) (*Stats, error) {
 	for _, ai := range arbs {
 		ai.capture = !cfg.DisableTraces && (cfg.CaptureOnly == nil || captureSet[ai.res])
 	}
-	// Construct policies in cfg.Arbiters order (not map order), so a
-	// stateful NewPolicy closure sees a deterministic call sequence.
+	// Construct policies in cfg.Arbiters order (not map order), so the
+	// first unservable width reported is deterministic.
 	for _, spec := range cfg.Arbiters {
 		ai := arbs[spec.Resource]
-		if ai.width > ai.memberN && cfg.NewPolicyWidened != nil {
-			ai.policy = cfg.NewPolicyWidened(ai.memberN, ai.width)
-		} else {
-			ai.policy = newPolicy(ai.width)
+		p, err := policy.NewWidened(ai.memberN, ai.width)
+		if err != nil {
+			return nil, fmt.Errorf("sim: policy %s for the %d-line arbiter on %s: %w", policy, ai.width, ai.res, err)
 		}
+		ai.policy = p
 	}
 	arbList := make([]*arbInst, 0, len(arbs))
 	//sparcs:ignore determinism values are collected then sorted by resource name on the next line

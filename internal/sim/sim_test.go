@@ -5,7 +5,6 @@ import (
 
 	"sparcs/internal/arbiter"
 	"sparcs/internal/behav"
-	"sparcs/internal/fsm"
 	"sparcs/internal/partition"
 	"sparcs/internal/taskgraph"
 )
@@ -380,35 +379,30 @@ func TestPolicySubstitution(t *testing.T) {
 			behav.Compute(3),
 		}, Repeat: 15}
 	}
-	run := func(newPolicy func(n int) arbiter.Policy) *Stats {
+	run := func(policy string) *Stats {
+		var spec *arbiter.PolicySpec
+		if policy != "" {
+			var err error
+			if spec, err = arbiter.ParsePolicySpec(policy); err != nil {
+				t.Fatal(err)
+			}
+		}
 		stats, err := Run(Config{
 			Graph:             g,
 			Tasks:             []string{"A", "B"},
 			Programs:          map[string]behav.Program{"A": mkProg(0), "B": mkProg(50)},
 			Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
 			ResourceOfSegment: map[string]string{"S": "bankS"},
-			NewPolicy:         newPolicy,
+			Policy:            spec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stats
 	}
-	behavioral := run(nil)
-	fsmBacked := run(func(n int) arbiter.Policy {
-		p, err := arbiter.NewFSMPolicy(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	})
-	gateBacked := run(func(n int) arbiter.Policy {
-		p, err := arbiter.NewNetlistPolicy(n, fsm.OneHot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	})
+	behavioral := run("")
+	fsmBacked := run("fsm")
+	gateBacked := run("netlist:one-hot")
 	if behavioral.Cycles != fsmBacked.Cycles || behavioral.Cycles != gateBacked.Cycles {
 		t.Fatalf("cycle counts diverge: behavioral %d, fsm %d, gates %d",
 			behavioral.Cycles, fsmBacked.Cycles, gateBacked.Cycles)

@@ -70,13 +70,7 @@ func TestContentionSafetyAllPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.NewPolicy = func(n int) arbiter.Policy {
-					p, err := sp.New(n)
-					if err != nil {
-						t.Fatalf("policy %s at widened N=%d: %v", pspec, n, err)
-					}
-					return p
-				}
+				cfg.Policy = sp
 				stats, err := sim.Run(cfg)
 				if err != nil {
 					t.Fatal(err)

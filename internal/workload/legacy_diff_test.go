@@ -187,9 +187,8 @@ func (a *legacyRandom) step(req, grant []bool) {
 	}
 }
 
-// legacyWeighted is the seed's WeightedRoundRobin.StepInto (and, with
-// uniform weights, its PreemptiveRoundRobin — the seed's own
-// TestWRRMatchesPreemptiveUniform pins that equivalence): revoke a
+// legacyWeighted is the seed's WeightedRoundRobin.StepInto, which with
+// uniform weights was also the seed's PreemptiveRoundRobin: revoke a
 // quantum-exhausted holder by masking its request for one scan.
 type legacyWeighted struct {
 	n       int

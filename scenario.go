@@ -9,7 +9,6 @@ package sparcs
 import (
 	"fmt"
 
-	"sparcs/internal/core"
 	"sparcs/internal/scenario"
 	"sparcs/internal/workload"
 )
@@ -31,7 +30,9 @@ const (
 // ScenarioEntry is one job class: a compiled System plus the RunOptions
 // each of its jobs executes its stages under. WithMemory is not
 // accepted — scenario jobs own their memory images, created fresh at
-// placement and retained in JobStats under KeepStats.
+// placement and retained in JobStats under KeepStats. Nor is
+// WithContention while the scenario sets CrossContention, which would
+// replace the entry's own contention on every running stage.
 type ScenarioEntry struct {
 	// Name labels the class in reports; empty uses the graph name.
 	Name string
@@ -73,8 +74,10 @@ type ScenarioConfig struct {
 	// CrossContention, when set, injects that workload as phantom lines
 	// (one per co-resident, capped at MaxCrossLines, default cap 4) on
 	// every arbiter of a running stage — neighbors interfering on the
-	// fabric's buses. Empty keeps each stage bit-identical to a solo
-	// System.Run.
+	// fabric's buses. It replaces a stage's contention rather than
+	// adding to it, so RunScenario rejects it alongside an entry that
+	// uses WithContention. Empty keeps each stage bit-identical to a
+	// solo System.Run.
 	CrossContention string
 	MaxCrossLines   int
 	// KeepStats retains per-stage sim.Stats and final memory images in
@@ -123,18 +126,18 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		if c.mem != nil {
 			return nil, fmt.Errorf("sparcs: scenario entry %d: jobs own their memory images; WithMemory is not supported", i)
 		}
-		// composeRun validated the policy at this entry's own contention
-		// widths; cross-contention widens every arbiter by up to maxCross
-		// more lines at run time, so re-validate at the worst case now
-		// rather than panicking mid-scenario.
-		if cfg.CrossContention != "" && c.policy != nil {
-			widths := core.StageWidths(ent.System.design, c.opts)
+		// composeRun validated the policy at this entry's own widths;
+		// cross-contention, which the engine accepts only for entries
+		// without their own, widens every arbiter by up to maxCross lines
+		// at run time, so validate that worst case before the clock
+		// starts rather than failing mid-scenario.
+		if p := c.opts.Policy; cfg.CrossContention != "" && p != nil {
 			for si, sp := range ent.System.design.Stages {
 				for _, a := range sp.Inserted.Arbiters {
-					w := widths[si][a.Resource] + maxCross
-					if _, err := c.policy.NewWidened(a.N(), w); err != nil {
+					w := a.N() + maxCross
+					if _, err := p.NewWidened(a.N(), w); err != nil {
 						return nil, fmt.Errorf("sparcs: scenario entry %d: policy %s unusable for the %d-line arbiter on %s in stage %d once cross-contention widens it: %w",
-							i, c.policy, w, a.Resource, si, err)
+							i, p, w, a.Resource, si, err)
 					}
 				}
 			}

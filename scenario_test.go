@@ -2,6 +2,7 @@ package sparcs_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"sparcs"
@@ -95,5 +96,16 @@ func TestRunScenarioValidation(t *testing.T) {
 		Jobs:    1,
 	}); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+	// Cross-contention replaces a running stage's contention, so an
+	// entry bringing its own is refused instead of silently losing it
+	// once the entry has a co-resident.
+	_, err = sparcs.RunScenario(sparcs.ScenarioConfig{
+		Entries:         []sparcs.ScenarioEntry{{Name: "loaded", System: sys, Options: []sparcs.RunOption{sparcs.WithContention("M1=bursty/1")}}},
+		Jobs:            3,
+		CrossContention: "bernoulli:0.02",
+	})
+	if err == nil || !strings.Contains(err.Error(), "loaded") {
+		t.Fatalf("entry contention with CrossContention: err = %v, want a rejection naming the class", err)
 	}
 }

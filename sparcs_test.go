@@ -1,14 +1,12 @@
 package sparcs_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"sparcs"
 	"sparcs/internal/core"
-	"sparcs/internal/fft"
-	"sparcs/internal/partition"
-	"sparcs/internal/sim"
 )
 
 func TestNewArbiterPublicAPI(t *testing.T) {
@@ -282,44 +280,39 @@ func TestFFTMeasuredColumnRoundTrip(t *testing.T) {
 }
 
 // TestContentionPublicAPI drives background contention through the
-// flat-options flow (core.Compile, core.Simulate): the FFT under bursty
-// phantoms still verifies its output, the run reports phantom stats,
-// and the grammar round-trips.
+// System API: declaring the load at Build prices the widened arbiter
+// (and here overflows the board), an explicit empty declaration opts
+// out of that pricing, and a run then injecting the load still verifies
+// the FFT output and reports the phantom stats; the grammar round-trips.
 func TestContentionPublicAPI(t *testing.T) {
 	specs, err := core.ParseContention("M1=bursty/2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 1 || specs[0].Resource != "M1" || specs[0].Workload != "bursty" || specs[0].Lines != 2 {
+	if len(specs) != 1 || !reflect.DeepEqual(specs[0].Resources, []string{"M1"}) || specs[0].Workload != "bursty" || specs[0].Lines != 2 {
 		t.Fatalf("parsed %+v", specs)
-	}
-	g := fft.Taskgraph()
-	opts := core.Options{
-		Partition:  partition.Options{FixedStages: fft.PaperStages()},
-		Contention: specs,
 	}
 	// Contention-aware partitioning prices M1's arbiter at its simulated
 	// width (6 members + 2 phantoms): Arb8 costs 37 CLBs and PE1
-	// genuinely overflows, which Compile must now report.
-	if _, err := core.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts); err == nil {
+	// genuinely overflows, which Build must report.
+	if _, err := sparcs.FFTSystem(2, sparcs.WithExpectedContention("M1=bursty/2")); err == nil {
 		t.Fatal("phantom-widened Arb8 should overflow PE1's CLB capacity")
 	} else if !strings.Contains(err.Error(), "over capacity") {
 		t.Fatalf("want an over-capacity error, got: %v", err)
 	}
-	// An explicit (empty) estimate opts out of the derived width bump —
-	// the escape hatch for phantom-only experiments on a full board.
-	opts.Partition.ExpectedContention = map[string]int{}
-	d, err := core.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts)
+	// An explicit (empty) estimate opts out of the width bump — the
+	// escape hatch for phantom-only experiments on a full board.
+	sys, err := sparcs.FFTSystem(2, sparcs.WithExpectedContention(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := sim.NewMemory()
-	in := fft.LoadInput(mem, 2, 42)
-	res, err := core.Simulate(d, mem, opts)
+	mem := sparcs.NewMemory()
+	in := sparcs.LoadFFTInput(mem, 2, 42)
+	res, err := sys.Run(sparcs.WithContention("M1=bursty/2"), sparcs.WithMemory(mem))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fft.CheckOutput(mem, in); err != nil {
+	if err := sparcs.CheckFFTOutput(mem, in); err != nil {
 		t.Fatalf("FFT output corrupted by background contention: %v", err)
 	}
 	found := false

@@ -101,7 +101,7 @@ func WithArbiterArea(area func(n int) int) BuildOption {
 // ("M1=hog/2,M1+M3=corr:0.25"): each arbiter is priced at its simulated
 // width instead of its member width, so a design that fits at Build time
 // still fits once contention widens its arbiters. An empty spec ""
-// explicitly opts out of the bump (price member widths only).
+// declares no load, like omitting the option: member widths only.
 //
 // The declared protocol is vetted like a run's: correlated specs whose
 // acquisition orders form a cycle are rejected here with a
@@ -111,18 +111,14 @@ func WithArbiterArea(area func(n int) int) BuildOption {
 // WithUnsafeProtocols.)
 func WithExpectedContention(spec string) BuildOption {
 	return func(c *buildConfig) error {
-		single, shared, err := core.ParseMixedContention(spec)
+		specs, err := core.ParseContention(spec)
 		if err != nil {
 			return err
 		}
-		if err := core.CheckProtocols(shared); err != nil {
+		if err := core.CheckProtocols(specs); err != nil {
 			return err
 		}
-		extra := core.PhantomLines(single)
-		for r, n := range core.SharedLines(shared) {
-			extra[r] += n
-		}
-		c.opts.Partition.ExpectedContention = extra
+		c.opts.Partition.ExpectedContention = core.ExtraLines(specs)
 		return nil
 	}
 }
@@ -194,7 +190,6 @@ func (s *System) Report() string { return s.design.Report() }
 // runConfig collects one experiment's composition.
 type runConfig struct {
 	opts       core.Options
-	policy     *arbiter.PolicySpec
 	mem        *Memory
 	capture    []string // resources to tap; nil without captureAll = no traces
 	captureAll bool
@@ -215,7 +210,7 @@ func WithPolicy(spec string) RunOption {
 		if err != nil {
 			return err
 		}
-		c.policy = sp
+		c.opts.Policy = sp
 		return nil
 	}
 }
@@ -231,15 +226,16 @@ func WithPolicy(spec string) RunOption {
 // with hold-A-while-waiting-on-B acquisition in listed order — the
 // deadlock-adjacent multi-resource pattern — and report cross-resource
 // overlap/wait statistics (Result.SharedStats). Repeating the option
-// appends sources.
+// appends sources, but a resource still takes at most one
+// single-resource spec across the whole run: Run rejects a second one
+// with a *core.DuplicateResourceError, as it does within one spec.
 func WithContention(spec string) RunOption {
 	return func(c *runConfig) error {
-		single, shared, err := core.ParseMixedContention(spec)
+		specs, err := core.ParseContention(spec)
 		if err != nil {
 			return err
 		}
-		c.opts.Contention = append(c.opts.Contention, single...)
-		c.opts.Shared = append(c.opts.Shared, shared...)
+		c.opts.Contention = append(c.opts.Contention, specs...)
 		return nil
 	}
 }
@@ -368,36 +364,22 @@ func (s *System) composeRun(opts []RunOption) (runConfig, error) {
 		c.opts.DisableTraces = false
 		c.opts.CaptureOnly = c.capture
 	}
-	if c.policy != nil {
+	if p := c.opts.Policy; p != nil {
 		// Validate size-dependent policies against every arbiter's
 		// simulated width (members + phantoms + correlated lanes) so the
-		// run fails cleanly up front instead of panicking mid-stage.
-		// Widened arbiters validate through NewWidened, which keeps
-		// layout-sensitive policies (hier) anchored to the member count.
-		widths := core.StageWidths(s.design, c.opts)
+		// run fails before its first stage, with the stage and the
+		// member/background split named. Widened arbiters validate
+		// through NewWidened, which keeps layout-sensitive policies
+		// (hier) anchored to the member count.
+		widths := core.StageWidths(s.design, c.opts.Contention)
 		for si, sp := range s.design.Stages {
 			for _, a := range sp.Inserted.Arbiters {
 				w := widths[si][a.Resource]
-				if _, err := c.policy.NewWidened(a.N(), w); err != nil {
+				if _, err := p.NewWidened(a.N(), w); err != nil {
 					return c, fmt.Errorf("sparcs: policy %s unusable for the %d-line arbiter on %s in stage %d (%d members + %d background): %w",
-						c.policy, w, a.Resource, si, a.N(), w-a.N(), err)
+						p, w, a.Resource, si, a.N(), w-a.N(), err)
 				}
 			}
-		}
-		spec := c.policy
-		c.opts.NewPolicy = func(n int) arbiter.Policy {
-			p, err := spec.New(n)
-			if err != nil {
-				panic(fmt.Sprintf("policy %s at N=%d: %v", spec, n, err)) // unreachable: widths validated above
-			}
-			return p
-		}
-		c.opts.NewPolicyWidened = func(members, width int) arbiter.Policy {
-			p, err := spec.NewWidened(members, width)
-			if err != nil {
-				panic(fmt.Sprintf("policy %s at %d members widened to %d: %v", spec, members, width, err)) // unreachable: widths validated above
-			}
-			return p
 		}
 	}
 	return c, nil

@@ -253,6 +253,9 @@ func TestSystemRunErrors(t *testing.T) {
 		{"size mismatch from contention", []sparcs.RunOption{sparcs.WithPolicy("hier:4"), sparcs.WithContention("M1=hog/1")}, "unusable"},
 		{"bad contention", []sparcs.RunOption{sparcs.WithContention("M1=notashape")}, "unknown workload"},
 		{"unknown contention resource", []sparcs.RunOption{sparcs.WithContention("M9=hog")}, "not arbitrated"},
+		{"empty contention entry", []sparcs.RunOption{sparcs.WithContention("M1=bursty,,M3=bursty")}, "contention entry"},
+		{"trailing empty entry", []sparcs.RunOption{sparcs.WithContention("M1=bursty,")}, "contention entry"},
+		{"leading empty entry", []sparcs.RunOption{sparcs.WithContention(",M1=bursty")}, "contention entry"},
 		{"unknown shared resource", []sparcs.RunOption{sparcs.WithContention("M1+M9=corr")}, "no single stage"},
 		{"never co-arbitrated", []sparcs.RunOption{sparcs.WithContention("M1+M4=corr")}, "no single stage"},
 		{"unknown capture", []sparcs.RunOption{sparcs.WithCapture("M9")}, "not arbitrated"},
@@ -267,6 +270,27 @@ func TestSystemRunErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSystemRunRejectsDuplicateAcrossOptions: repeating WithContention
+// appends sources, but a resource still takes one single-resource spec
+// per run, so Run rejects a second one given in a later option just as
+// it does inside one spec.
+func TestSystemRunRejectsDuplicateAcrossOptions(t *testing.T) {
+	sys, err := sparcs.FFTSystem(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]sparcs.RunOption{
+		{sparcs.WithContention("M1=hog"), sparcs.WithContention("M1=bursty")},
+		{sparcs.WithContention("M1=hog,M1=bursty")},
+	} {
+		_, err := sys.Run(opts...)
+		var dup *core.DuplicateResourceError
+		if !errors.As(err, &dup) || dup.Resource != "M1" {
+			t.Errorf("Run = %v, want a *core.DuplicateResourceError naming M1", err)
 		}
 	}
 }
