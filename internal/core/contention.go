@@ -16,7 +16,9 @@ import (
 // requester, attached in every stage that arbitrates the resource. Two
 // or more make one correlated source with hold-A-while-waiting-on-B
 // acquisition in Resources order, attached only in the stages that
-// arbitrate all of them. The textual grammar (ParseContention) is
+// arbitrate all of them. A correlated source packs all its lines into
+// one request word, so k resources × Lines lanes must stay ≤ 64
+// (arbiter.MaxN). The textual grammar (ParseContention) is
 //
 //	res[+res...]=workload[/lines]
 //
@@ -200,55 +202,45 @@ func hostsAll(arbitrated map[string]bool, resources []string) bool {
 // every spec the stage hosts. Seeds derive from the options seed and the
 // spec's number, not the stage, so a resource arbitrated in several
 // stages faces the same background process in each (each stage
-// constructs fresh generator state). Independent specs are numbered
-// first and correlated ones after them, each in list order, so adding a
-// correlated source never reseeds an independent one, and the order the
-// two kinds are listed in does not matter.
-func stageSources(sp *StagePlan, specs []ContentionSpec, seed uint64) ([]sim.ContentionSource, []sim.SharedSource, error) {
+// constructs fresh generator state). One pass per kind numbers the
+// independent specs first and the correlated ones after them, each in
+// list order, and emits the sources in that order: adding a correlated
+// source never reseeds an independent one, and the order the two kinds
+// are listed in does not matter.
+func stageSources(sp *StagePlan, specs []ContentionSpec, seed uint64) ([]sim.Source, error) {
 	if len(specs) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	if seed == 0 {
 		seed = 1
 	}
-	nIndependent := 0
-	for _, cs := range specs {
-		if !cs.correlated() {
-			nIndependent++
-		}
-	}
 	arbitrated := stageArbitrated(sp)
-	var independent []sim.ContentionSource
-	var correlated []sim.SharedSource
-	ni, nc := 0, nIndependent
-	for _, cs := range specs {
-		var k int
-		if cs.correlated() {
-			nc++
-			k = nc
-		} else {
-			ni++
-			k = ni
-		}
-		if !hostsAll(arbitrated, cs.Resources) {
-			continue
-		}
-		s := seed + uint64(k)*0x9e3779b97f4a7c15
-		if cs.correlated() {
-			gen, err := workload.NewSharedGenerator(cs.Workload, cs.Resources, cs.lines(), s)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: contention %s: %w", cs, err)
+	var sources []sim.Source
+	k := 0
+	for _, correlated := range []bool{false, true} {
+		for _, cs := range specs {
+			if cs.correlated() != correlated {
+				continue
 			}
-			correlated = append(correlated, sim.SharedSource{Gen: gen})
-			continue
+			k++
+			if !hostsAll(arbitrated, cs.Resources) {
+				continue
+			}
+			s := seed + uint64(k)*0x9e3779b97f4a7c15
+			var gen sim.Requester
+			var err error
+			if correlated {
+				gen, err = workload.NewSharedGenerator(cs.Workload, cs.Resources, cs.lines(), s)
+			} else {
+				gen, err = workload.NewGenerator(cs.Workload, cs.lines(), s)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("core: contention %s: %w", cs, err)
+			}
+			sources = append(sources, sim.Source{Resources: cs.Resources, Gen: gen})
 		}
-		gen, err := workload.NewGenerator(cs.Workload, cs.lines(), s)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: contention %s: %w", cs, err)
-		}
-		independent = append(independent, sim.ContentionSource{Resource: cs.Resources[0], Gen: gen})
 	}
-	return independent, correlated, nil
+	return sources, nil
 }
 
 // validateContention rejects a run's composed spec list when it names a

@@ -223,7 +223,7 @@ func simulateWithQuietTrace(t *testing.T, d *Design, mem *sim.Memory, opts Optio
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Contention = append(cfg.Contention, sim.ContentionSource{Resource: res, Gen: quiet})
+				cfg.Sources = append(cfg.Sources, sim.Source{Resources: []string{res}, Gen: quiet})
 			}
 		}
 		stats, err := sim.Run(cfg)

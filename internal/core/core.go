@@ -34,13 +34,15 @@ type Options struct {
 	// Sweeps that only need cycle/violation/grant statistics set this.
 	DisableTraces bool
 	// Contention injects background load alongside the compiled tasks
-	// (see ContentionSpec): an independent spec attaches a workload
-	// generator to its resource's arbiter in every stage that arbitrates
-	// it; a correlated spec drives all its resources' arbiters from one
-	// generator in every stage that arbitrates them together, and its
-	// cross-resource overlap and wait statistics land in that stage's
-	// sim.Stats.Shared. Policy is instantiated at the widened line count
-	// (StageWidths) of every arbiter the load reaches.
+	// (see ContentionSpec). Each stage turns the specs it hosts into one
+	// sim.Config.Sources list, independent specs first and correlated
+	// ones after, each in list order: an independent spec attaches a
+	// workload generator to its resource's arbiter in every stage that
+	// arbitrates it; a correlated spec drives all its resources'
+	// arbiters from one generator in every stage that arbitrates them
+	// together, and its cross-resource overlap and wait statistics land
+	// in that stage's sim.Stats.Shared. Policy is instantiated at the
+	// widened line count (StageWidths) of every arbiter the load reaches.
 	Contention []ContentionSpec
 	// ContentionSeed seeds the background generators' random streams
 	// (0 means 1). Runs are deterministic for a given seed.
@@ -78,6 +80,9 @@ type Design struct {
 // later runs inject widens the arbiters' area only as far as
 // Partition.ExpectedContention declares it (sparcs.WithExpectedContention).
 func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Program, opts Options) (*Design, error) {
+	if err := checkDelays(programs); err != nil {
+		return nil, err
+	}
 	stages, err := partition.Temporal(g, board, opts.Partition)
 	if err != nil {
 		return nil, err
@@ -95,6 +100,35 @@ func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Prog
 		d.Stages = append(d.Stages, &StagePlan{Stage: st, Routes: routes, Inserted: ins})
 	}
 	return d, nil
+}
+
+// checkDelays rejects the delays the simulator cannot count down: an
+// OpCompute of fewer than one cycle, and an OpTransform with a negative
+// pop count or latency (latency 0 means one cycle). Either would
+// otherwise spin a task until the watchdog, or panic mid-run.
+func checkDelays(programs map[string]behav.Program) error {
+	names := make([]string, 0, len(programs))
+	for name := range programs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for i, in := range programs[name].Body {
+			bad, what := 0, ""
+			switch {
+			case in.Op == behav.OpCompute && in.N < 1:
+				bad, what = in.N, "cycle count must be at least 1"
+			case in.Op == behav.OpTransform && in.N < 0:
+				bad, what = in.N, "pop count must not be negative"
+			case in.Op == behav.OpTransform && in.Cycles < 0:
+				bad, what = in.Cycles, "latency must not be negative"
+			default:
+				continue
+			}
+			return fmt.Errorf("core: task %s instruction %d (%s): %s, got %d", name, i, in.Op, what, bad)
+		}
+	}
+	return nil
 }
 
 // StageAreas returns each stage's resident CLB footprint under the given
@@ -202,7 +236,7 @@ func SimulateStage(d *Design, si int, mem *sim.Memory, opts Options) (*sim.Stats
 // SimulateStage: build this stage's background sources from the run's
 // contention specs and execute the sim hot loop.
 func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*sim.Stats, error) {
-	contention, shared, err := stageSources(sp, opts.Contention, opts.ContentionSeed)
+	sources, err := stageSources(sp, opts.Contention, opts.ContentionSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +252,7 @@ func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*si
 		Memory:            mem,
 		DisableTraces:     opts.DisableTraces,
 		CaptureOnly:       opts.CaptureOnly,
-		Contention:        contention,
-		Shared:            shared,
+		Sources:           sources,
 	}
 	return sim.Run(cfg)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"sparcs/internal/arbiter"
 )
@@ -10,15 +11,17 @@ import (
 // injection: each cycle NextBits observes the grants its lines received
 // last cycle and returns the request word for the coming cycle. It is
 // structurally identical to workload.Generator, so any generator from
-// internal/workload can be attached to a Config without an import cycle
-// (workload already imports sim for its grid fan-out).
+// internal/workload — the correlated workload.SharedSource included —
+// can be attached to a Config without an import cycle (workload already
+// imports sim for its grid fan-out).
 //
 // Implementations must be deterministic and allocation-free in
 // NextBits, keeping the hot loop allocation-free.
 type Requester interface {
 	// Name identifies the traffic shape ("bursty", "hog", ...).
 	Name() string
-	// N returns the number of phantom request lines the source claims.
+	// N returns the number of phantom request lines the source claims,
+	// over all the resources it spans (see Source).
 	N() int
 	// NextBits returns the request word for the coming cycle (bit i =
 	// phantom line i) after observing prevGrant, the grants issued to
@@ -42,20 +45,28 @@ type StaticallySilent interface {
 	Silent() bool
 }
 
-// ContentionSource attaches one background phantom requester to the
-// arbiter guarding a named resource. The source's N() lines are
-// appended after the member tasks' request lines (in Config.Contention
-// order when several sources share a resource), the arbitration policy
-// is constructed over the widened line count, and the source competes
-// for grants exactly like a compiled task — the grants it wins are fed
-// back into its closed loop and starve or delay the real tasks.
+// Source attaches one background requester to the arbiters guarding its
+// resources. Gen's N() lines split into len(Resources) equal windows of
+// L = N()/len(Resources) lanes: bit r·L+j of Gen's words is lane j on
+// Resources[r]. On each resource the window is appended after the
+// member tasks' request lines and the windows of earlier sources (in
+// Config.Sources order), the arbitration policy is constructed over the
+// widened line count, and the source competes for grants exactly like a
+// compiled task — the grants it wins are fed back into its closed loop
+// and starve or delay the real tasks.
+//
+// One resource makes an independent phantom requester. Several make a
+// correlated source whose lanes act across all of them at once (the
+// hold-A-while-waiting-on-B pattern of workload.SharedSource); Run
+// reports its cross-resource statistics in Stats.Shared.
 //
 // Sources are stateful: each Config needs its own instances (concurrent
 // runs must not share one).
-type ContentionSource struct {
-	// Resource names the arbitrated bank or physical channel; it must
-	// have an arbiter in the Config.
-	Resource string
+type Source struct {
+	// Resources names the arbitrated banks or physical channels, in
+	// acquisition order for a correlated source; each must have an
+	// arbiter in the Config.
+	Resources []string
 	// Gen produces the phantom request lines.
 	Gen Requester
 }
@@ -74,49 +85,139 @@ type ContentionStats struct {
 	Waits []int
 }
 
-// contSource is one wired (non-elided) phantom source: its line window
-// [off, off+N()) in the owning arbInst's request/grant words.
-type contSource struct {
-	gen  Requester
-	off  int
-	mask arbiter.BitVec // low N() bits
+// SharedStats aggregates one correlated source's cross-resource
+// experience over a run. Per-line grant/wait counts additionally land in
+// Stats.Contention under each spanned resource, exactly like
+// single-resource phantom lines.
+type SharedStats struct {
+	// Name is the source's Name(), Resources its spanned resources in
+	// acquisition order.
+	Name      string
+	Resources []string
+	// Grants[r] counts granted line-cycles on resource r (summed over
+	// lanes); Waits[r] counts line-cycles requesting without a grant.
+	Grants []int
+	Waits  []int
+	// HoldWait counts lane-cycles in the hold-and-wait overlap: a lane
+	// holding (granted) at least one resource while requesting another
+	// without holding it — the deadlock-adjacent state the correlated
+	// source exists to exercise.
+	HoldWait int
+	// AllHeld counts lane-cycles with every spanned resource granted
+	// simultaneously — the lane's critical section.
+	AllHeld int
 }
 
-// wireContention validates the configured sources and appends phantom
-// lines to the named arbiters. Called before policy construction so
+// source is one wired (non-elided) background source: per spanned
+// resource r, the window [offs[r], offs[r]+lanes) of arbs[r]'s
+// request/grant words carries bits [shifts[r], shifts[r]+lanes) of the
+// generator's words.
+type source struct {
+	gen    Requester
+	arbs   []*arbInst
+	offs   []uint         // window offset in each arbiter's words
+	shifts []uint         // r·lanes: the window's offset in the generator's words
+	mask   arbiter.BitVec // low `lanes` bits
+	stats  *SharedStats   // cross-resource statistics; nil for one resource
+}
+
+// next refreshes the source's windows from one coherent snapshot of
+// last cycle's grants. Run calls it before any arbiter steps; each
+// source reads and writes only its own windows.
+//
+//sparcs:hotpath
+func (s *source) next() {
+	var prev arbiter.BitVec
+	for r, ai := range s.arbs {
+		prev |= (ai.grant >> s.offs[r] & s.mask) << s.shifts[r]
+	}
+	out := s.gen.NextBits(prev)
+	for r, ai := range s.arbs {
+		ai.req = ai.req&^(s.mask<<s.offs[r]) | (out>>s.shifts[r]&s.mask)<<s.offs[r]
+	}
+}
+
+// observe accumulates this cycle's cross-resource statistics from the
+// freshly issued grants, one lane per bit: every granted line counts
+// toward its resource's Grants, every requesting-but-ungranted line
+// toward Waits; a lane holding at least one resource while waiting on
+// another is in hold-and-wait; a lane holding all of them is in its
+// critical section.
+//
+//sparcs:hotpath
+func (s *source) observe() {
+	var held, want arbiter.BitVec
+	all := s.mask
+	for r, ai := range s.arbs {
+		g := ai.grant >> s.offs[r] & s.mask
+		w := ai.req >> s.offs[r] & s.mask &^ g
+		s.stats.Grants[r] += g.Count()
+		s.stats.Waits[r] += w.Count()
+		held |= g
+		want |= w
+		all &= g
+	}
+	s.stats.HoldWait += (held & want).Count()
+	s.stats.AllHeld += all.Count()
+}
+
+// wire validates the configured sources and appends each one's windows
+// to the arbiters it spans, in Config.Sources order, then sizes the
+// per-phantom-line counters. Called before policy construction so
 // policies are sized over the widened line counts.
-func wireContention(sources []ContentionSource, arbs map[string]*arbInst) error {
+func wire(sources []Source, arbs map[string]*arbInst) ([]*source, error) {
+	var wired []*source
 	for i, src := range sources {
+		on := strings.Join(src.Resources, "+")
 		if src.Gen == nil {
-			return fmt.Errorf("sim: contention source %d on %s has no generator", i, src.Resource)
+			return nil, fmt.Errorf("sim: source %d on %s has no generator", i, on)
 		}
-		// Validate before eliding, so a typo'd resource errors even when
-		// the source is silent.
-		ai := arbs[src.Resource]
-		if ai == nil {
-			return fmt.Errorf("sim: contention on %s, but no arbiter guards it", src.Resource)
+		seen := make(map[string]bool, len(src.Resources))
+		for _, r := range src.Resources {
+			if seen[r] {
+				return nil, fmt.Errorf("sim: source %d (%s) names resource %s twice", i, src.Gen.Name(), r)
+			}
+			seen[r] = true
+			// Validate before eliding, so a typo'd resource errors even
+			// when the source is silent.
+			if arbs[r] == nil {
+				return nil, fmt.Errorf("sim: source %d (%s) on %s, but no arbiter guards it", i, src.Gen.Name(), r)
+			}
 		}
-		n := src.Gen.N()
-		if n < 1 {
-			return fmt.Errorf("sim: contention source %d on %s claims %d lines", i, src.Resource, n)
+		k, n := len(src.Resources), src.Gen.N()
+		if k == 0 || n < 1 || n%k != 0 {
+			return nil, fmt.Errorf("sim: source %d (%s) claims %d lines over %d resources (%s); need a positive multiple",
+				i, src.Gen.Name(), n, k, on)
 		}
 		if s, ok := src.Gen.(StaticallySilent); ok && s.Silent() {
 			continue // the no-op path: statically silent sources are elided
 		}
-		if ai.width+n > arbiter.MaxN {
-			return fmt.Errorf("sim: contention on %s widens its arbiter to %d request lines; the bitset kernel supports at most %d",
-				src.Resource, ai.width+n, arbiter.MaxN)
+		lanes := n / k
+		for _, r := range src.Resources {
+			if w := arbs[r].width + lanes; w > arbiter.MaxN {
+				return nil, fmt.Errorf("sim: source %d (%s) widens the arbiter on %s to %d request lines; the bitset kernel supports at most %d",
+					i, src.Gen.Name(), r, w, arbiter.MaxN)
+			}
 		}
 		src.Gen.Reset()
-		ai.sources = append(ai.sources, contSource{gen: src.Gen, off: ai.width, mask: arbiter.Mask(n)})
-		ai.width += n
+		s := &source{gen: src.Gen, mask: arbiter.Mask(lanes)}
+		for r, res := range src.Resources {
+			ai := arbs[res]
+			s.arbs = append(s.arbs, ai)
+			s.offs = append(s.offs, uint(ai.width))
+			s.shifts = append(s.shifts, uint(r*lanes))
+			ai.width += lanes
+		}
+		if k > 1 {
+			s.stats = &SharedStats{
+				Name:      src.Gen.Name(),
+				Resources: append([]string(nil), src.Resources...),
+				Grants:    make([]int, k),
+				Waits:     make([]int, k),
+			}
+		}
+		wired = append(wired, s)
 	}
-	return nil
-}
-
-// sizePhantoms allocates the per-phantom-line counters once every source
-// — single-resource and shared — has widened its arbiters.
-func sizePhantoms(arbs map[string]*arbInst) {
 	//sparcs:ignore determinism each instance is sized independently; iteration order cannot change the result
 	for _, ai := range arbs {
 		if phantoms := ai.width - ai.memberN; phantoms > 0 {
@@ -124,4 +225,5 @@ func sizePhantoms(arbs map[string]*arbInst) {
 			ai.phWaits = make([]int, phantoms)
 		}
 	}
+	return wired, nil
 }

@@ -75,7 +75,7 @@ func contendedConfig() Config {
 func TestContentionClosedLoop(t *testing.T) {
 	cfg := contendedConfig()
 	src := &countedRequester{want: 5}
-	cfg.Contention = []ContentionSource{{Resource: "bankS", Gen: src}}
+	cfg.Sources = []Source{{Resources: []string{"bankS"}, Gen: src}}
 	stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestContentionSilentElision(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := contendedConfig()
-	cfg.Contention = []ContentionSource{{Resource: "bankS", Gen: &silentRequester{quietRequester{n: 2}}}}
+	cfg.Sources = []Source{{Resources: []string{"bankS"}, Gen: &silentRequester{quietRequester{n: 2}}}}
 	quiet, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,24 +138,28 @@ func TestContentionSilentElision(t *testing.T) {
 	}
 }
 
-// TestContentionErrors: unknown resources, nil generators, and
-// zero-line generators are rejected before any cycle runs.
+// TestContentionErrors: unknown resources, nil generators, zero-line
+// generators and a widened arbiter past the bitset kernel's word are
+// rejected before any cycle runs.
 func TestContentionErrors(t *testing.T) {
+	bankS, bankZ := []string{"bankS"}, []string{"bankZ"}
 	cases := []struct {
 		name string
-		src  ContentionSource
+		src  Source
 	}{
-		{"unknown-resource", ContentionSource{Resource: "bankZ", Gen: &quietRequester{n: 1}}},
+		{"unknown-resource", Source{Resources: bankZ, Gen: &quietRequester{n: 1}}},
 		// Elision must not skip validation: a typo'd resource errors
 		// even when the source is silent.
-		{"unknown-resource-silent", ContentionSource{Resource: "bankZ", Gen: &silentRequester{quietRequester{n: 1}}}},
-		{"nil-generator", ContentionSource{Resource: "bankS"}},
-		{"zero-lines", ContentionSource{Resource: "bankS", Gen: &quietRequester{n: 0}}},
+		{"unknown-resource-silent", Source{Resources: bankZ, Gen: &silentRequester{quietRequester{n: 1}}}},
+		{"nil-generator", Source{Resources: bankS}},
+		{"zero-lines", Source{Resources: bankS, Gen: &quietRequester{n: 0}}},
+		{"no-resource", Source{Gen: &quietRequester{n: 1}}},
+		{"past-word", Source{Resources: bankS, Gen: &quietRequester{n: arbiter.MaxN - 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := contendedConfig()
-			cfg.Contention = []ContentionSource{tc.src}
+			cfg.Sources = []Source{tc.src}
 			if _, err := Run(cfg); err == nil {
 				t.Fatal("expected a wiring error")
 			}
@@ -169,9 +173,9 @@ func TestContentionErrors(t *testing.T) {
 // config order.
 func TestContentionPolicySizing(t *testing.T) {
 	cfg := contendedConfig()
-	cfg.Contention = []ContentionSource{
-		{Resource: "bankS", Gen: &quietRequester{n: 2}},
-		{Resource: "bankS", Gen: &quietRequester{n: 1}},
+	cfg.Sources = []Source{
+		{Resources: []string{"bankS"}, Gen: &quietRequester{n: 2}},
+		{Resources: []string{"bankS"}, Gen: &quietRequester{n: 1}},
 	}
 	stats, err := Run(cfg)
 	if err != nil {

@@ -54,28 +54,33 @@ func twoBankConfig() Config {
 	}
 }
 
-// orderedAcquirer is a deterministic hold-and-wait source: each lane
-// idles `gap` cycles, acquires the resources in order (holding earlier
-// grants), holds everything for `hold` all-held cycles, releases, and
-// repeats. No randomness, so assertions can be exact.
+// orderedAcquirer is a deterministic hold-and-wait source over k
+// resources, packed like workload.SharedSource (bit r·lanes+j = lane j
+// on resource r): each lane idles `gap` cycles, acquires the resources
+// in order (holding earlier grants), holds everything for `hold`
+// all-held cycles, releases, and repeats. No randomness, so assertions
+// can be exact.
 type orderedAcquirer struct {
-	resources []string
-	lanes     int
+	k, lanes  int
 	gap, hold int
+	shifts    []uint // r·lanes, resource r's window in the packed word
 	idleLeft  []int
 	stage     []int
 	heldFor   []int
 }
 
-func newOrderedAcquirer(resources []string, lanes, gap, hold int) *orderedAcquirer {
-	o := &orderedAcquirer{resources: resources, lanes: lanes, gap: gap, hold: hold}
+// orderedSource attaches an orderedAcquirer to the named resources.
+func orderedSource(resources []string, lanes, gap, hold int) Source {
+	o := &orderedAcquirer{k: len(resources), lanes: lanes, gap: gap, hold: hold}
+	for r := range resources {
+		o.shifts = append(o.shifts, uint(r*lanes))
+	}
 	o.Reset()
-	return o
+	return Source{Resources: resources, Gen: o}
 }
 
-func (o *orderedAcquirer) Name() string        { return "ordered" }
-func (o *orderedAcquirer) Resources() []string { return o.resources }
-func (o *orderedAcquirer) Lanes() int          { return o.lanes }
+func (o *orderedAcquirer) Name() string { return "ordered" }
+func (o *orderedAcquirer) N() int       { return o.k * o.lanes }
 
 func (o *orderedAcquirer) Reset() {
 	o.idleLeft = make([]int, o.lanes)
@@ -87,11 +92,8 @@ func (o *orderedAcquirer) Reset() {
 	}
 }
 
-func (o *orderedAcquirer) NextBits(req, prevGrant []arbiter.BitVec) {
-	k := len(o.resources)
-	for r := range req {
-		req[r] = 0
-	}
+func (o *orderedAcquirer) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+	var req arbiter.BitVec
 	for j := 0; j < o.lanes; j++ {
 		bit := arbiter.BitVec(1) << uint(j)
 		switch {
@@ -101,15 +103,15 @@ func (o *orderedAcquirer) NextBits(req, prevGrant []arbiter.BitVec) {
 			} else {
 				o.stage[j] = 0
 			}
-		case o.stage[j] < k:
-			if prevGrant[o.stage[j]]&bit != 0 {
+		case o.stage[j] < o.k:
+			if prevGrant>>o.shifts[o.stage[j]]&bit != 0 {
 				o.stage[j]++
 			}
 		}
-		if o.stage[j] == k {
+		if o.stage[j] == o.k {
 			all := true
-			for r := 0; r < k; r++ {
-				all = all && prevGrant[r]&bit != 0
+			for _, sh := range o.shifts {
+				all = all && prevGrant>>sh&bit != 0
 			}
 			if all {
 				o.heldFor[j]++
@@ -120,54 +122,47 @@ func (o *orderedAcquirer) NextBits(req, prevGrant []arbiter.BitVec) {
 				o.idleLeft[j] = o.gap
 			}
 		}
-		for r := 0; r <= o.stage[j] && r < k; r++ {
-			req[r] |= bit
+		for r := 0; r <= o.stage[j] && r < o.k; r++ {
+			req |= bit << o.shifts[r]
 		}
 	}
+	return req
 }
 
 // greedyShared requests every line on every resource every cycle — the
 // multi-resource hog, for stats-accounting invariants.
-type greedyShared struct {
-	resources []string
-	lanes     int
-}
+type greedyShared struct{ n int }
 
-func (gr *greedyShared) Name() string        { return "greedy" }
-func (gr *greedyShared) Resources() []string { return gr.resources }
-func (gr *greedyShared) Lanes() int          { return gr.lanes }
-func (gr *greedyShared) Reset()              {}
-func (gr *greedyShared) NextBits(req, _ []arbiter.BitVec) {
-	for r := range req {
-		req[r] = arbiter.Mask(gr.lanes)
-	}
-}
+func (gr *greedyShared) Name() string                           { return "greedy" }
+func (gr *greedyShared) N() int                                 { return gr.n }
+func (gr *greedyShared) Reset()                                 {}
+func (gr *greedyShared) NextBits(arbiter.BitVec) arbiter.BitVec { return arbiter.Mask(gr.n) }
 
 // silentShared never requests and is statically silent: Run must elide
 // it entirely.
 type silentShared struct{ greedyShared }
 
-func (s *silentShared) Silent() bool { return true }
-func (s *silentShared) NextBits(req, _ []arbiter.BitVec) {
-	for r := range req {
-		req[r] = 0
-	}
-}
+func (s *silentShared) Silent() bool                           { return true }
+func (s *silentShared) NextBits(arbiter.BitVec) arbiter.BitVec { return 0 }
 
+// TestSharedWiringErrors: a correlated source is rejected before any
+// cycle runs when it has no generator, names a resource twice or one no
+// arbiter guards, or claims lines that do not split evenly over its
+// resources.
 func TestSharedWiringErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		gen  SharedRequester
+		src  Source
 	}{
-		{"nil generator", nil},
-		{"one resource", newOrderedAcquirer([]string{"bankS"}, 1, 1, 1)},
-		{"duplicate resource", newOrderedAcquirer([]string{"bankS", "bankS"}, 1, 1, 1)},
-		{"unknown resource", newOrderedAcquirer([]string{"bankS", "bankX"}, 1, 1, 1)},
-		{"zero lanes", newOrderedAcquirer([]string{"bankS", "bankT"}, 0, 1, 1)},
+		{"nil generator", Source{Resources: []string{"bankS", "bankT"}}},
+		{"duplicate resource", orderedSource([]string{"bankS", "bankS"}, 1, 1, 1)},
+		{"unknown resource", orderedSource([]string{"bankS", "bankX"}, 1, 1, 1)},
+		{"zero lanes", orderedSource([]string{"bankS", "bankT"}, 0, 1, 1)},
+		{"uneven lanes", Source{Resources: []string{"bankS", "bankT"}, Gen: &greedyShared{n: 3}}},
 	}
 	for _, c := range cases {
 		cfg := twoBankConfig()
-		cfg.Shared = []SharedSource{{Gen: c.gen}}
+		cfg.Sources = []Source{c.src}
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: Run should error", c.name)
 		}
@@ -180,7 +175,7 @@ func TestSharedWiringErrors(t *testing.T) {
 // Stats.Contention for both resources.
 func TestSharedWidensPolicies(t *testing.T) {
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: newOrderedAcquirer([]string{"bankS", "bankT"}, 2, 1, 2)}}
+	cfg.Sources = []Source{orderedSource([]string{"bankS", "bankT"}, 2, 1, 2)}
 	stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +218,7 @@ func TestSharedWidensPolicies(t *testing.T) {
 // either a grant or a wait, and the overlap counters are bounded.
 func TestSharedStatsInvariants(t *testing.T) {
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: &greedyShared{resources: []string{"bankS", "bankT"}, lanes: 2}}}
+	cfg.Sources = []Source{{Resources: []string{"bankS", "bankT"}, Gen: &greedyShared{n: 4}}}
 	// The greedy hog never releases, so the members starve; bound the
 	// watchdog instead of simulating ten million stuck cycles.
 	cfg.MaxCycles = 5_000
@@ -256,9 +251,9 @@ func TestSharedStatsInvariants(t *testing.T) {
 // counter exists to expose. The watchdog reports the starved members.
 func TestSharedCircularHoldWait(t *testing.T) {
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{
-		{Gen: newOrderedAcquirer([]string{"bankS", "bankT"}, 1, 0, 1_000_000)},
-		{Gen: newOrderedAcquirer([]string{"bankT", "bankS"}, 1, 0, 1_000_000)},
+	cfg.Sources = []Source{
+		orderedSource([]string{"bankS", "bankT"}, 1, 0, 1_000_000),
+		orderedSource([]string{"bankT", "bankS"}, 1, 0, 1_000_000),
 	}
 	cfg.MaxCycles = 2_000
 	stats, err := Run(cfg)
@@ -298,7 +293,7 @@ func TestSharedSilentElision(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: &silentShared{greedyShared{resources: []string{"bankS", "bankT"}, lanes: 3}}}}
+	cfg.Sources = []Source{{Resources: []string{"bankS", "bankT"}, Gen: &silentShared{greedyShared{n: 6}}}}
 	quiet, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +303,7 @@ func TestSharedSilentElision(t *testing.T) {
 	}
 	// But a typo'd resource still errors even when silent.
 	cfg = twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: &silentShared{greedyShared{resources: []string{"bankS", "bankX"}, lanes: 1}}}}
+	cfg.Sources = []Source{{Resources: []string{"bankS", "bankX"}, Gen: &silentShared{greedyShared{n: 2}}}}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("silent source with unknown resource should still error")
 	}

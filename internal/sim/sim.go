@@ -11,10 +11,11 @@
 // to violation records.
 //
 // Background contention can be injected alongside the compiled tasks:
-// Config.Contention attaches closed-loop phantom requesters (any
-// workload.Generator) to named arbiters, widening their request vectors
-// and policies so synthetic traffic competes for grants exactly like a
-// real task — see ContentionSource.
+// Config.Sources attaches closed-loop phantom requesters (any
+// workload.Generator, one correlated workload.SharedSource spanning
+// several resources included) to named arbiters, widening their request
+// vectors and policies so synthetic traffic competes for grants exactly
+// like a real task — see Source.
 //
 // The per-cycle path is allocation-free: programs are precompiled so
 // every resource/segment/channel name resolves to a pointer or dense
@@ -68,20 +69,15 @@ type Config struct {
 	// need cycle/violation/grant statistics set this; Stats.ArbiterTraces
 	// then maps each resource to nil.
 	DisableTraces bool
-	// Contention attaches background phantom requesters to named
-	// arbiters: each source's lines are appended after the member
-	// tasks' request lines, the policy is constructed over the widened
-	// count, and grants won by phantoms are fed back into their closed
-	// loops. Statically silent sources (StaticallySilent) are elided
-	// entirely, so zero-rate contention is a byte-identical no-op.
-	Contention []ContentionSource
-	// Shared attaches correlated multi-resource background sources: one
-	// generator drives request lines on several arbiters at once, with
-	// hold-A-while-waiting-on-B semantics (see SharedRequester). Lanes
-	// append after member lines and Contention lines; cross-resource
-	// overlap/wait statistics land in Stats.Shared, per-line counts in
-	// Stats.Contention.
-	Shared []SharedSource
+	// Sources attaches background phantom requesters to named arbiters
+	// (see Source): each source's windows are appended after the member
+	// tasks' request lines in list order, the policy is constructed over
+	// the widened count, and grants won by phantoms are fed back into
+	// their closed loops. Per-line counts land in Stats.Contention, a
+	// correlated source's cross-resource statistics in Stats.Shared.
+	// Statically silent sources (StaticallySilent) are elided entirely,
+	// so zero-rate contention is a byte-identical no-op.
+	Sources []Source
 	// CaptureOnly restricts trace recording to the named resources when
 	// non-nil (and DisableTraces is false): unlisted arbiters skip
 	// per-cycle recording entirely and report a nil trace, so a run that
@@ -119,10 +115,10 @@ type Stats struct {
 	// sources to its phantom-line statistics; nil when the run had no
 	// active contention, so uninstrumented Stats stay byte-identical.
 	Contention map[string]*ContentionStats
-	// Shared holds one entry per active (non-elided) shared source, in
-	// Config.Shared order: the cross-resource hold-and-wait overlap and
-	// per-resource grant/wait totals no single-resource view can report.
-	// Nil when the run had no active shared sources.
+	// Shared holds one entry per active (non-elided) correlated source,
+	// in Config.Sources order: the cross-resource hold-and-wait overlap
+	// and per-resource grant/wait totals no single-resource view can
+	// report. Nil when the run had no active correlated sources.
 	Shared []*SharedStats
 }
 
@@ -144,9 +140,8 @@ type arbInst struct {
 	grants     int  // member grants, flushed to Stats.GrantsByRes after the run
 	capture    bool // record per-cycle traces for this arbiter
 	trace      []arbiter.TraceStep
-	arena      []bool       // chunked backing for trace req/grant copies
-	sources    []contSource // background phantom requesters
-	phGrants   []int        // per phantom line, flushed to Stats.Contention
+	arena      []bool // chunked backing for trace req/grant copies
+	phGrants   []int  // per phantom line, flushed to Stats.Contention
 	phWaits    []int
 }
 
@@ -286,16 +281,17 @@ func Run(cfg Config) (*Stats, error) {
 		arbs[spec.Resource] = ai
 	}
 	// Phantom lines widen the request words before the policies are
-	// sized: single-resource sources first, then shared multi-resource
-	// lanes.
-	if err := wireContention(cfg.Contention, arbs); err != nil {
-		return nil, err
-	}
-	shared, err := wireShared(cfg.Shared, arbs)
+	// sized.
+	sources, err := wire(cfg.Sources, arbs)
 	if err != nil {
 		return nil, err
 	}
-	sizePhantoms(arbs)
+	var correlated []*source
+	for _, s := range sources {
+		if s.stats != nil {
+			correlated = append(correlated, s)
+		}
+	}
 	// Per-resource trace taps: nil CaptureOnly records everything.
 	captureSet := map[string]bool{}
 	for _, r := range cfg.CaptureOnly {
@@ -435,25 +431,18 @@ func Run(cfg Config) (*Stats, error) {
 
 		// Phase 1: arbiters sample request lines (set by earlier cycles)
 		// and issue grants for this cycle. Phantom sources refresh their
-		// lines first, observing last cycle's grants — the closed loop.
-		// Shared sources refresh before ANY arbiter steps, so a source
-		// spanning several resources sees one coherent grant snapshot
-		// instead of a mix of old and new decisions.
-		for _, inst := range shared {
-			inst.next()
+		// lines first, before ANY arbiter steps, observing last cycle's
+		// grants — the closed loop — so a source spanning several
+		// resources sees one coherent grant snapshot.
+		for _, s := range sources {
+			s.next()
 		}
 		for _, ai := range arbList {
-			for i := range ai.sources {
-				cs := &ai.sources[i]
-				off := uint(cs.off)
-				out := cs.gen.NextBits(ai.grant >> off & cs.mask)
-				ai.req = ai.req&^(cs.mask<<off) | (out&cs.mask)<<off
-			}
 			ai.grant = ai.policy.StepBits(ai.req)
 			ai.grants += (ai.grant & ai.memberMask).Count()
 			if ai.phGrants != nil {
 				for i := range ai.phGrants {
-					//sparcs:ignore bitwidth memberN+i < width <= MaxN, bounded by wireContention/wireShared
+					//sparcs:ignore bitwidth memberN+i < width <= MaxN, bounded by wire
 					bit := arbiter.BitVec(1) << uint(ai.memberN+i)
 					switch {
 					case ai.grant&bit != 0:
@@ -469,8 +458,8 @@ func Run(cfg Config) (*Stats, error) {
 		}
 		// Cross-resource overlap stats read this cycle's grants on every
 		// spanned resource, after all arbiters have stepped.
-		for _, inst := range shared {
-			inst.observe()
+		for _, s := range correlated {
+			s.observe()
 		}
 
 		// Phase 2: tasks execute one cycle each.
@@ -670,8 +659,8 @@ func Run(cfg Config) (*Stats, error) {
 			stats.Contention[ai.res] = &ContentionStats{Grants: ai.phGrants, Waits: ai.phWaits}
 		}
 	}
-	for _, inst := range shared {
-		stats.Shared = append(stats.Shared, inst.stats)
+	for _, s := range correlated {
+		stats.Shared = append(stats.Shared, s.stats)
 	}
 	if !stats.Done {
 		stats.Violations = append(stats.Violations, Violation{

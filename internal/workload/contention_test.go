@@ -65,7 +65,7 @@ func TestContentionSafetyAllPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Contention = []sim.ContentionSource{{Resource: "bankS", Gen: gen}}
+				cfg.Sources = []sim.Source{{Resources: []string{"bankS"}, Gen: gen}}
 				sp, err := arbiter.ParsePolicySpec(pspec)
 				if err != nil {
 					t.Fatal(err)
@@ -135,7 +135,7 @@ func TestSilentGeneratorElidedThroughSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Contention = []sim.ContentionSource{{Resource: "bankS", Gen: gen}}
+	cfg.Sources = []sim.Source{{Resources: []string{"bankS"}, Gen: gen}}
 	quiet, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

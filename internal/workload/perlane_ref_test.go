@@ -3,9 +3,10 @@ package workload
 // Frozen per-lane references for the word-level generators and Drive:
 // the float draw, the closed-loop NextBits bodies and the Drive loop as
 // they ran before the generators and Drive's bookkeeping moved onto whole
-// BitVec words (modulo ref* naming). The differential tests hold the live
-// code to them bit for bit: identical request words every cycle, and
-// deeply equal Metrics.
+// BitVec words, and the correlated source's per-resource NextBits as it
+// ran before its lanes moved onto one packed word (modulo ref* naming).
+// The differential tests hold the live code to them bit for bit:
+// identical request words every cycle, and deeply equal Metrics.
 
 import (
 	"fmt"
@@ -226,6 +227,117 @@ func newRef(spec string, n int, seed uint64) (refGenerator, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("no per-lane reference for %q", spec)
+}
+
+// refShared is the frozen correlated source: one lane word per
+// resource (bit j = lane j), rewritten in place each cycle.
+type refShared struct {
+	k, lanes int
+	seed     uint64
+	arrival  uint64
+	hold     int
+	streams  []rng
+	stage    []int
+	heldFor  []int
+	// The packed view NextBits offers the differential tests: resource
+	// r's lane word is bits [shifts[r], shifts[r]+lanes) of the packed
+	// word, as sim lays a correlated source's windows out.
+	shifts      []uint
+	reqW, prevW []arbiter.BitVec
+}
+
+func newRefShared(k, lanes int, p float64, hold int, seed uint64) *refShared {
+	s := &refShared{
+		k: k, lanes: lanes, seed: seed, arrival: threshold(p), hold: hold,
+		stage: make([]int, lanes), heldFor: make([]int, lanes),
+		reqW: make([]arbiter.BitVec, k), prevW: make([]arbiter.BitVec, k),
+	}
+	for r := 0; r < k; r++ {
+		s.shifts = append(s.shifts, uint(r*lanes))
+	}
+	s.Reset()
+	return s
+}
+
+func (s *refShared) Reset() {
+	s.streams = taskStreams(s.seed, s.lanes)
+	for j := range s.stage {
+		s.stage[j] = -1
+		s.heldFor[j] = 0
+	}
+}
+
+// nextLanes is the frozen per-resource body: it consumes last cycle's
+// grants prevGrant[r] and rewrites req[r], resource r's lane word.
+func (s *refShared) nextLanes(req, prevGrant []arbiter.BitVec) {
+	k := s.k
+	for r := 0; r < k; r++ {
+		req[r] = 0
+	}
+	for j := 0; j < s.lanes; j++ {
+		bit := arbiter.BitVec(1) << uint(j)
+		// One draw per lane per cycle regardless of state, so arrivals
+		// are policy-independent.
+		arrive := s.streams[j].hit(s.arrival) == 1
+		switch {
+		case s.stage[j] < 0:
+			if arrive {
+				s.stage[j] = 0
+			}
+		case s.stage[j] < k:
+			// Waiting on resource stage[j]: advance when its grant lands.
+			// Several may land in back-to-back cycles; latch one per cycle
+			// (the request for the next resource only went up last cycle).
+			if prevGrant[s.stage[j]]&bit != 0 {
+				s.stage[j]++
+			}
+		}
+		if s.stage[j] == k {
+			// All acquired: count cycles where every grant is held
+			// simultaneously (preemption can take one away mid-hold).
+			all := true
+			for r := 0; r < k; r++ {
+				if prevGrant[r]&bit == 0 {
+					all = false
+					break
+				}
+			}
+			if all {
+				s.heldFor[j]++
+			}
+			if s.heldFor[j] >= s.hold {
+				s.stage[j] = -1
+				s.heldFor[j] = 0
+			}
+		}
+		// Request lines: everything acquired so far plus the one being
+		// waited on; idle lanes release everything.
+		if s.stage[j] >= 0 {
+			top := s.stage[j]
+			if top >= k {
+				top = k - 1
+			}
+			for r := 0; r <= top; r++ {
+				req[r] |= bit
+			}
+		}
+	}
+}
+
+// NextBits runs nextLanes on the packed word: it splits prevGrant into
+// per-resource lane words and packs the request words back, masking
+// each to its window as sim did.
+func (s *refShared) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+	mask := arbiter.Mask(s.lanes)
+	for r, sh := range s.shifts {
+		s.prevW[r] = prevGrant >> sh & mask
+	}
+	s.nextLanes(s.reqW, s.prevW)
+	var req arbiter.BitVec
+	for r, sh := range s.shifts {
+		req |= (s.reqW[r] & mask) << sh
+	}
+	return req
 }
 
 // refDrive is the frozen Drive loop: per-lane bookkeeping with eager

@@ -14,17 +14,20 @@ import (
 	"sparcs/internal/arbiter"
 )
 
-// SharedSource is a closed-loop generator spanning several arbitrated
-// resources; it implements sim.SharedRequester. It runs Lanes()
-// independent jobs, each claiming one request line on every resource.
+// SharedSource is a closed-loop Generator spanning k ≥ 2 arbitrated
+// resources. It runs `lanes` independent jobs, each claiming one request
+// line on every resource, and packs them into one word of N() =
+// k·lanes lines: bit r·lanes+j is lane j's line on resource r. Attached
+// through sim.Source with the same resource list, each resource's
+// window of `lanes` bits lands on that resource's arbiter.
 //
 // A lane's lifecycle is the classic hold-and-wait protocol:
 //
 //  1. Idle. Each cycle an arrival fires with probability p (one rng
 //     draw per lane per cycle, consumed unconditionally, so the arrival
 //     process is identical no matter which policies serve it).
-//  2. Acquire the resources strictly in Resources() order: request
-//     resource k while KEEPING the request lines of resources 0..k-1
+//  2. Acquire the resources strictly in list order: request
+//     resource i while KEEPING the request lines of resources 0..i-1
 //     asserted — under the paper's non-preemptive protocol an asserted
 //     request retains its grant, so the lane holds everything it has
 //     acquired while it waits.
@@ -37,13 +40,17 @@ import (
 // create a circular hold-and-wait — genuinely deadlock-adjacent load the
 // simulator's watchdog must catch.
 type SharedSource struct {
-	name      string
-	resources []string
-	lanes     int
-	seed      uint64
-	arrival   uint64 // arrival threshold of an idle lane (see threshold)
-	hold      int
-	streams   []rng
+	name     string
+	k, lanes int
+	seed     uint64
+	arrival  uint64 // arrival threshold of an idle lane (see threshold)
+	hold     int
+	streams  []rng
+	// Per resource r: the lane-0 line r·lanes of its window, and
+	// prefix[r], one bit per window 0..r — the lines a lane requests
+	// while it acquires resource r (shifted up by the lane index).
+	shifts []uint
+	prefix []arbiter.BitVec
 	// Per lane: number of resources acquired so far, -1 when idle. A
 	// resource counts as acquired once its grant has been observed; the
 	// line stays asserted from first request through release.
@@ -56,7 +63,8 @@ type SharedSource struct {
 // acquisition order. Each of the lanes runs an independent job stream
 // (independent rng streams derived from seed); p is the per-cycle
 // arrival probability of an idle lane and hold the number of all-held
-// cycles before release.
+// cycles before release. All lanes on all resources must fit one
+// request word: len(resources)·lanes ≤ arbiter.MaxN.
 func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) (*SharedSource, error) {
 	if len(resources) < 2 {
 		return nil, fmt.Errorf("workload: shared source needs at least 2 resources, got %v", resources)
@@ -74,8 +82,9 @@ func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) 
 	if lanes < 1 {
 		return nil, fmt.Errorf("workload: shared source lanes must be positive, got %d", lanes)
 	}
-	if lanes > arbiter.MaxN {
-		return nil, fmt.Errorf("workload: shared source lanes must be at most %d (one request word), got %d", arbiter.MaxN, lanes)
+	if n := len(resources) * lanes; n > arbiter.MaxN {
+		return nil, fmt.Errorf("workload: shared source spans %d resources × %d lanes = %d request lines; one request word holds at most %d",
+			len(resources), lanes, n, arbiter.MaxN)
 	}
 	if err := checkRate("corr", p); err != nil {
 		return nil, err
@@ -84,14 +93,21 @@ func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) 
 		return nil, fmt.Errorf("workload: shared source hold must be positive, got %d", hold)
 	}
 	s := &SharedSource{
-		name:      fmt.Sprintf("corr:%.2f:%d", p, hold),
-		resources: append([]string(nil), resources...),
-		lanes:     lanes,
-		seed:      seed,
-		arrival:   threshold(p),
-		hold:      hold,
-		stage:     make([]int, lanes),
-		heldFor:   make([]int, lanes),
+		name:    fmt.Sprintf("corr:%.2f:%d", p, hold),
+		k:       len(resources),
+		lanes:   lanes,
+		seed:    seed,
+		arrival: threshold(p),
+		hold:    hold,
+		stage:   make([]int, lanes),
+		heldFor: make([]int, lanes),
+	}
+	var prefix arbiter.BitVec
+	for r := range resources {
+		sh := uint(r * lanes)
+		prefix |= arbiter.BitVec(1) << sh
+		s.shifts = append(s.shifts, sh)
+		s.prefix = append(s.prefix, prefix)
 	}
 	s.Reset()
 	return s, nil
@@ -100,11 +116,8 @@ func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) 
 // Name identifies the source shape with its parameters.
 func (s *SharedSource) Name() string { return s.name }
 
-// Resources lists the spanned resources in acquisition order.
-func (s *SharedSource) Resources() []string { return s.resources }
-
-// Lanes returns the number of independent jobs.
-func (s *SharedSource) Lanes() int { return s.lanes }
+// N returns the packed line count: lanes on every spanned resource.
+func (s *SharedSource) N() int { return s.k * s.lanes }
 
 // Reset returns every lane to idle and rewinds the arrival streams.
 func (s *SharedSource) Reset() {
@@ -116,16 +129,18 @@ func (s *SharedSource) Reset() {
 }
 
 // NextBits advances every lane one cycle: it consumes last cycle's
-// grants prevGrant[r] and rewrites req[r], resource r's lane word (bit
-// j = lane j), in place. It implements sim.SharedRequester and is
+// grants and returns the request word, both in the packed layout (bit
+// r·lanes+j = lane j on resource r). It implements Generator and is
 // allocation-free.
 //
 //sparcs:hotpath
-func (s *SharedSource) NextBits(req, prevGrant []arbiter.BitVec) {
-	k := len(s.resources)
-	for r := 0; r < k; r++ {
-		req[r] = 0
+func (s *SharedSource) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+	// allHeld: the lanes granted on every resource last cycle.
+	allHeld := arbiter.Mask(s.lanes)
+	for _, sh := range s.shifts {
+		allHeld &= prevGrant >> sh
 	}
+	var req arbiter.BitVec
 	for j := 0; j < s.lanes; j++ {
 		bit := arbiter.BitVec(1) << uint(j)
 		// One draw per lane per cycle regardless of state, so arrivals
@@ -136,25 +151,18 @@ func (s *SharedSource) NextBits(req, prevGrant []arbiter.BitVec) {
 			if arrive {
 				s.stage[j] = 0
 			}
-		case s.stage[j] < k:
+		case s.stage[j] < s.k:
 			// Waiting on resource stage[j]: advance when its grant lands.
 			// Several may land in back-to-back cycles; latch one per cycle
 			// (the request for the next resource only went up last cycle).
-			if prevGrant[s.stage[j]]&bit != 0 {
+			if prevGrant>>s.shifts[s.stage[j]]&bit != 0 {
 				s.stage[j]++
 			}
 		}
-		if s.stage[j] == k {
+		if s.stage[j] == s.k {
 			// All acquired: count cycles where every grant is held
 			// simultaneously (preemption can take one away mid-hold).
-			all := true
-			for r := 0; r < k; r++ {
-				if prevGrant[r]&bit == 0 {
-					all = false
-					break
-				}
-			}
-			if all {
+			if allHeld&bit != 0 {
 				s.heldFor[j]++
 			}
 			if s.heldFor[j] >= s.hold {
@@ -165,15 +173,10 @@ func (s *SharedSource) NextBits(req, prevGrant []arbiter.BitVec) {
 		// Request lines: everything acquired so far plus the one being
 		// waited on; idle lanes release everything.
 		if s.stage[j] >= 0 {
-			top := s.stage[j]
-			if top >= k {
-				top = k - 1
-			}
-			for r := 0; r <= top; r++ {
-				req[r] |= bit
-			}
+			req |= s.prefix[min(s.stage[j], s.k-1)] << uint(j)
 		}
 	}
+	return req
 }
 
 // NewSharedGenerator constructs a correlated source from the textual

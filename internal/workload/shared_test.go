@@ -9,26 +9,25 @@ import (
 )
 
 // nextBools drives one NextBits cycle on per-bit views: prevGrant[r][j]
-// is packed into resource r's lane word, and the request words are
+// is packed into lane j of resource r's window, and the request word is
 // unpacked into req[r][j].
 func nextBools(s *SharedSource, req, prevGrant [][]bool) {
-	reqW := make([]arbiter.BitVec, len(req))
-	prevW := make([]arbiter.BitVec, len(prevGrant))
-	for r := range prevGrant {
-		prevW[r] = arbiter.PackBools(prevGrant[r])
+	var prev arbiter.BitVec
+	for r, sh := range s.shifts {
+		prev |= arbiter.PackBools(prevGrant[r]) << sh
 	}
-	s.NextBits(reqW, prevW)
-	for r := range req {
-		reqW[r].WriteBools(req[r])
+	out := s.NextBits(prev)
+	for r, sh := range s.shifts {
+		(out >> sh).WriteBools(req[r])
 	}
 }
 
 // step drives one cycle against scripted previous grants.
 func step(t *testing.T, s *SharedSource, prevGrant [][]bool) [][]bool {
 	t.Helper()
-	req := make([][]bool, len(s.Resources()))
+	req := make([][]bool, s.k)
 	for r := range req {
-		req[r] = make([]bool, s.Lanes())
+		req[r] = make([]bool, s.lanes)
 	}
 	nextBools(s, req, prevGrant)
 	return req
@@ -165,6 +164,9 @@ func TestNewSharedErrors(t *testing.T) {
 		{[]string{"A", "B"}, 1, 1.5, 2}, // rate > 1
 		{[]string{"A", "B"}, 1, math.NaN(), 2},
 		{[]string{"A", "B"}, 1, 0.5, 0}, // no hold
+		// All lanes on all resources must fit one request word.
+		{[]string{"A", "B"}, 33, 0.5, 2},
+		{[]string{"A", "B", "C"}, 22, 0.5, 2},
 	}
 	for _, c := range cases {
 		if _, err := NewShared(c.resources, c.lanes, c.p, c.hold, 1); err == nil {
@@ -186,8 +188,8 @@ func TestNewSharedGeneratorGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "corr:0.25:2" || s.Lanes() != 2 {
-		t.Fatalf("got %q lanes=%d", s.Name(), s.Lanes())
+	if s.Name() != "corr:0.25:2" || s.N() != 4 {
+		t.Fatalf("got %q N=%d, want 2 lanes on each of 2 resources", s.Name(), s.N())
 	}
 	s, err = NewSharedGenerator("corr:0.25:5", res, 1, 1)
 	if err != nil {
@@ -195,6 +197,10 @@ func TestNewSharedGeneratorGrammar(t *testing.T) {
 	}
 	if s.Name() != "corr:0.25:5" {
 		t.Fatalf("got %q", s.Name())
+	}
+	// 32 lanes on each of 2 resources fill the request word exactly.
+	if s, err = NewSharedGenerator("corr", res, 32, 1); err != nil || s.N() != arbiter.MaxN {
+		t.Fatalf("32 lanes over %v: err %v, want one full word", res, err)
 	}
 	for _, bad := range []string{"bursty", "corr:x", "corr:0.25:0", "corr:0.25:x", "corr:2.0", "corr:NaN", "corr:nan:3"} {
 		if _, err := NewSharedGenerator(bad, res, 1, 1); err == nil {

@@ -233,19 +233,64 @@ type wordFuzzInput struct {
 	grants   []byte
 }
 
+// corrCases are the correlated sources FuzzWordGenerators covers after
+// wordShapes: k ∈ {2, 3, 4} resources, at a light and a heavy
+// arrival/hold setting.
+var corrCases = []struct {
+	k    int
+	p    float64
+	hold int
+}{{2, 0.25, 2}, {3, 0.25, 2}, {4, 0.25, 2}, {2, 0.9, 3}, {3, 0.9, 3}, {4, 0.9, 3}}
+
 // wordFuzzSeeds is the seed corpus: every shape at widths on both sides
-// of the word's edges, under grant programs covering silence, single
-// lines, the lowest requester and every requester at once.
+// of the word's edges, and every correlated case at one lane and at the
+// most lanes that fit the word, under grant programs covering silence,
+// single lines, the lowest requester and every requester at once.
 func wordFuzzSeeds() []wordFuzzInput {
+	prog := []byte{0x01, 0x02, 0xfe, 0x03, 0x40}
 	var in []wordFuzzInput
 	for s := range wordShapes {
 		for _, n := range []uint8{1, 6, 32, 63, 64} {
 			in = append(in,
-				wordFuzzInput{uint8(s), n - 1, uint64(n) * 7, []byte{0x01, 0x02, 0xfe, 0x03, 0x40}},
+				wordFuzzInput{uint8(s), n - 1, uint64(n) * 7, prog},
 				wordFuzzInput{uint8(s), n - 1, uint64(s), nil})
 		}
 	}
+	for c, cc := range corrCases {
+		shape := uint8(len(wordShapes) + c)
+		for _, lanes := range []uint8{1, uint8(arbiter.MaxN / cc.k)} {
+			in = append(in,
+				wordFuzzInput{shape, lanes - 1, uint64(lanes) * 7, prog},
+				wordFuzzInput{shape, lanes - 1, uint64(c), []byte{0x03}})
+		}
+	}
 	return in
+}
+
+// fuzzPair builds one fuzz input's live generator and frozen reference:
+// a closed-loop shape over 1..MaxN lines, or a correlated source over k
+// resources with 1..MaxN/k lanes packed into one word.
+func fuzzPair(in wordFuzzInput) (Generator, refGenerator, string, error) {
+	s := int(in.shape) % (len(wordShapes) + len(corrCases))
+	if s < len(wordShapes) {
+		spec := wordShapes[s]
+		n := 1 + int(in.n)%arbiter.MaxN
+		what := fmt.Sprintf("%s N=%d seed %d", spec, n, in.seed)
+		g, err := NewGenerator(spec, n, in.seed)
+		if err != nil {
+			return nil, nil, what, err
+		}
+		ref, err := newRef(spec, n, in.seed)
+		return g, ref, what, err
+	}
+	c := corrCases[s-len(wordShapes)]
+	lanes := 1 + int(in.n)%(arbiter.MaxN/c.k)
+	what := fmt.Sprintf("corr:%g:%d k=%d lanes=%d seed %d", c.p, c.hold, c.k, lanes, in.seed)
+	g, err := NewShared([]string{"A", "B", "C", "D"}[:c.k], lanes, c.p, c.hold, in.seed)
+	if err != nil {
+		return nil, nil, what, err
+	}
+	return g, newRefShared(c.k, lanes, c.p, c.hold, in.seed), what, nil
 }
 
 // fuzzGrant decodes cycle c's grant from a fuzzed program: each byte
@@ -273,23 +318,17 @@ func fuzzGrant(prog []byte, c int, req arbiter.BitVec) arbiter.BitVec {
 // words under the fuzzed grant program, before and after Reset.
 func checkWordGenerator(t *testing.T, in wordFuzzInput) {
 	t.Helper()
-	spec := wordShapes[int(in.shape)%len(wordShapes)]
-	n := 1 + int(in.n)%arbiter.MaxN
-	g, err := NewGenerator(spec, n, in.seed)
+	g, ref, what, err := fuzzPair(in)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := newRef(spec, n, in.seed)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", what, err)
 	}
 	for pass := 0; pass < 2; pass++ {
 		var grant arbiter.BitVec
 		for c := 0; c < 512; c++ {
 			req := g.NextBits(grant)
 			if want := ref.NextBits(grant); req != want {
-				t.Fatalf("%s N=%d seed %d pass %d cycle %d: grant %064b\nword-level req %064b\nper-lane req   %064b",
-					spec, n, in.seed, pass, c, grant, req, want)
+				t.Fatalf("%s pass %d cycle %d: grant %064b\nword-level req %064b\nper-lane req   %064b",
+					what, pass, c, grant, req, want)
 			}
 			grant = fuzzGrant(in.grants, c, req)
 		}
@@ -299,9 +338,10 @@ func checkWordGenerator(t *testing.T, in wordFuzzInput) {
 }
 
 // FuzzWordGenerators fuzzes shape, width, seed and grant feedback
-// through the word-level generators and their frozen per-lane
-// references, which must emit identical words. Plain `go test` runs the
-// seed corpus; CI fuzzes it with a short -fuzztime.
+// through the word-level generators — the correlated source's packed
+// lanes included — and their frozen per-lane references, which must emit
+// identical words. Plain `go test` runs the seed corpus; CI fuzzes it
+// with a short -fuzztime.
 func FuzzWordGenerators(f *testing.F) {
 	for _, in := range wordFuzzSeeds() {
 		f.Add(in.shape, in.n, in.seed, in.grants)

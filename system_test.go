@@ -8,6 +8,7 @@ import (
 
 	"sparcs"
 	"sparcs/internal/arbiter"
+	"sparcs/internal/behav"
 	"sparcs/internal/core"
 	"sparcs/internal/fft"
 	"sparcs/internal/partition"
@@ -541,5 +542,33 @@ func TestSystemRejectsDeadlockProneProtocol(t *testing.T) {
 	_, err = sparcs.FFTSystem(2, sparcs.WithExpectedContention("M1+M3=corr:0.25,M3+M1=corr:0.25"))
 	if !errors.As(err, &dp) {
 		t.Fatalf("Build = %v, want *core.DeadlockProneError", err)
+	}
+}
+
+// TestBuildRejectsBadDelays: a compute of fewer than one cycle, or a
+// transform with a negative latency or pop count, is rejected at Build
+// with an error naming the task, the instruction, the op and the value.
+// Before the check the first two spun until the cycle watchdog and the
+// last panicked inside System.Run.
+func TestBuildRejectsBadDelays(t *testing.T) {
+	id := func(in []int64) []int64 { return in }
+	cases := []struct {
+		in   behav.Instr
+		want string
+	}{
+		{behav.Compute(0), "instruction 1 (compute): cycle count must be at least 1, got 0"},
+		{behav.Compute(-1), "instruction 1 (compute): cycle count must be at least 1, got -1"},
+		{behav.Transform(4, -2, id), "instruction 1 (transform): latency must not be negative, got -2"},
+		{behav.Transform(-1, 1, id), "instruction 1 (transform): pop count must not be negative, got -1"},
+	}
+	for _, c := range cases {
+		programs := fft.Programs(2)
+		p := programs["F1"]
+		p.Body = append([]behav.Instr{p.Body[0], c.in}, p.Body[1:]...)
+		programs["F1"] = p
+		_, err := sparcs.Build(fft.Taskgraph(), rc.Wildforce(), programs, sparcs.WithStages(fft.PaperStages()))
+		if err == nil || !strings.HasPrefix(err.Error(), "core: task F1 ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Build = %v, want a core error on task F1 %s", err, c.want)
+		}
 	}
 }
