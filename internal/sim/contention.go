@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sparcs/internal/arbiter"
@@ -108,17 +109,22 @@ type SharedStats struct {
 	AllHeld int
 }
 
-// source is one wired (non-elided) background source: per spanned
-// resource r, the window [offs[r], offs[r]+lanes) of arbs[r]'s
-// request/grant words carries bits [shifts[r], shifts[r]+lanes) of the
-// generator's words.
+// source is one wired (non-elided) background source, with one window
+// per spanned resource.
 type source struct {
-	gen    Requester
-	arbs   []*arbInst
-	offs   []uint         // window offset in each arbiter's words
-	shifts []uint         // r·lanes: the window's offset in the generator's words
-	mask   arbiter.BitVec // low `lanes` bits
-	stats  *SharedStats   // cross-resource statistics; nil for one resource
+	gen   Requester
+	wins  []window
+	mask  arbiter.BitVec // low `lanes` bits
+	stats *SharedStats   // cross-resource statistics; nil for one resource
+}
+
+// window places resource r's lanes: bits [off, off+lanes) of the
+// arbiter's request/grant words carry bits [shift, shift+lanes) of the
+// generator's words.
+type window struct {
+	ai    *arbInst
+	off   uint
+	shift uint // r·lanes
 }
 
 // next refreshes the source's windows from one coherent snapshot of
@@ -128,12 +134,12 @@ type source struct {
 //sparcs:hotpath
 func (s *source) next() {
 	var prev arbiter.BitVec
-	for r, ai := range s.arbs {
-		prev |= (ai.grant >> s.offs[r] & s.mask) << s.shifts[r]
+	for _, w := range s.wins {
+		prev |= (w.ai.grant >> w.off & s.mask) << w.shift
 	}
 	out := s.gen.NextBits(prev)
-	for r, ai := range s.arbs {
-		ai.req = ai.req&^(s.mask<<s.offs[r]) | (out>>s.shifts[r]&s.mask)<<s.offs[r]
+	for _, w := range s.wins {
+		w.ai.req = w.ai.req&^(s.mask<<w.off) | (out>>w.shift&s.mask)<<w.off
 	}
 }
 
@@ -148,13 +154,13 @@ func (s *source) next() {
 func (s *source) observe() {
 	var held, want arbiter.BitVec
 	all := s.mask
-	for r, ai := range s.arbs {
-		g := ai.grant >> s.offs[r] & s.mask
-		w := ai.req >> s.offs[r] & s.mask &^ g
+	for r, w := range s.wins {
+		g := w.ai.grant >> w.off & s.mask
+		q := w.ai.req >> w.off & s.mask &^ g
 		s.stats.Grants[r] += g.Count()
-		s.stats.Waits[r] += w.Count()
+		s.stats.Waits[r] += q.Count()
 		held |= g
-		want |= w
+		want |= q
 		all &= g
 	}
 	s.stats.HoldWait += (held & want).Count()
@@ -168,26 +174,23 @@ func (s *source) observe() {
 func wire(sources []Source, arbs map[string]*arbInst) ([]*source, error) {
 	var wired []*source
 	for i, src := range sources {
-		on := strings.Join(src.Resources, "+")
 		if src.Gen == nil {
-			return nil, fmt.Errorf("sim: source %d on %s has no generator", i, on)
+			return nil, fmt.Errorf("sim: source %d on %s has no generator", i, strings.Join(src.Resources, "+"))
 		}
-		seen := make(map[string]bool, len(src.Resources))
-		for _, r := range src.Resources {
-			if seen[r] {
-				return nil, fmt.Errorf("sim: source %d (%s) names resource %s twice", i, src.Gen.Name(), r)
+		for r, res := range src.Resources {
+			if slices.Contains(src.Resources[:r], res) {
+				return nil, fmt.Errorf("sim: source %d (%s) names resource %s twice", i, src.Gen.Name(), res)
 			}
-			seen[r] = true
 			// Validate before eliding, so a typo'd resource errors even
 			// when the source is silent.
-			if arbs[r] == nil {
-				return nil, fmt.Errorf("sim: source %d (%s) on %s, but no arbiter guards it", i, src.Gen.Name(), r)
+			if arbs[res] == nil {
+				return nil, fmt.Errorf("sim: source %d (%s) on %s, but no arbiter guards it", i, src.Gen.Name(), res)
 			}
 		}
 		k, n := len(src.Resources), src.Gen.N()
 		if k == 0 || n < 1 || n%k != 0 {
 			return nil, fmt.Errorf("sim: source %d (%s) claims %d lines over %d resources (%s); need a positive multiple",
-				i, src.Gen.Name(), n, k, on)
+				i, src.Gen.Name(), n, k, strings.Join(src.Resources, "+"))
 		}
 		if s, ok := src.Gen.(StaticallySilent); ok && s.Silent() {
 			continue // the no-op path: statically silent sources are elided
@@ -200,12 +203,10 @@ func wire(sources []Source, arbs map[string]*arbInst) ([]*source, error) {
 			}
 		}
 		src.Gen.Reset()
-		s := &source{gen: src.Gen, mask: arbiter.Mask(lanes)}
+		s := &source{gen: src.Gen, wins: make([]window, k), mask: arbiter.Mask(lanes)}
 		for r, res := range src.Resources {
 			ai := arbs[res]
-			s.arbs = append(s.arbs, ai)
-			s.offs = append(s.offs, uint(ai.width))
-			s.shifts = append(s.shifts, uint(r*lanes))
+			s.wins[r] = window{ai: ai, off: uint(ai.width), shift: uint(r * lanes)}
 			ai.width += lanes
 		}
 		if k > 1 {
