@@ -114,7 +114,7 @@ type SharedStats struct {
 type source struct {
 	gen   Requester
 	wins  []window
-	mask  arbiter.BitVec // low `lanes` bits
+	mask  arbiter.BitVec // one bit per lane: the low N()/len(Resources) bits
 	stats *SharedStats   // cross-resource statistics; nil for one resource
 }
 
