@@ -548,8 +548,8 @@ func TestSystemRejectsDeadlockProneProtocol(t *testing.T) {
 // TestBuildRejectsBadDelays: a compute of fewer than one cycle, or a
 // transform with a negative latency or pop count, is rejected at Build
 // with an error naming the task, the instruction, the op and the value.
-// Before the check the first two spun until the cycle watchdog and the
-// last panicked inside System.Run.
+// Unchecked, the first three spin until the cycle watchdog and the last
+// panics inside System.Run.
 func TestBuildRejectsBadDelays(t *testing.T) {
 	id := func(in []int64) []int64 { return in }
 	cases := []struct {
