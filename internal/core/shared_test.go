@@ -32,16 +32,18 @@ func TestParseSharedContentionGrammar(t *testing.T) {
 		t.Fatalf("blank spec: %v %v", out, err)
 	}
 	for _, bad := range []string{
-		"M1+M3",             // no '='
-		"M1+M3=",            // no workload
-		"=corr",             // no resources
-		"M1+M3=corr/0",      // bad lane count
-		"M1+M3=corr/x",      // bad lane count
-		"M1+M3=bursty",      // not a shared shape
-		"M1=corr",           // one resource: an independent spec, and corr is no generator
-		"M1+M1=corr",        // duplicate resource
-		"M1+M3=corr:oops",   // bad rate
-		"M1+M3=corr:0.5:no", // bad hold
+		"M1+M3",                          // no '='
+		"M1+M3=",                         // no workload
+		"=corr",                          // no resources
+		"M1+M3=corr/0",                   // bad lane count
+		"M1+M3=corr/x",                   // bad lane count
+		"M1+M3=corr/33",                  // k × lanes past one request word
+		"M1+M3=corr/4611686018427387904", // k × lanes wraps past MaxInt
+		"M1+M3=bursty",                   // not a shared shape
+		"M1=corr",                        // one resource: an independent spec, and corr is no generator
+		"M1+M1=corr",                     // duplicate resource
+		"M1+M3=corr:oops",                // bad rate
+		"M1+M3=corr:0.5:no",              // bad hold
 	} {
 		if _, err := ParseContention(bad); err == nil {
 			t.Errorf("spec %q should error", bad)

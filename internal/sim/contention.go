@@ -49,12 +49,13 @@ type StaticallySilent interface {
 // Source attaches one background requester to the arbiters guarding its
 // resources. Gen's N() lines split into len(Resources) equal windows of
 // L = N()/len(Resources) lanes: bit r·L+j of Gen's words is lane j on
-// Resources[r]. On each resource the window is appended after the
-// member tasks' request lines and the windows of earlier sources (in
-// Config.Sources order), the arbitration policy is constructed over the
-// widened line count, and the source competes for grants exactly like a
-// compiled task — the grants it wins are fed back into its closed loop
-// and starve or delay the real tasks.
+// Resources[r], so N() must fit one request word (≤ arbiter.MaxN). On
+// each resource the window is appended after the member tasks' request
+// lines and the windows of earlier sources (in Config.Sources order),
+// the arbitration policy is constructed over the widened line count,
+// and the source competes for grants exactly like a compiled task — the
+// grants it wins are fed back into its closed loop and starve or delay
+// the real tasks.
 //
 // One resource makes an independent phantom requester. Several make a
 // correlated source whose lanes act across all of them at once (the
@@ -194,6 +195,10 @@ func wire(sources []Source, arbs map[string]*arbInst) ([]*source, error) {
 		}
 		if s, ok := src.Gen.(StaticallySilent); ok && s.Silent() {
 			continue // the no-op path: statically silent sources are elided
+		}
+		if n > arbiter.MaxN {
+			return nil, fmt.Errorf("sim: source %d (%s) packs %d request lines into one word; at most %d fit",
+				i, src.Gen.Name(), n, arbiter.MaxN)
 		}
 		lanes := n / k
 		for _, r := range src.Resources {

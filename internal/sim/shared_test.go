@@ -148,7 +148,7 @@ func (s *silentShared) NextBits(arbiter.BitVec) arbiter.BitVec { return 0 }
 // TestSharedWiringErrors: a correlated source is rejected before any
 // cycle runs when it has no generator, names a resource twice or one no
 // arbiter guards, or claims lines that do not split evenly over its
-// resources.
+// resources or do not fit one request word.
 func TestSharedWiringErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -159,6 +159,9 @@ func TestSharedWiringErrors(t *testing.T) {
 		{"unknown resource", orderedSource([]string{"bankS", "bankX"}, 1, 1, 1)},
 		{"zero lanes", orderedSource([]string{"bankS", "bankT"}, 0, 1, 1)},
 		{"uneven lanes", Source{Resources: []string{"bankS", "bankT"}, Gen: &greedyShared{n: 3}}},
+		// Each 50-lane window fits its arbiter, but the packed word
+		// does not.
+		{"past-word", Source{Resources: []string{"bankS", "bankT"}, Gen: &greedyShared{n: 100}}},
 	}
 	for _, c := range cases {
 		cfg := twoBankConfig()

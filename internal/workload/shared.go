@@ -82,9 +82,11 @@ func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) 
 	if lanes < 1 {
 		return nil, fmt.Errorf("workload: shared source lanes must be positive, got %d", lanes)
 	}
-	if n := len(resources) * lanes; n > arbiter.MaxN {
-		return nil, fmt.Errorf("workload: shared source spans %d resources × %d lanes = %d request lines; one request word holds at most %d",
-			len(resources), lanes, n, arbiter.MaxN)
+	// Divide rather than multiply: a huge lane count must not wrap the
+	// product past the bound.
+	if lanes > arbiter.MaxN/len(resources) {
+		return nil, fmt.Errorf("workload: shared source spans %d resources × %d lanes; one request word holds at most %d request lines",
+			len(resources), lanes, arbiter.MaxN)
 	}
 	if err := checkRate("corr", p); err != nil {
 		return nil, err

@@ -167,6 +167,8 @@ func TestNewSharedErrors(t *testing.T) {
 		// All lanes on all resources must fit one request word.
 		{[]string{"A", "B"}, 33, 0.5, 2},
 		{[]string{"A", "B", "C"}, 22, 0.5, 2},
+		// A lane count whose product with k wraps negative.
+		{[]string{"A", "B"}, math.MaxInt/2 + 1, 0.5, 2},
 	}
 	for _, c := range cases {
 		if _, err := NewShared(c.resources, c.lanes, c.p, c.hold, 1); err == nil {
