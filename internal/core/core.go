@@ -80,7 +80,7 @@ type Design struct {
 // later runs inject widens the arbiters' area only as far as
 // Partition.ExpectedContention declares it (sparcs.WithExpectedContention).
 func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Program, opts Options) (*Design, error) {
-	if err := checkDelays(programs); err != nil {
+	if err := checkPrograms(g, programs); err != nil {
 		return nil, err
 	}
 	stages, err := partition.Temporal(g, board, opts.Partition)
@@ -102,11 +102,16 @@ func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Prog
 	return d, nil
 }
 
-// checkDelays rejects the delays the simulator cannot count down: an
-// OpCompute of fewer than one cycle, and an OpTransform with a negative
-// pop count or latency (latency 0 means one cycle). Either would
-// otherwise spin a task until the watchdog, or panic mid-run.
-func checkDelays(programs map[string]behav.Program) error {
+// checkPrograms rejects the instructions the simulator cannot run: an
+// OpCompute of fewer than one cycle and an OpTransform with a negative
+// pop count or latency (latency 0 means one cycle), which would spin a
+// task until the watchdog or panic mid-run, and a send or receive on a
+// channel g does not declare, which would panic or fail mid-run.
+func checkPrograms(g *taskgraph.Graph, programs map[string]behav.Program) error {
+	channels := map[string]bool{}
+	for _, c := range g.Channels {
+		channels[c.Name] = true
+	}
 	names := make([]string, 0, len(programs))
 	for name := range programs {
 		names = append(names, name)
@@ -114,18 +119,20 @@ func checkDelays(programs map[string]behav.Program) error {
 	sort.Strings(names)
 	for _, name := range names {
 		for i, in := range programs[name].Body {
-			bad, what := 0, ""
+			var what string
 			switch {
 			case in.Op == behav.OpCompute && in.N < 1:
-				bad, what = in.N, "cycle count must be at least 1"
+				what = fmt.Sprintf("cycle count must be at least 1, got %d", in.N)
 			case in.Op == behav.OpTransform && in.N < 0:
-				bad, what = in.N, "pop count must not be negative"
+				what = fmt.Sprintf("pop count must not be negative, got %d", in.N)
 			case in.Op == behav.OpTransform && in.Cycles < 0:
-				bad, what = in.Cycles, "latency must not be negative"
+				what = fmt.Sprintf("latency must not be negative, got %d", in.Cycles)
+			case (in.Op == behav.OpSend || in.Op == behav.OpRecv) && !channels[in.Res]:
+				what = "unknown channel " + in.Res
 			default:
 				continue
 			}
-			return fmt.Errorf("core: task %s instruction %d (%s): %s, got %d", name, i, in.Op, what, bad)
+			return fmt.Errorf("core: task %s instruction %d (%s): %s", name, i, in.Op, what)
 		}
 	}
 	return nil

@@ -189,3 +189,42 @@ func TestContentionPolicySizing(t *testing.T) {
 		t.Fatalf("contention stats %+v, want 3 phantom lines", cs)
 	}
 }
+
+// TestQuietCyclesStepPhaseOne: while the only task sits in a
+// Compute(500), Run skips task execution but must still step the
+// arbiter, refresh the phantom source and record the trace on every
+// cycle. An always-requesting phantom line is granted or waits on each
+// of them, so its counts sum to the run length, as does the trace.
+// TestContentionGoldenStats pins the same property end to end (the FFT's
+// 255-cycle transforms under five contention specs, traces on).
+func TestQuietCyclesStepPhaseOne(t *testing.T) {
+	spec, err := arbiter.ParsePolicySpec("preemptive:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := Run(Config{
+		Graph: simpleGraph(),
+		Tasks: []string{"A"},
+		Programs: map[string]behav.Program{"A": {Body: []behav.Instr{
+			behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 0, 1), behav.Release("bankS"),
+			behav.Compute(500),
+		}, Repeat: 2}},
+		Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
+		ResourceOfSegment: map[string]string{"S": "bankS"},
+		Policy:            spec,
+		Sources:           []Source{{Resources: []string{"bankS"}, Gen: &greedyShared{n: 1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Done || stats.Cycles < 1000 {
+		t.Fatalf("run done=%v after %d cycles, want two Compute(500) iterations done", stats.Done, stats.Cycles)
+	}
+	cs := stats.Contention["bankS"]
+	if got := cs.Grants[0] + cs.Waits[0]; got != stats.Cycles {
+		t.Fatalf("phantom grants+waits = %d+%d = %d, want one per cycle (%d)", cs.Grants[0], cs.Waits[0], got, stats.Cycles)
+	}
+	if got := len(stats.ArbiterTraces["bankS"]); got != stats.Cycles {
+		t.Fatalf("trace has %d steps, want one per cycle (%d)", got, stats.Cycles)
+	}
+}

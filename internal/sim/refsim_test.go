@@ -466,6 +466,126 @@ func equivScenarios(t *testing.T) []equivScenario {
 				Memory:    mem,
 			}, mem
 		}},
+		// The rest open quiet windows (cycles where every started task
+		// sits inside a delay and Run steps only the arbiters): windows
+		// clipped by staggered delays, a window a finishing task must
+		// not open, a watchdog inside a window, and delays that never
+		// count down.
+		{"quiet-staggered-delays", func() (Config, *Memory) {
+			g := quietGraph("")
+			inc := func(in []int64) []int64 {
+				out := make([]int64, len(in))
+				for i, v := range in {
+					out[i] = v + 1
+				}
+				return out
+			}
+			burst := func(in behav.Instr) []behav.Instr {
+				return []behav.Instr{behav.Req("bankS"), behav.WaitGrant("bankS"), in, behav.Release("bankS")}
+			}
+			mem := NewMemory()
+			return Config{
+				Graph: g,
+				Tasks: []string{"A", "B", "C"},
+				Programs: map[string]behav.Program{
+					"A": {Body: append(burst(behav.WriteImm("S", 0, 1)), behav.Compute(40)), Repeat: 5},
+					"B": {Body: append(append(burst(behav.Read("S", 0)),
+						behav.Instr{Op: behav.OpTransform, N: 1, Cycles: 33, Fn: inc}),
+						burst(behav.Write("S", 10))...), Repeat: 5},
+					"C": {Body: append(burst(behav.WriteImm("S", 20, 3)), behav.Compute(17)), Repeat: 5},
+				},
+				Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B", "C")},
+				ResourceOfSegment: map[string]string{"S": "bankS"},
+				Memory:            mem,
+			}, mem
+		}},
+		{"quiet-dependent-listed-before", quietDependent("C", "P", "Q")},
+		{"quiet-dependent-listed-after", quietDependent("P", "C", "Q")},
+		{"quiet-watchdog", func() (Config, *Memory) {
+			mem := NewMemory()
+			return Config{
+				Graph: simpleGraph(),
+				Tasks: []string{"A"},
+				Programs: map[string]behav.Program{"A": {Body: []behav.Instr{
+					behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 0, 1), behav.Release("bankS"),
+					behav.Compute(1000),
+				}}},
+				Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
+				ResourceOfSegment: map[string]string{"S": "bankS"},
+				MaxCycles:         500,
+				Memory:            mem,
+			}, mem
+		}},
+		{"quiet-non-positive-delays", func() (Config, *Memory) {
+			// core.Compile rejects both delays; set directly, they
+			// spin until the watchdog.
+			mem := NewMemory()
+			return Config{
+				Graph: simpleGraph(),
+				Tasks: []string{"A", "B"},
+				Programs: map[string]behav.Program{
+					"A": {Body: []behav.Instr{
+						behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 0, 1), behav.Release("bankS"),
+						behav.Compute(0),
+					}},
+					"B": {Body: []behav.Instr{
+						behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 1, 2), behav.Release("bankS"),
+						{Op: behav.OpTransform, N: 1, Cycles: -1},
+					}},
+				},
+				Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
+				ResourceOfSegment: map[string]string{"S": "bankS"},
+				MaxCycles:         300,
+				Memory:            mem,
+			}, mem
+		}},
+	}
+}
+
+// quietGraph builds tasks A, B, C, P and Q over segment S; a non-empty
+// dep makes C depend on it.
+func quietGraph(dep string) *taskgraph.Graph {
+	g := &taskgraph.Graph{
+		Name:     "quiet",
+		Segments: []*taskgraph.Segment{{Name: "S", SizeBytes: 1024, WidthBits: 32}},
+	}
+	for _, name := range []string{"A", "B", "C", "P", "Q"} {
+		g.Tasks = append(g.Tasks, &taskgraph.Task{Name: name, AreaCLBs: 1})
+	}
+	if dep != "" {
+		g.Tasks[2].Deps = []string{dep}
+	}
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// quietDependent runs C after P's Compute(100) while Q sits in a
+// Compute(250): the cycle P finishes in would otherwise open a window
+// over C's first cycle. order lists the three tasks in Config.Tasks
+// order.
+func quietDependent(order ...string) func() (Config, *Memory) {
+	return func() (Config, *Memory) {
+		mem := NewMemory()
+		return Config{
+			Graph: quietGraph("P"),
+			Tasks: order,
+			Programs: map[string]behav.Program{
+				"P": {Body: []behav.Instr{behav.Compute(100)}},
+				"C": {Body: []behav.Instr{
+					behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 0, 7), behav.Release("bankS"),
+					behav.Compute(20),
+				}},
+				"Q": {Body: []behav.Instr{
+					behav.Compute(250),
+					behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 1, 9), behav.Release("bankS"),
+				}},
+			},
+			Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "C", "Q")},
+			ResourceOfSegment: map[string]string{"S": "bankS"},
+			Memory:            mem,
+		}, mem
 	}
 }
 

@@ -169,13 +169,13 @@ func (ai *arbInst) record() {
 // resolved once at setup.
 type cinstr struct {
 	op      behav.Op
-	res     string         // resolved resource name (violations) or channel name (errors)
+	res     string         // resolved resource name (violations)
 	ai      *arbInst       // arbiter guarding the op's resource; nil = unarbitrated
 	line    int            // this task's request line on ai; -1 = not a member
 	lineBit arbiter.BitVec // 1<<line, or 0 when not a member
 	conf    int            // conflict-resource index; -1 = private / conflict-free
 	seg     int            // interned memory segment ID (OpRead/OpWrite)
-	ch      *chanReg       // channel register (OpSend/OpRecv); nil = unknown channel
+	ch      *chanReg       // channel register (OpSend/OpRecv)
 
 	addr   int
 	stride int
@@ -353,6 +353,11 @@ func Run(cfg Config) (*Stats, error) {
 				addr: in.Addr, stride: in.Stride, n: in.N, cycles: in.Cycles,
 				val: in.Val, fn: in.Fn,
 			}
+			if in.Op == behav.OpSend || in.Op == behav.OpRecv {
+				if ci.ch = chans[in.Res]; ci.ch == nil {
+					return nil, fmt.Errorf("sim: task %s instruction %d (%s): unknown channel %s", name, i, in.Op, in.Res)
+				}
+			}
 			switch in.Op {
 			case behav.OpRead, behav.OpWrite:
 				ci.seg = mem.SegID(in.Res)
@@ -367,7 +372,6 @@ func Run(cfg Config) (*Stats, error) {
 					}
 				}
 			case behav.OpSend:
-				ci.ch = chans[in.Res]
 				ci.res = cfg.ResourceOfChannel[in.Res]
 				if ci.res != "" {
 					ci.conf = internConf(ci.res)
@@ -378,8 +382,6 @@ func Run(cfg Config) (*Stats, error) {
 						}
 					}
 				}
-			case behav.OpRecv:
-				ci.ch = chans[in.Res]
 			case behav.OpReq, behav.OpRelease, behav.OpWaitGrant:
 				if ai := arbs[in.Res]; ai != nil {
 					ci.ai = ai
@@ -420,6 +422,9 @@ func Run(cfg Config) (*Stats, error) {
 	var touched []int
 	var sends []pendingSend
 	remaining := len(tasks)
+	// Cycles up to quietUntil are quiet: Phase 1 runs, task execution
+	// does not (see quietCycles).
+	quietUntil := -1
 
 	cycle := 0
 	//sparcs:hotpath
@@ -461,10 +466,14 @@ func Run(cfg Config) (*Stats, error) {
 		for _, s := range correlated {
 			s.observe()
 		}
+		if cycle <= quietUntil {
+			continue
+		}
 
 		// Phase 2: tasks execute one cycle each.
 		touched = touched[:0]
 		sends = sends[:0]
+		active := remaining
 		for _, ts := range tasks {
 			if ts.done {
 				continue
@@ -592,10 +601,6 @@ func Run(cfg Config) (*Stats, error) {
 				stats.ChannelSends++
 				advance(ts)
 			case behav.OpRecv:
-				if in.ch == nil {
-					//sparcs:ignore hotpath cold error path; aborts the run
-					return nil, fmt.Errorf("sim: task %s receives on unknown channel %s", ts.name, in.res)
-				}
 				if in.ch.valid {
 					ts.buf = append(ts.buf, in.ch.value) //sparcs:ignore hotpath task data buffer; growth is the workload, not overhead
 					advance(ts)
@@ -640,6 +645,11 @@ func Run(cfg Config) (*Stats, error) {
 			s.ch.valid = true
 			s.ch.value = s.value
 		}
+		// A task finishing this cycle may release a dependent next
+		// cycle, so only a cycle with no finish opens a quiet window.
+		if remaining == active {
+			quietUntil = cycle + quietCycles(tasks)
+		}
 	}
 	stats.Cycles = cycle
 	for _, ts := range tasks {
@@ -668,6 +678,34 @@ func Run(cfg Config) (*Stats, error) {
 		})
 	}
 	return stats, nil
+}
+
+// quietCycles returns k, the number of coming cycles in which no task
+// does more than count down a delay, and counts those k cycles off every
+// started, unfinished task's delay. k is the smallest remaining
+// OpCompute/OpTransform counter minus one, so every delay still ends in
+// a cycle that runs in full. It is 0 when some such task has fewer than
+// two delay cycles left: it is at a fresh op, blocked on a grant or a
+// receive, or spinning on a non-positive delay.
+func quietCycles(tasks []*taskState) int {
+	k := 0
+	for _, ts := range tasks {
+		if !ts.started || ts.done {
+			continue
+		}
+		if ts.wait < 2 {
+			return 0
+		}
+		if k == 0 || ts.wait-1 < k {
+			k = ts.wait - 1
+		}
+	}
+	for _, ts := range tasks {
+		if ts.started && !ts.done {
+			ts.wait -= k
+		}
+	}
+	return k
 }
 
 // advance moves to the next instruction, wrapping iterations.

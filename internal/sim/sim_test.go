@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"sparcs/internal/arbiter"
@@ -333,6 +334,24 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 	}
 	if stats.TaskFinish["C"] < 30 {
 		t.Fatalf("receiver finished at %d, before the send", stats.TaskFinish["C"])
+	}
+}
+
+// TestRunRejectsUnknownChannels: a send or receive on a channel the
+// graph does not declare fails Run at setup, before any cycle runs,
+// with an error naming the task, the instruction, the op and the
+// channel.
+func TestRunRejectsUnknownChannels(t *testing.T) {
+	for _, in := range []behav.Instr{behav.SendImm("nope", 1), behav.Recv("nope")} {
+		_, err := Run(Config{
+			Graph:    simpleGraph(),
+			Tasks:    []string{"A"},
+			Programs: map[string]behav.Program{"A": {Body: []behav.Instr{behav.Compute(1), in}}},
+		})
+		want := fmt.Sprintf("sim: task A instruction 1 (%s): unknown channel nope", in.Op)
+		if err == nil || err.Error() != want {
+			t.Errorf("Run = %v, want %q", err, want)
+		}
 	}
 }
 

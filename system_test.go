@@ -562,13 +562,40 @@ func TestBuildRejectsBadDelays(t *testing.T) {
 		{behav.Transform(-1, 1, id), "instruction 1 (transform): pop count must not be negative, got -1"},
 	}
 	for _, c := range cases {
-		programs := fft.Programs(2)
-		p := programs["F1"]
-		p.Body = append([]behav.Instr{p.Body[0], c.in}, p.Body[1:]...)
-		programs["F1"] = p
-		_, err := sparcs.Build(fft.Taskgraph(), rc.Wildforce(), programs, sparcs.WithStages(fft.PaperStages()))
+		err := buildWithF1Instr(c.in)
 		if err == nil || !strings.HasPrefix(err.Error(), "core: task F1 ") || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Build = %v, want a core error on task F1 %s", err, c.want)
 		}
 	}
+}
+
+// TestBuildRejectsUnknownChannels: a send or receive on a channel the
+// taskgraph does not declare is rejected at Build with an error naming
+// the task, the instruction, the op and the channel. Unchecked, the send
+// panics inside System.Run (killing the process under System.Sweep) and
+// the receive fails only when the task reaches it.
+func TestBuildRejectsUnknownChannels(t *testing.T) {
+	cases := []struct {
+		in   behav.Instr
+		want string
+	}{
+		{behav.SendImm("nope", 1), "core: task F1 instruction 1 (send): unknown channel nope"},
+		{behav.Recv("nope"), "core: task F1 instruction 1 (recv): unknown channel nope"},
+	}
+	for _, c := range cases {
+		if err := buildWithF1Instr(c.in); err == nil || err.Error() != c.want {
+			t.Errorf("Build = %v, want %q", err, c.want)
+		}
+	}
+}
+
+// buildWithF1Instr builds the paper's 2-tile FFT with in inserted as
+// task F1's instruction 1.
+func buildWithF1Instr(in behav.Instr) error {
+	programs := fft.Programs(2)
+	p := programs["F1"]
+	p.Body = append([]behav.Instr{p.Body[0], in}, p.Body[1:]...)
+	programs["F1"] = p
+	_, err := sparcs.Build(fft.Taskgraph(), rc.Wildforce(), programs, sparcs.WithStages(fft.PaperStages()))
+	return err
 }
