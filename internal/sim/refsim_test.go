@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -472,7 +473,7 @@ func equivScenarios(t *testing.T) []equivScenario {
 		// not open, a watchdog inside a window, and delays that never
 		// count down.
 		{"quiet-staggered-delays", func() (Config, *Memory) {
-			g := quietGraph("")
+			g := quietGraph()
 			inc := func(in []int64) []int64 {
 				out := make([]int64, len(in))
 				for i, v := range in {
@@ -489,9 +490,11 @@ func equivScenarios(t *testing.T) []equivScenario {
 				Tasks: []string{"A", "B", "C"},
 				Programs: map[string]behav.Program{
 					"A": {Body: append(burst(behav.WriteImm("S", 0, 1)), behav.Compute(40)), Repeat: 5},
-					"B": {Body: append(append(burst(behav.Read("S", 0)),
-						behav.Instr{Op: behav.OpTransform, N: 1, Cycles: 33, Fn: inc}),
-						burst(behav.Write("S", 10))...), Repeat: 5},
+					"B": {Body: slices.Concat(
+						burst(behav.Read("S", 0)),
+						[]behav.Instr{behav.Transform(1, 33, inc)},
+						burst(behav.Write("S", 10)),
+					), Repeat: 5},
 					"C": {Body: append(burst(behav.WriteImm("S", 20, 3)), behav.Compute(17)), Repeat: 5},
 				},
 				Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B", "C")},
@@ -530,7 +533,7 @@ func equivScenarios(t *testing.T) []equivScenario {
 					}},
 					"B": {Body: []behav.Instr{
 						behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 1, 2), behav.Release("bankS"),
-						{Op: behav.OpTransform, N: 1, Cycles: -1},
+						behav.Transform(1, -1, nil),
 					}},
 				},
 				Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
@@ -542,9 +545,9 @@ func equivScenarios(t *testing.T) []equivScenario {
 	}
 }
 
-// quietGraph builds tasks A, B, C, P and Q over segment S; a non-empty
-// dep makes C depend on it.
-func quietGraph(dep string) *taskgraph.Graph {
+// quietGraph builds tasks A, B, C, P and Q over segment S. C depends on
+// P, which holds C back only in a stage that runs P too.
+func quietGraph() *taskgraph.Graph {
 	g := &taskgraph.Graph{
 		Name:     "quiet",
 		Segments: []*taskgraph.Segment{{Name: "S", SizeBytes: 1024, WidthBits: 32}},
@@ -552,9 +555,7 @@ func quietGraph(dep string) *taskgraph.Graph {
 	for _, name := range []string{"A", "B", "C", "P", "Q"} {
 		g.Tasks = append(g.Tasks, &taskgraph.Task{Name: name, AreaCLBs: 1})
 	}
-	if dep != "" {
-		g.Tasks[2].Deps = []string{dep}
-	}
+	g.Tasks[2].Deps = []string{"P"}
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
@@ -569,7 +570,7 @@ func quietDependent(order ...string) func() (Config, *Memory) {
 	return func() (Config, *Memory) {
 		mem := NewMemory()
 		return Config{
-			Graph: quietGraph("P"),
+			Graph: quietGraph(),
 			Tasks: order,
 			Programs: map[string]behav.Program{
 				"P": {Body: []behav.Instr{behav.Compute(100)}},

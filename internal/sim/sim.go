@@ -24,6 +24,16 @@
 // BitStepper surface, and memory accesses index interned dense pages
 // (see Memory). Only trace recording and violation capture allocate,
 // amortized through chunked arenas.
+//
+// Quiet cycles are fast-forwarded. After a cycle in which no task
+// finished, if every started, unfinished task sits inside an OpCompute
+// or OpTransform delay with at least two cycles left, the next k =
+// (smallest remaining delay) − 1 cycles cannot change any task: Run
+// counts k off every delay at once and runs only Phase 1 in those
+// cycles. Arbiters, background sources, member and phantom grant
+// counters, correlated statistics and traces step every cycle; only
+// task execution, and the conflict and channel updates it feeds, is
+// skipped, so Stats equal those of stepping every task every cycle.
 package sim
 
 import (
@@ -244,7 +254,11 @@ type pendingSend struct {
 // behavioral round-robin (Figure 5 semantics). Run only reads it.
 var roundRobin = arbiter.PolicySpec{Kind: "round-robin"}
 
-// Run simulates one stage to completion (or MaxCycles).
+// Run simulates one stage to completion (or MaxCycles). Each cycle runs
+// three phases: Phase 1 steps the background sources and the arbiters
+// and records traces, Phase 2 executes every task one cycle, and Phase 3
+// detects port conflicts and latches channel sends. A quiet cycle (see
+// the package comment) runs Phase 1 only; the watchdog still counts it.
 func Run(cfg Config) (*Stats, error) {
 	maxCycles := cfg.MaxCycles
 	if maxCycles <= 0 {
