@@ -92,6 +92,9 @@ func main() {
 	}
 	fmt.Printf("\nwith automatic arbitration: %d cycles, %d violations\n",
 		res.TotalCycles, len(res.Violations()))
+	if v := res.Violations(); len(v) != 0 {
+		log.Fatalf("the arbitrated design must run clean, got %d violations (first: %v)", len(v), v[0])
+	}
 
 	// Ablation: strip the arbiters by building conservatively, then
 	// deleting the inserted protocol from the compiled design — the
@@ -112,6 +115,15 @@ func main() {
 	}
 	fmt.Printf("without arbitration (ablation): %d cycles, %d violations (bank port conflicts!)\n",
 		res2.TotalCycles, len(res2.Violations()))
+	conflicts := 0
+	for _, v := range res2.Violations() {
+		if v.Kind == "port-conflict" {
+			conflicts++
+		}
+	}
+	if conflicts == 0 {
+		log.Fatal("the ablation must show bank port conflicts, got none: were the arbiters really stripped?")
+	}
 }
 
 func stripProtocol(p behav.Program) behav.Program {

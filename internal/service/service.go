@@ -1,7 +1,14 @@
 // Package service is arbitration-as-a-service: a long-running HTTP/JSON
 // server over the sparcs compile-once/experiment-many API. Designs are
 // compiled at most once per content hash (sparcs.DesignHash) into a
-// shared System cache; experiments fan out concurrently through
+// shared System cache; a request whose design reference (design, tiles,
+// BuildSpec) was seen before finds that hash in a memo with one map
+// lookup, and builds the design's inputs only if the cache has to
+// compile them (the first request, or the first after an eviction). The
+// memo holds at most 1024 references, is cleared when full, and never
+// stores one whose expected contention is over 256 bytes. It rests on
+// one assumption: a design's Build inputs are a pure function of its
+// reference (see designInputs). Experiments fan out concurrently through
 // System.Run/System.Sweep; and admission control is itself an arbiter —
 // the repo's weighted-round-robin kernel steps over per-class bounded
 // queues, so the same policy machinery the paper puts in front of
@@ -60,6 +67,7 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	cache  *systemCache
+	memo   *hashMemo
 	adm    *admission
 	slo    *sloTracker
 	mux    *http.ServeMux
@@ -81,7 +89,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, cache: newSystemCache(cfg.CacheBudgetCLBs), adm: adm, slo: newSLOTracker(cfg.Classes)}
+	s := &Server{cfg: cfg, cache: newSystemCache(cfg.CacheBudgetCLBs), memo: newHashMemo(), adm: adm, slo: newSLOTracker(cfg.Classes)}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/experiments", s.handleExperiment)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
@@ -194,6 +202,11 @@ func (e *UnknownDesignError) Error() string {
 // designInputs resolves a request's design reference to the Build
 // inputs. Every call returns fresh values; equality across calls is
 // exactly what DesignHash certifies.
+//
+// The server memoizes the hash of its result per (design, tiles, b), so
+// it must stay a pure function of them. A design whose inputs depend on
+// anything else (a file, the clock, server state) must not go through
+// the memo.
 func designInputs(design string, tiles int, b BuildSpec) (*taskgraph.Graph, *rc.Board, map[string]sparcs.Program, []sparcs.BuildOption, error) {
 	switch design {
 	case "fft":
@@ -235,19 +248,29 @@ func runOptions(r RunSpec) []sparcs.RunOption {
 	return opts
 }
 
-// system resolves the design, hashes it, and returns the cached
+// system resolves the design to its hash and returns the cached
 // compiled System — compiling at most once per hash across every
-// concurrent request.
+// concurrent request. A design reference already in the memo is not
+// hashed again, and its inputs are built only if the cache compiles.
+// References that fail to resolve or hash are never memoized.
 func (s *Server) system(design string, tiles int, b BuildSpec) (sys *sparcs.System, hash string, hit bool, err error) {
-	g, board, programs, bopts, err := designInputs(design, tiles, b)
-	if err != nil {
-		return nil, "", false, err
-	}
-	hash, err = sparcs.DesignHash(g, board, programs, bopts...)
-	if err != nil {
-		return nil, "", false, err
+	key := designKey{design: design, tiles: tiles, build: b}
+	hash, ok := s.memo.get(key)
+	if !ok {
+		g, board, programs, bopts, err := designInputs(design, tiles, b)
+		if err != nil {
+			return nil, "", false, err
+		}
+		if hash, err = sparcs.DesignHash(g, board, programs, bopts...); err != nil {
+			return nil, "", false, err
+		}
+		s.memo.put(key, hash)
 	}
 	sys, hit, err = s.cache.get(hash, func() (*sparcs.System, error) {
+		g, board, programs, bopts, err := designInputs(design, tiles, b)
+		if err != nil {
+			return nil, err
+		}
 		return sparcs.Build(g, board, programs, bopts...)
 	})
 	return sys, hash, hit, err

@@ -94,6 +94,13 @@ type Channel struct {
 }
 
 // Graph is a complete design specification.
+//
+// The name index behind TaskByName, SegmentByName, TopoOrder, Ordered,
+// Precedes and UnorderedMembers is built once, on the first of those
+// queries, and never written again, so any number of goroutines may
+// query one graph. A graph must not be mutated after its first query:
+// the index would not see the change. Validate does not use the index;
+// it checks its own copy of the names on every call.
 type Graph struct {
 	Name     string
 	Tasks    []*Task
@@ -105,12 +112,9 @@ type Graph struct {
 	segIdx  map[string]*Segment
 }
 
-// TaskByName returns the named task, or nil. Safe for concurrent use
-// once the graph is no longer being mutated (the lazy index build is
-// guarded), which the parallel sweep runners rely on.
+// TaskByName returns the named task, or nil.
 func (g *Graph) TaskByName(name string) *Task {
-	g.idxOnce.Do(g.buildIndex)
-	return g.taskIdx[name]
+	return g.tasksByName()[name]
 }
 
 // SegmentByName returns the named segment, or nil.
@@ -119,9 +123,15 @@ func (g *Graph) SegmentByName(name string) *Segment {
 	return g.segIdx[name]
 }
 
+// tasksByName returns the shared task index, building it on first use.
+func (g *Graph) tasksByName() map[string]*Task {
+	g.idxOnce.Do(g.buildIndex)
+	return g.taskIdx
+}
+
 func (g *Graph) buildIndex() {
-	g.taskIdx = map[string]*Task{}
-	g.segIdx = map[string]*Segment{}
+	g.taskIdx = make(map[string]*Task, len(g.Tasks))
+	g.segIdx = make(map[string]*Segment, len(g.Segments))
 	for _, t := range g.Tasks {
 		g.taskIdx[t.Name] = t
 	}
@@ -130,23 +140,32 @@ func (g *Graph) buildIndex() {
 	}
 }
 
-// Validate checks referential integrity and dependency acyclicity.
+// Validate checks referential integrity and dependency acyclicity. It
+// builds its own name sets rather than the shared index, so it sees the
+// graph as it is now and writes nothing other queries read.
 func (g *Graph) Validate() error {
-	g.buildIndex()
-	if len(g.taskIdx) != len(g.Tasks) {
+	tasks := make(map[string]*Task, len(g.Tasks))
+	for _, t := range g.Tasks {
+		tasks[t.Name] = t
+	}
+	if len(tasks) != len(g.Tasks) {
 		return fmt.Errorf("taskgraph %s: duplicate task names", g.Name)
 	}
-	if len(g.segIdx) != len(g.Segments) {
+	segments := make(map[string]bool, len(g.Segments))
+	for _, s := range g.Segments {
+		segments[s.Name] = true
+	}
+	if len(segments) != len(g.Segments) {
 		return fmt.Errorf("taskgraph %s: duplicate segment names", g.Name)
 	}
 	for _, t := range g.Tasks {
 		for _, d := range t.Deps {
-			if g.taskIdx[d] == nil {
+			if tasks[d] == nil {
 				return fmt.Errorf("taskgraph %s: task %s depends on unknown task %s", g.Name, t.Name, d)
 			}
 		}
 		for _, a := range t.Accesses {
-			if g.segIdx[a.Segment] == nil {
+			if !segments[a.Segment] {
 				return fmt.Errorf("taskgraph %s: task %s accesses unknown segment %s", g.Name, t.Name, a.Segment)
 			}
 		}
@@ -155,14 +174,14 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, c := range g.Channels {
-		if g.taskIdx[c.From] == nil || g.taskIdx[c.To] == nil {
+		if tasks[c.From] == nil || tasks[c.To] == nil {
 			return fmt.Errorf("taskgraph %s: channel %s connects unknown tasks %s->%s", g.Name, c.Name, c.From, c.To)
 		}
 		if c.From == c.To {
 			return fmt.Errorf("taskgraph %s: channel %s is a self-loop", g.Name, c.Name)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
+	if _, err := g.topoOrder(tasks); err != nil {
 		return err
 	}
 	return nil
@@ -172,7 +191,11 @@ func (g *Graph) Validate() error {
 // error if control dependencies form a cycle. Ties preserve declaration
 // order for determinism.
 func (g *Graph) TopoOrder() ([]string, error) {
-	g.buildIndex()
+	return g.topoOrder(g.tasksByName())
+}
+
+// topoOrder is TopoOrder over the given name-to-task map.
+func (g *Graph) topoOrder(tasks map[string]*Task) ([]string, error) {
 	const (
 		white = 0
 		gray  = 1
@@ -189,7 +212,7 @@ func (g *Graph) TopoOrder() ([]string, error) {
 			return fmt.Errorf("taskgraph %s: control dependency cycle through %s", g.Name, name)
 		}
 		color[name] = gray
-		t := g.taskIdx[name]
+		t := tasks[name]
 		deps := append([]string(nil), t.Deps...)
 		sort.Strings(deps)
 		for _, d := range deps {
@@ -213,14 +236,12 @@ func (g *Graph) TopoOrder() ([]string, error) {
 // control dependencies. Ordered tasks can never contend for a resource —
 // the basis of the paper's Section 5 arbiter-elision observation.
 func (g *Graph) Ordered(a, b string) bool {
-	g.buildIndex()
 	return g.reaches(a, b) || g.reaches(b, a)
 }
 
 // Precedes reports whether a transitively precedes b (a completes before b
 // starts).
 func (g *Graph) Precedes(a, b string) bool {
-	g.buildIndex()
 	return g.reaches(a, b)
 }
 
@@ -229,6 +250,7 @@ func (g *Graph) reaches(from, to string) bool {
 	if from == to {
 		return false
 	}
+	tasks := g.tasksByName()
 	seen := map[string]bool{}
 	var walk func(cur string) bool
 	walk = func(cur string) bool {
@@ -236,7 +258,7 @@ func (g *Graph) reaches(from, to string) bool {
 			return false
 		}
 		seen[cur] = true
-		t := g.taskIdx[cur]
+		t := tasks[cur]
 		if t == nil {
 			return false
 		}

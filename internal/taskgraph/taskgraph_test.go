@@ -57,6 +57,31 @@ func TestValidateDuplicateTask(t *testing.T) {
 	}
 }
 
+// TestValidateIgnoresSharedIndex pins Validate to its own name sets: a
+// query builds the shared index once, and changes made after it must
+// still be judged on the graph as it is, not on that index.
+func TestValidateIgnoresSharedIndex(t *testing.T) {
+	g := diamond()
+	if g.TaskByName("A") == nil {
+		t.Fatal("TaskByName(A) = nil")
+	}
+	g.Tasks = append(g.Tasks, &Task{Name: "A", AreaCLBs: 1})
+	if err := g.Validate(); err == nil {
+		t.Fatal("expected duplicate-name error after a query")
+	}
+
+	// Replacing A keeps the task count the index saw, so only a check
+	// against the current names finds B's and C's dependency on A.
+	g = diamond()
+	if g.TaskByName("A") == nil {
+		t.Fatal("TaskByName(A) = nil")
+	}
+	g.Tasks[0] = &Task{Name: "Z", AreaCLBs: 1}
+	if err := g.Validate(); err == nil {
+		t.Fatal("expected unknown-dep error after a query")
+	}
+}
+
 func TestValidateNonPositiveArea(t *testing.T) {
 	g := diamond()
 	g.Tasks[0].AreaCLBs = 0

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sparcs"
@@ -237,6 +238,50 @@ func TestSystemRunIndependence(t *testing.T) {
 			t.Fatalf("stage %d stats changed across runs", si)
 		}
 	}
+}
+
+// TestConcurrentBuildSharedGraph builds from one taskgraph while a
+// System compiled from it runs: Build validates and partitions g as Run
+// looks g's tasks up by name. Under -race it pins that no query writes
+// the graph's name index once it is built.
+func TestConcurrentBuildSharedGraph(t *testing.T) {
+	g, board, programs := fft.Taskgraph(), rc.Wildforce(), fft.Programs(2)
+	stages := sparcs.WithStages(fft.PaperStages())
+	sys, err := sparcs.Build(g, board, programs, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 10
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := sparcs.Build(g, board, programs, stages, sparcs.WithAccessesPerGrant(1)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			res, err := sys.Run()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.TotalCycles != want.TotalCycles {
+				t.Errorf("run %d: %d cycles, want %d", i, res.TotalCycles, want.TotalCycles)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestSystemRunErrors(t *testing.T) {
