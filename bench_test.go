@@ -561,7 +561,8 @@ func BenchmarkPolicyWorkloadWide(b *testing.B) {
 // onto a two-resident fabric, placed by the strip allocator, their
 // reconfigurations hidden behind execution by the hybrid prefetcher.
 // The metric is simulated scenario cycles per wall-clock second —
-// the per-cycle hot loop (engine.stepCycle) plus the staged sim runs.
+// the per-cycle hot loop (engine.stepCycle) plus the staged sim runs,
+// which without cross-contention run once per class, not per job.
 // Tracked in BENCH_sim.json; CI smokes it with -bench=BenchmarkScenarioChurn.
 func BenchmarkScenarioChurn(b *testing.B) {
 	sys, err := sparcs.FFTSystem(2)

@@ -46,12 +46,16 @@ type job struct {
 	timeouts           int
 	x, y               int
 	stats              []*sim.Stats
-	mem                *sim.Memory
+	// mem is the memory image the job's stages simulate on, created
+	// blank at placement; nil without cross-contention, where the job
+	// takes its class's results.
+	mem *sim.Memory
 }
 
 // classInfo is the per-class precomputation: footprint rectangle, per
-// stage configuration-load costs, and baseline (contention-free) stage
-// execution times that seed the oracle bound.
+// stage configuration-load costs, and the baseline (contention-free)
+// run, whose execution times seed the oracle bound and whose results
+// every job takes when there is no cross-contention.
 type classInfo struct {
 	name       string
 	design     *core.Design
@@ -59,8 +63,11 @@ type classInfo struct {
 	w, h       int
 	stageAreas []int
 	loadCost   []int
-	baseExec   []int
 	totalExec  int
+	// stats are the baseline's per-stage Stats, shared read-only by
+	// every job that reuses them; mem is its final memory image.
+	stats []*sim.Stats
+	mem   *sim.Memory
 }
 
 type engine struct {
@@ -178,35 +185,30 @@ func newClassInfo(c Class, perCLB, cols, rows int) (classInfo, error) {
 	// memory image — exactly a solo System.Run. These seed the oracle's
 	// critical-path and area-time bounds (lower bounds even when
 	// cross-contention stretches the online run) and validate the
-	// class's options before the clock starts.
-	mem := sim.NewMemory()
+	// class's options before the clock starts. sim.Run is a pure
+	// function of its config and memory, so a job that runs its stages
+	// in order on a blank image under these options computes exactly
+	// these Stats and this final image.
+	ci.mem = sim.NewMemory()
 	for s := range ci.stageAreas {
-		stats, err := core.SimulateStage(c.Design, s, mem, c.Opts)
+		stats, err := core.SimulateStage(c.Design, s, ci.mem, c.Opts)
 		if err != nil {
 			return ci, err
 		}
-		dur := stats.Cycles
-		if dur < 1 {
-			dur = 1
-		}
-		ci.baseExec = append(ci.baseExec, dur)
-		ci.totalExec += dur
+		ci.stats = append(ci.stats, stats)
+		ci.totalExec += execCycles(stats)
 	}
 	return ci, nil
 }
 
+// execCycles is the engine cycles a stage with these Stats occupies: its
+// simulated cycles, at least one.
+func execCycles(stats *sim.Stats) int {
+	return max(stats.Cycles, 1)
+}
+
 func (e *engine) run() (*Result, error) {
-	// The first job arrives at cycle 0 unconditionally (normalizing
-	// makespans across arrival seeds); with no arrival process, every
-	// job does.
-	e.admit()
-	if e.arr == nil {
-		for e.arrived < e.cfg.Jobs {
-			e.admit()
-		}
-	}
-	e.arrivalsLeft = e.cfg.Jobs - e.arrived
-	if err := e.handle(evArrival); err != nil {
+	if err := e.start(); err != nil {
 		return nil, err
 	}
 	maxC := e.cfg.maxCycles()
@@ -223,6 +225,21 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 	return e.result(), nil
+}
+
+// start admits the cycle-0 arrivals and dispatches the first event.
+// The first job arrives at cycle 0 unconditionally (normalizing
+// makespans across arrival seeds); with no arrival process, every job
+// does.
+func (e *engine) start() error {
+	e.admit()
+	if e.arr == nil {
+		for e.arrived < e.cfg.Jobs {
+			e.admit()
+		}
+	}
+	e.arrivalsLeft = e.cfg.Jobs - e.arrived
+	return e.handle(evArrival)
 }
 
 // stepCycle advances simulated time by one cycle: the arrival process
@@ -370,7 +387,9 @@ func (e *engine) tryPlace() {
 		j.queueWait = e.clock - j.arrive
 		e.queueHist.Observe(j.queueWait)
 		j.state = stateLoading
-		j.mem = sim.NewMemory()
+		if e.cfg.CrossContention != "" {
+			j.mem = sim.NewMemory()
+		}
 		e.queue = e.queue[1:]
 		e.residents = append(e.residents, id)
 	}
@@ -406,9 +425,9 @@ func (e *engine) doCompact() {
 }
 
 // maybeStart starts the next stage of every resident whose
-// configuration is loaded. The stage executes through the full sim hot
-// loop up front — its cycle count then counts down in stepCycle, so the
-// engine's clock and the stage's internal clock advance one-to-one.
+// configuration is loaded. The stage's result is known up front — its
+// cycle count then counts down in stepCycle, so the engine's clock and
+// the stage's internal clock advance one-to-one.
 func (e *engine) maybeStart() error {
 	for _, id := range e.residents {
 		j := &e.jobs[id]
@@ -421,10 +440,14 @@ func (e *engine) maybeStart() error {
 	return nil
 }
 
+// startStage starts job j's current stage. Without cross-contention the
+// stage's result is the class baseline's; with it, the stage simulates
+// on the job's own memory under one phantom line per co-resident.
 func (e *engine) startStage(j *job) error {
 	ci := &e.classes[j.class]
-	opts := ci.opts
+	stats := ci.stats[j.stage]
 	if e.cfg.CrossContention != "" {
+		opts := ci.opts
 		if co := len(e.residents) - 1; co > 0 {
 			lines := co
 			if m := e.cfg.maxCrossLines(); lines > m {
@@ -445,16 +468,12 @@ func (e *engine) startStage(j *job) error {
 					uint64(j.stage+1)*0x632be59bd9b4e019
 			}
 		}
+		var err error
+		if stats, err = core.SimulateStage(ci.design, j.stage, j.mem, opts); err != nil {
+			return fmt.Errorf("scenario: job %d stage %d: %w", j.id, j.stage, err)
+		}
 	}
-	stats, err := core.SimulateStage(ci.design, j.stage, j.mem, opts)
-	if err != nil {
-		return fmt.Errorf("scenario: job %d stage %d: %w", j.id, j.stage, err)
-	}
-	dur := stats.Cycles
-	if dur < 1 {
-		dur = 1
-	}
-	j.remain = dur
+	j.remain = execCycles(stats)
 	j.state = stateRunning
 	for _, w := range stats.WaitCycles {
 		j.arbWait += w
@@ -531,8 +550,8 @@ func (e *engine) oracle() int {
 		for _, c := range ci.loadCost {
 			portSum += int64(c)
 		}
-		for _, x := range ci.baseExec {
-			if minExec < 0 || x < minExec {
+		for _, st := range ci.stats {
+			if x := execCycles(st); minExec < 0 || x < minExec {
 				minExec = x
 			}
 		}
@@ -576,6 +595,13 @@ func (e *engine) result() *Result {
 		if j.finish > makespan {
 			makespan = j.finish
 		}
+		var mem *sim.Memory
+		if e.cfg.KeepStats {
+			mem = j.mem
+			if mem == nil { // the job took its class's results
+				mem = ci.mem.Clone()
+			}
+		}
 		r.Jobs = append(r.Jobs, JobStats{
 			ID:        j.id,
 			Class:     ci.name,
@@ -592,7 +618,7 @@ func (e *engine) result() *Result {
 			W:         ci.w,
 			H:         ci.h,
 			Stages:    j.stats,
-			Memory:    j.mem,
+			Memory:    mem,
 		})
 	}
 	r.Makespan = makespan

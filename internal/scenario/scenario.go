@@ -4,9 +4,13 @@
 // one shared CLB fabric by a strip-packing allocator with delayed
 // compaction (arXiv:1001.4493), pay a per-area reconfiguration latency
 // through a single configuration port, and execute their temporal
-// partitions through the allocation-free sim hot loop. A hybrid
-// prefetch scheduler (static stage order + runtime reorder by earliest
-// expected need, after arXiv:0710.4796) overlaps the port with resident
+// partitions. Each class's stages run once through the sim hot loop
+// before the clock starts. Without cross-contention every job of the
+// class computes exactly that run, so a job takes its class's result
+// (the design-time/run-time split of arXiv:0710.4796); with it, each
+// job's stages simulate on the job's own memory. A hybrid prefetch
+// scheduler (static stage order + runtime reorder by earliest expected
+// need, after arXiv:0710.4796) overlaps the port with resident
 // execution; a no-prefetch mode and an offline full-knowledge oracle
 // bound bracket it.
 package scenario
@@ -84,12 +88,13 @@ type Config struct {
 	// replace a stage's contention rather than adding to it, so a class
 	// whose Opts carry their own Contention is rejected while this is
 	// set. Empty keeps stage executions bit-identical to a solo
-	// System.Run.
+	// System.Run, so every job takes its class's one baseline run
+	// instead of simulating.
 	CrossContention string
 	// MaxCrossLines caps the phantom lines per arbiter; 0 means 4.
 	MaxCrossLines int
 	// KeepStats retains each job's per-stage sim.Stats and final memory
-	// image in its JobStats (costly under churn; tests use it).
+	// image in its JobStats, at the cost of a per-job memory copy.
 	KeepStats bool
 }
 
@@ -173,7 +178,10 @@ type JobStats struct {
 	Timeouts int
 	// X, Y, W, H is the job's (final) fabric rectangle.
 	X, Y, W, H int
-	// Stages and Memory are retained only under Config.KeepStats.
+	// Stages and Memory are retained only under Config.KeepStats and
+	// are nil without it. Memory is the job's own final image, shared
+	// with no other job. Without CrossContention, Stages holds the
+	// class's baseline Stats, shared read-only by every job of the class.
 	Stages []*sim.Stats `json:"-"`
 	Memory *sim.Memory  `json:"-"`
 }

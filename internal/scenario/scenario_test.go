@@ -45,6 +45,7 @@ func churnConfig(t testing.TB) Config {
 // TestScenarioDeterminism: the engine is a pure function of its config
 // — two runs with the same seed produce byte-identical reports, across
 // every placement x prefetch mode and with cross-contention active.
+// Without KeepStats no job retains its stats or memory.
 func TestScenarioDeterminism(t *testing.T) {
 	for _, placement := range []string{PlaceFirstFit, PlaceBestFit} {
 		for _, prefetch := range []string{PrefetchNone, PrefetchHybrid} {
@@ -67,6 +68,11 @@ func TestScenarioDeterminism(t *testing.T) {
 						placement, prefetch, prev, b)
 				}
 				prev = b
+				for _, j := range res.Jobs {
+					if j.Stages != nil || j.Memory != nil {
+						t.Fatalf("%s/%s: job %d retains stats or memory without KeepStats", placement, prefetch, j.ID)
+					}
+				}
 			}
 		}
 	}
@@ -117,7 +123,7 @@ func TestScenarioOracleBound(t *testing.T) {
 	}
 }
 
-// startEngine builds an engine and replays run()'s prologue: the forced
+// startEngine builds an engine and starts it as run() does: the forced
 // cycle-0 arrival (all arrivals, with no arrival process) and the first
 // event dispatch.
 func startEngine(t *testing.T, cfg Config) *engine {
@@ -126,14 +132,7 @@ func startEngine(t *testing.T, cfg Config) *engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.admit()
-	if e.arr == nil {
-		for e.arrived < e.cfg.Jobs {
-			e.admit()
-		}
-	}
-	e.arrivalsLeft = e.cfg.Jobs - e.arrived
-	if err := e.handle(evArrival); err != nil {
+	if err := e.start(); err != nil {
 		t.Fatal(err)
 	}
 	return e

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"maps"
+	"slices"
+)
+
 // densePageCap bounds the dense per-segment page: addresses in
 // [0, densePageCap) live in a flat []int64 (the hot path), anything
 // outside falls back to a sparse map so pathological address patterns
@@ -101,6 +106,21 @@ func (m *Memory) WriteID(id, addr int, v int64) {
 		s.sparse = map[int]int64{} //sparcs:ignore hotpath sparse overflow fallback for pathological addresses outside the dense page
 	}
 	s.sparse[addr] = v //sparcs:ignore hotpath sparse overflow fallback for pathological addresses outside the dense page
+}
+
+// Clone returns a deep copy of the memory: the same segments under the
+// same IDs, the same written words and sparse entries. Writes to either
+// memory after the call do not show in the other.
+func (m *Memory) Clone() *Memory {
+	c := &Memory{ids: maps.Clone(m.ids), segs: slices.Clone(m.segs)}
+	for i, s := range c.segs {
+		c.segs[i] = &memSegment{
+			page:    slices.Clone(s.page),
+			written: slices.Clone(s.written),
+			sparse:  maps.Clone(s.sparse),
+		}
+	}
+	return c
 }
 
 // Snapshot returns a copied dump of one segment for assertions: every

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sparcs/internal/arbiter"
@@ -482,6 +483,44 @@ func TestMemoryDenseAndSparse(t *testing.T) {
 	}
 	if got := mem.Snapshot("missing"); len(got) != 0 {
 		t.Fatalf("unknown segment snapshot = %v", got)
+	}
+}
+
+// TestMemoryClone: a clone equals its source, sparse entries and
+// interned-but-empty segments included, and the two share no storage.
+func TestMemoryClone(t *testing.T) {
+	mem := NewMemory()
+	mem.Write("S", 0, 0)
+	mem.Write("S", 7, 70)
+	mem.Write("S", -3, -30)
+	mem.Write("S", densePageCap+5, 99)
+	mem.SegID("empty")
+	c := mem.Clone()
+	if !reflect.DeepEqual(c, mem) {
+		t.Fatal("clone differs from its source")
+	}
+	if !reflect.DeepEqual(NewMemory().Clone(), NewMemory()) {
+		t.Fatal("clone of a blank memory differs from a blank memory")
+	}
+	c.Write("S", 7, 71)
+	c.Write("S", densePageCap+5, 100)
+	c.Write("empty", 1, 1)
+	mem.Write("S", 0, 1)
+	mem.Write("S", -3, -31)
+	if got := mem.Read("S", 7); got != 70 {
+		t.Fatalf("dense write to the clone shows in the source: %d", got)
+	}
+	if got := mem.Read("S", densePageCap+5); got != 99 {
+		t.Fatalf("sparse write to the clone shows in the source: %d", got)
+	}
+	if got := mem.Snapshot("empty"); len(got) != 0 {
+		t.Fatalf("write to the clone's empty segment shows in the source: %v", got)
+	}
+	if got := c.Read("S", 0); got != 0 {
+		t.Fatalf("dense write to the source shows in the clone: %d", got)
+	}
+	if got := c.Read("S", -3); got != -30 {
+		t.Fatalf("sparse write to the source shows in the clone: %d", got)
 	}
 }
 

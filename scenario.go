@@ -29,8 +29,8 @@ const (
 
 // ScenarioEntry is one job class: a compiled System plus the RunOptions
 // each of its jobs executes its stages under. WithMemory is not
-// accepted — scenario jobs own their memory images, created fresh at
-// placement and retained in JobStats under KeepStats. Nor is
+// accepted — every job starts from a blank memory image, and under
+// KeepStats its JobStats holds its own copy of the final image. Nor is
 // WithContention while the scenario sets CrossContention, which would
 // replace the entry's own contention on every running stage.
 type ScenarioEntry struct {
@@ -77,11 +77,14 @@ type ScenarioConfig struct {
 	// fabric's buses. It replaces a stage's contention rather than
 	// adding to it, so RunScenario rejects it alongside an entry that
 	// uses WithContention. Empty keeps each stage bit-identical to a
-	// solo System.Run.
+	// solo System.Run: each entry's stages then simulate once per
+	// RunScenario, and every job of the entry takes that result.
 	CrossContention string
 	MaxCrossLines   int
-	// KeepStats retains per-stage sim.Stats and final memory images in
-	// each JobStats.
+	// KeepStats retains per-stage sim.Stats and a per-job copy of the
+	// final memory image in each JobStats; without it both are nil.
+	// Without CrossContention the Stats are the entry's one run, shared
+	// read-only by its jobs.
 	KeepStats bool
 }
 

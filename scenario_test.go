@@ -12,7 +12,8 @@ import (
 // the static flow: one job, no neighbors, no cross-contention must be
 // the same experiment as a plain System.Run — identical per-stage
 // sim.Stats and an identical final memory image, for a bare run and for
-// a composed one (policy + background contention + seed).
+// a composed one (policy + background contention + seed). Several jobs
+// of two classes sharing the fabric must each match their class's run.
 func TestScenarioZeroChurnMatchesRun(t *testing.T) {
 	sys, err := sparcs.FFTSystem(2)
 	if err != nil {
@@ -67,6 +68,86 @@ func TestScenarioZeroChurnMatchesRun(t *testing.T) {
 			}
 		})
 	}
+	t.Run("multi-job", func(t *testing.T) {
+		large, err := sparcs.FFTSystem(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := []sparcs.ScenarioEntry{
+			{System: sys},
+			{System: large, Options: []sparcs.RunOption{
+				sparcs.WithPolicy("wrr:2"),
+				sparcs.WithContention("M1=hog/1"),
+				sparcs.WithSeed(7),
+			}},
+		}
+		var refs []*sparcs.Result
+		for _, ent := range entries {
+			ref, err := ent.System.Run(ent.Options...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs = append(refs, ref)
+		}
+		cfg := sparcs.ScenarioConfig{
+			Entries:         entries,
+			Arrivals:        "bursty/256",
+			Jobs:            6,
+			Seed:            1,
+			FabricCols:      192, // two residents at a time
+			FabricRows:      24,
+			CompactionDelay: 64,
+			KeepStats:       true,
+		}
+		res, err := sparcs.RunScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Jobs) != cfg.Jobs {
+			t.Fatalf("%d job reports, want %d", len(res.Jobs), cfg.Jobs)
+		}
+		for _, j := range res.Jobs {
+			ref := refs[j.ID%len(refs)]
+			if len(j.Stages) != len(ref.Stages) {
+				t.Fatalf("job %d: %d stage stats, want %d", j.ID, len(j.Stages), len(ref.Stages))
+			}
+			for i := range ref.Stages {
+				if !reflect.DeepEqual(ref.Stages[i].Stats, j.Stages[i]) {
+					t.Fatalf("job %d: stage %d stats diverge from System.Run", j.ID, i)
+				}
+			}
+			if !reflect.DeepEqual(ref.Memory, j.Memory) {
+				t.Fatalf("job %d: final memory image diverges from System.Run", j.ID)
+			}
+		}
+		// Each job owns its image: a write into one shows in no other
+		// job's image, nor in the class's.
+		for i, j := range res.Jobs {
+			for _, k := range res.Jobs[i+1:] {
+				if j.Memory == k.Memory {
+					t.Fatalf("jobs %d and %d share one memory image", j.ID, k.ID)
+				}
+			}
+		}
+		res.Jobs[0].Memory.Write("MO0", 0, -1)
+		if reflect.DeepEqual(refs[0].Memory, res.Jobs[0].Memory) {
+			t.Fatal("the probe write did not change job 0's image")
+		}
+		for _, j := range res.Jobs[1:] {
+			if !reflect.DeepEqual(refs[j.ID%len(refs)].Memory, j.Memory) {
+				t.Fatalf("a write into job 0's image shows in job %d's", j.ID)
+			}
+		}
+		cfg.KeepStats = false
+		if res, err = sparcs.RunScenario(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range res.Jobs {
+			if j.Stages != nil || j.Memory != nil {
+				t.Fatalf("job %d retains stats or memory without KeepStats", j.ID)
+			}
+		}
+	})
 }
 
 // TestRunScenarioValidation pins the facade's error surface.
