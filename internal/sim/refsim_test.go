@@ -348,7 +348,7 @@ type equivScenario struct {
 	cfg  func() (Config, *Memory)
 }
 
-func equivScenarios(t *testing.T) []equivScenario {
+func equivScenarios(t testing.TB) []equivScenario {
 	t.Helper()
 	contended := func(policy string) func() (Config, *Memory) {
 		return func() (Config, *Memory) {
