@@ -338,10 +338,14 @@ func Run(cfg Config) (*Stats, error) {
 	}
 
 	// Conflict resources (banks and physical channels) interned to dense
-	// indices for per-cycle multi-writer detection.
+	// indices for per-cycle multi-writer detection; "" (a private
+	// segment or an on-chip channel) is conflict-free.
 	confIdx := map[string]int{}
 	var confNames []string
 	internConf := func(res string) int {
+		if res == "" {
+			return -1
+		}
 		if i, ok := confIdx[res]; ok {
 			return i
 		}
@@ -372,40 +376,22 @@ func Run(cfg Config) (*Stats, error) {
 					return nil, fmt.Errorf("sim: task %s instruction %d (%s): unknown channel %s", name, i, in.Op, in.Res)
 				}
 			}
+			// An access is guarded by the bank or physical channel it
+			// lands on; Req, WaitGrant and Release name theirs.
 			switch in.Op {
 			case behav.OpRead, behav.OpWrite:
 				ci.seg = mem.SegID(in.Res)
 				ci.res = cfg.ResourceOfSegment[in.Res]
-				if ci.res != "" {
-					ci.conf = internConf(ci.res)
-					if ai := arbs[ci.res]; ai != nil {
-						ci.ai = ai
-						if line, isMember := ai.index[name]; isMember {
-							ci.line = line
-						}
-					}
-				}
+				ci.conf = internConf(ci.res)
 			case behav.OpSend:
 				ci.res = cfg.ResourceOfChannel[in.Res]
-				if ci.res != "" {
-					ci.conf = internConf(ci.res)
-					if ai := arbs[ci.res]; ai != nil {
-						ci.ai = ai
-						if line, isMember := ai.index[name]; isMember {
-							ci.line = line
-						}
-					}
-				}
-			case behav.OpReq, behav.OpRelease, behav.OpWaitGrant:
-				if ai := arbs[in.Res]; ai != nil {
-					ci.ai = ai
-					if line, isMember := ai.index[name]; isMember {
-						ci.line = line
-					}
-				}
+				ci.conf = internConf(ci.res)
 			}
-			if ci.line >= 0 {
-				ci.lineBit = 1 << uint(ci.line)
+			if ci.ai = arbs[ci.res]; ci.ai != nil {
+				if line, isMember := ci.ai.index[name]; isMember {
+					ci.line = line
+					ci.lineBit = 1 << uint(line)
+				}
 			}
 			ts.code[i] = ci
 		}
@@ -537,6 +523,20 @@ func Run(cfg Config) (*Stats, error) {
 			if in.op == behav.OpWaitGrant {
 				continue
 			}
+			// Reads, writes and sends on a shared resource claim its port
+			// this cycle; a member of its arbiter must hold the grant.
+			if in.conf >= 0 {
+				if len(confUsers[in.conf]) == 0 {
+					touched = append(touched, in.conf) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
+				}
+				confUsers[in.conf] = append(confUsers[in.conf], ts.name) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
+				if in.ai != nil && in.line >= 0 && in.ai.grant&in.lineBit == 0 {
+					//sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
+					stats.Violations = append(stats.Violations, Violation{
+						Cycle: cycle, Resource: in.res, Tasks: []string{ts.name}, Kind: "no-grant", //sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
+					})
+				}
+			}
 
 			switch in.op {
 			case behav.OpCompute:
@@ -569,18 +569,6 @@ func Run(cfg Config) (*Stats, error) {
 					advance(ts)
 				}
 			case behav.OpRead, behav.OpWrite:
-				if in.conf >= 0 {
-					if len(confUsers[in.conf]) == 0 {
-						touched = append(touched, in.conf) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					}
-					confUsers[in.conf] = append(confUsers[in.conf], ts.name) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					if in.ai != nil && in.line >= 0 && in.ai.grant&in.lineBit == 0 {
-						//sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						stats.Violations = append(stats.Violations, Violation{
-							Cycle: cycle, Resource: in.res, Tasks: []string{ts.name}, Kind: "no-grant", //sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						})
-					}
-				}
 				addr := in.addr + ts.iter*in.stride
 				if in.op == behav.OpRead {
 					ts.buf = append(ts.buf, mem.ReadID(in.seg, addr)) //sparcs:ignore hotpath task data buffer; growth is the workload, not overhead
@@ -595,18 +583,6 @@ func Run(cfg Config) (*Stats, error) {
 				}
 				advance(ts)
 			case behav.OpSend:
-				if in.conf >= 0 {
-					if len(confUsers[in.conf]) == 0 {
-						touched = append(touched, in.conf) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					}
-					confUsers[in.conf] = append(confUsers[in.conf], ts.name) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					if in.ai != nil && in.line >= 0 && in.ai.grant&in.lineBit == 0 {
-						//sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						stats.Violations = append(stats.Violations, Violation{
-							Cycle: cycle, Resource: in.res, Tasks: []string{ts.name}, Kind: "no-grant", //sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						})
-					}
-				}
 				v := in.val
 				if ts.bufLen() > 0 {
 					v = ts.popFront()
