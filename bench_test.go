@@ -305,10 +305,7 @@ func contentionRun(pol arbiter.Policy, n, cycles int) (worst, minG, maxG float64
 				held[i]++
 			}
 		}
-		trace = append(trace, arbiter.TraceStep{
-			Req:   append([]bool(nil), req...),
-			Grant: g,
-		})
+		trace = append(trace, arbiter.TraceStep{Req: arbiter.PackBools(req), Grant: arbiter.PackBools(g)})
 	}
 	w := 0
 	for _, e := range arbiter.MaxWaitEpisodes(n, trace) {

@@ -4,17 +4,19 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"sparcs"
+	"sparcs/internal/sim"
 )
 
 // contentionGolden pins the background-source layer end to end: per
 // policy and contention spec, the sha256 (first 16 hex digits) over the
-// JSON of every stage's Stats of one FFTSystem(2) run. The hash covers
-// what sim_digest and the served body leave out: per-line phantom
-// statistics (Stats.Contention), correlated-source statistics
-// (Stats.Shared) and the widened M1/M3 traces.
+// JSON of every stage's Stats of one FFTSystem(2) run, taken through
+// goldenStats. The hash covers what sim_digest and the served body leave
+// out: per-line phantom statistics (Stats.Contention), correlated-source
+// statistics (Stats.Shared) and the widened M1/M3 traces.
 var contentionGolden = []struct {
 	policy, spec, digest string
 }{
@@ -40,6 +42,19 @@ var contentionGolden = []struct {
 // sources are wired, refreshed or counted that moves a single simulated
 // bit fails here by name.
 func TestContentionGoldenStats(t *testing.T) {
+	stats, mirror := reflect.TypeOf(sim.Stats{}), reflect.TypeOf(goldenStats{})
+	for i := 0; i < max(stats.NumField(), mirror.NumField()); i++ {
+		var s, m string
+		if i < stats.NumField() {
+			s = stats.Field(i).Name
+		}
+		if i < mirror.NumField() {
+			m = mirror.Field(i).Name
+		}
+		if s != m {
+			t.Fatalf("sim.Stats field %d is %q, goldenStats mirrors %q: update goldenStats and its digests", i, s, m)
+		}
+	}
 	sys, err := sparcs.FFTSystem(2)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +72,7 @@ func TestContentionGoldenStats(t *testing.T) {
 		}
 		h := sha256.New()
 		for _, st := range res.Stages {
-			b, err := json.Marshal(st.Stats)
+			b, err := json.Marshal(newGoldenStats(st.Stats))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,4 +82,59 @@ func TestContentionGoldenStats(t *testing.T) {
 			t.Errorf("%s %q: stats digest %s, want %s", g.policy, g.spec, got, g.digest)
 		}
 	}
+}
+
+// goldenStats mirrors sim.Stats field for field, in the same order, with
+// each arbiter trace expanded to the per-line layout the digests were
+// recorded over: one {Req, Grant []bool} pair per cycle, each as wide as
+// the trace. A nil trace, or one with no steps, expands to nil.
+type goldenStats struct {
+	Cycles          int
+	Done            bool
+	TaskFinish      map[string]int
+	WaitCycles      map[string]int
+	GrantsByRes     map[string]int
+	MemReads        int
+	MemWrites       int
+	ChannelSends    int
+	Violations      []sim.Violation
+	ArbiterTraces   map[string][]goldenStep
+	PerTaskOverhead map[string]int
+	Contention      map[string]*sim.ContentionStats
+	Shared          []*sim.SharedStats
+}
+
+type goldenStep struct{ Req, Grant []bool }
+
+func newGoldenStats(st *sim.Stats) goldenStats {
+	g := goldenStats{
+		Cycles:          st.Cycles,
+		Done:            st.Done,
+		TaskFinish:      st.TaskFinish,
+		WaitCycles:      st.WaitCycles,
+		GrantsByRes:     st.GrantsByRes,
+		MemReads:        st.MemReads,
+		MemWrites:       st.MemWrites,
+		ChannelSends:    st.ChannelSends,
+		Violations:      st.Violations,
+		PerTaskOverhead: st.PerTaskOverhead,
+		Contention:      st.Contention,
+		Shared:          st.Shared,
+	}
+	if st.ArbiterTraces != nil {
+		g.ArbiterTraces = map[string][]goldenStep{}
+	}
+	for res, tr := range st.ArbiterTraces {
+		var steps []goldenStep
+		if tr != nil {
+			for _, s := range tr.Steps {
+				step := goldenStep{Req: make([]bool, tr.N), Grant: make([]bool, tr.N)}
+				s.Req.WriteBools(step.Req)
+				s.Grant.WriteBools(step.Grant)
+				steps = append(steps, step)
+			}
+		}
+		g.ArbiterTraces[res] = steps
+	}
+	return g
 }

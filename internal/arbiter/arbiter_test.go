@@ -159,10 +159,7 @@ func TestAllPoliciesSafety(t *testing.T) {
 					req[i] = r.Intn(2) == 0
 				}
 				g := stepBools(p, req)
-				steps = append(steps, TraceStep{
-					Req:   append([]bool(nil), req...),
-					Grant: append([]bool(nil), g...),
-				})
+				steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 			}
 			if err := CheckMutualExclusion(steps); err != nil {
 				t.Errorf("%s N=%d: %v", name, n, err)
@@ -200,10 +197,7 @@ func TestRoundRobinBoundedWaitProperty(t *testing.T) {
 					held[i]++
 				}
 			}
-			steps = append(steps, TraceStep{
-				Req:   append([]bool(nil), req...),
-				Grant: append([]bool(nil), g...),
-			})
+			steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 		}
 		if err := CheckAll(n, steps); err != nil {
 			t.Errorf("N=%d: %v", n, err)
@@ -222,7 +216,7 @@ func TestPriorityStarves(t *testing.T) {
 	held := make([]int, n)
 	for c := 0; c < 200; c++ {
 		g := stepBools(p, req)
-		steps = append(steps, TraceStep{Req: append([]bool(nil), req...), Grant: append([]bool(nil), g...)})
+		steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 		if g[n-1] {
 			t.Fatalf("cycle %d: task N granted despite higher-priority pressure", c)
 		}
@@ -251,7 +245,7 @@ func TestPriorityStarves(t *testing.T) {
 	held = make([]int, n)
 	for c := 0; c < 200; c++ {
 		g := stepBools(rr, req)
-		steps = append(steps, TraceStep{Req: append([]bool(nil), req...), Grant: append([]bool(nil), g...)})
+		steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 		for i := 0; i < n; i++ {
 			if g[i] {
 				held[i]++
@@ -312,15 +306,16 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 }
 
 func TestCheckersCatchViolations(t *testing.T) {
-	bad := []TraceStep{{Req: []bool{true, true}, Grant: []bool{true, true}}}
+	// Bit i of a word is task i+1.
+	bad := []TraceStep{{Req: 0b11, Grant: 0b11}}
 	if err := CheckMutualExclusion(bad); err == nil {
 		t.Error("double grant should fail mutual exclusion")
 	}
-	bad = []TraceStep{{Req: []bool{false, true}, Grant: []bool{true, false}}}
+	bad = []TraceStep{{Req: 0b10, Grant: 0b01}}
 	if err := CheckGrantImpliesRequest(bad); err == nil {
 		t.Error("grant to idle task should fail")
 	}
-	bad = []TraceStep{{Req: []bool{true, false}, Grant: []bool{false, false}}}
+	bad = []TraceStep{{Req: 0b01, Grant: 0}}
 	if err := CheckWorkConserving(bad); err == nil {
 		t.Error("ungrant with pending request should fail work conservation")
 	}
@@ -328,11 +323,11 @@ func TestCheckersCatchViolations(t *testing.T) {
 
 func TestMaxWaitEpisodesCounts(t *testing.T) {
 	// Task 2 requests from cycle 0; tasks 1 and 3 are each served once
-	// before it: 2 episodes.
+	// before it: 2 episodes. Bit i of a word is task i+1.
 	steps := []TraceStep{
-		{Req: []bool{true, true, true}, Grant: []bool{true, false, false}},
-		{Req: []bool{false, true, true}, Grant: []bool{false, false, true}},
-		{Req: []bool{false, true, false}, Grant: []bool{false, true, false}},
+		{Req: 0b111, Grant: 0b001},
+		{Req: 0b110, Grant: 0b100},
+		{Req: 0b010, Grant: 0b010},
 	}
 	w := MaxWaitEpisodes(3, steps)
 	if w[1] != 1 {

@@ -32,10 +32,7 @@ func driveTrace(p Policy, n, cycles int, seed int64) []TraceStep {
 				held[i]++
 			}
 		}
-		steps = append(steps, TraceStep{
-			Req:   append([]bool(nil), req...),
-			Grant: append([]bool(nil), g...),
-		})
+		steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 	}
 	return steps
 }

@@ -1,9 +1,9 @@
 // The bitset arbitration kernel: request and grant vectors packed into
 // single uint64 words, with the branchless rotate / isolate-lowest-set
 // round-robin scan high-speed parallel arbiters use in hardware. BitVec
-// is the one request/grant format every Policy steps on; []bool views
-// exist only at the per-bit edges (TraceStep capture and the gate-level
-// fsm/netlist policies).
+// is the one request/grant format every Policy steps on and every
+// TraceStep records; []bool views exist only inside the gate-level
+// fsm/netlist policies, whose machines are per-bit by nature.
 
 package arbiter
 

@@ -101,8 +101,7 @@ func TestPackWriteRoundTrip(t *testing.T) {
 
 // FuzzBitVecRoundTrip: for any word and width, WriteBools then
 // PackBools must reproduce exactly the low-n bits — the invariant the
-// per-bit edges rest on: TraceStep capture, NewTrace's packed steps, and
-// the fsm/netlist policies' unpack/pack around their gate models.
+// fsm/netlist policies' unpack/pack around their gate models rests on.
 func FuzzBitVecRoundTrip(f *testing.F) {
 	f.Add(uint64(0), 1)
 	f.Add(uint64(0xDEADBEEF), 16)

@@ -1,24 +1,31 @@
 package arbiter
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// TraceStep records one arbitration cycle for property checking.
+// TraceStep records one arbitration cycle for property checking: the
+// request and grant words the arbiter saw and issued, bit i carrying
+// line i.
 type TraceStep struct {
-	Req   []bool
-	Grant []bool
+	Req   BitVec
+	Grant BitVec
+}
+
+// Trace is one arbiter's recorded request/grant stream, one step per
+// cycle. N is the recorded width: the member lines plus any background
+// lines appended after them.
+type Trace struct {
+	N     int
+	Steps []TraceStep
 }
 
 // CheckMutualExclusion verifies that no cycle grants more than one task
 // (paper Section 4.1: "each state acknowledges at most one request").
 func CheckMutualExclusion(steps []TraceStep) error {
 	for c, s := range steps {
-		granted := 0
-		for _, g := range s.Grant {
-			if g {
-				granted++
-			}
-		}
-		if granted > 1 {
+		if granted := s.Grant.Count(); granted > 1 {
 			return fmt.Errorf("arbiter: cycle %d grants %d tasks, violating mutual exclusion", c, granted)
 		}
 	}
@@ -28,10 +35,8 @@ func CheckMutualExclusion(steps []TraceStep) error {
 // CheckGrantImpliesRequest verifies that grants only go to requesters.
 func CheckGrantImpliesRequest(steps []TraceStep) error {
 	for c, s := range steps {
-		for t, g := range s.Grant {
-			if g && !s.Req[t] {
-				return fmt.Errorf("arbiter: cycle %d grants idle task %d", c, t+1)
-			}
+		if idle := s.Grant &^ s.Req; idle != 0 {
+			return fmt.Errorf("arbiter: cycle %d grants idle task %d", c, idle.FirstSet()+1)
 		}
 	}
 	return nil
@@ -42,17 +47,10 @@ func CheckGrantImpliesRequest(steps []TraceStep) error {
 // argument: the resource is never idle while wanted.
 func CheckWorkConserving(steps []TraceStep) error {
 	for c, s := range steps {
-		anyReq, anyGrant := false, false
-		for _, r := range s.Req {
-			anyReq = anyReq || r
-		}
-		for _, g := range s.Grant {
-			anyGrant = anyGrant || g
-		}
-		if anyReq && !anyGrant {
+		if s.Req != 0 && s.Grant == 0 {
 			return fmt.Errorf("arbiter: cycle %d has pending requests but no grant", c)
 		}
-		if !anyReq && anyGrant {
+		if s.Req == 0 && s.Grant != 0 {
 			return fmt.Errorf("arbiter: cycle %d grants with no requests", c)
 		}
 	}
@@ -62,7 +60,8 @@ func CheckWorkConserving(steps []TraceStep) error {
 // MaxWaitEpisodes measures, for each task, the worst number of distinct
 // grant episodes to other tasks that elapse while the task requests
 // continuously before being served. A grant episode is a maximal run of
-// cycles granted to one task.
+// cycles granted to one task; a cycle's holder is its highest granted
+// line.
 //
 // The paper's round-robin bound (Section 4.1) is N-1 episodes: a requester
 // waits for at most all other tasks to be served once.
@@ -72,22 +71,17 @@ func MaxWaitEpisodes(n int, steps []TraceStep) []int {
 	episodes := make([]int, n)
 	prevHolder := -1
 	for _, s := range steps {
-		holder := -1
-		for t, g := range s.Grant {
-			if g {
-				holder = t
-			}
-		}
+		holder := bits.Len64(uint64(s.Grant)) - 1
 		newEpisode := holder >= 0 && holder != prevHolder
 		for t := 0; t < n; t++ {
 			switch {
-			case s.Grant[t]:
+			case s.Grant.Bit(t):
 				if episodes[t] > worst[t] {
 					worst[t] = episodes[t]
 				}
 				waiting[t] = false
 				episodes[t] = 0
-			case s.Req[t]:
+			case s.Req.Bit(t):
 				if !waiting[t] {
 					waiting[t] = true
 					episodes[t] = 0

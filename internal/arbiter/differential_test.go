@@ -216,10 +216,7 @@ func TestNewPoliciesSafetyAndBoundedWait(t *testing.T) {
 						held[i]++
 					}
 				}
-				steps = append(steps, TraceStep{
-					Req:   append([]bool(nil), req...),
-					Grant: append([]bool(nil), g...),
-				})
+				steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 			}
 			if err := CheckAll(n, steps); err != nil {
 				t.Errorf("%s N=%d: %v", spec, n, err)
@@ -305,10 +302,7 @@ func TestFIFOArrivalOrderUnderLongStreams(t *testing.T) {
 		if cap(f.queue) > 2*n {
 			t.Fatalf("cycle %d: queue capacity grew to %d", c, cap(f.queue))
 		}
-		steps = append(steps, TraceStep{
-			Req:   append([]bool(nil), req...),
-			Grant: append([]bool(nil), g...),
-		})
+		steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 	}
 	if err := CheckMutualExclusion(steps); err != nil {
 		t.Error(err)

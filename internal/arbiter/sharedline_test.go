@@ -170,7 +170,7 @@ func TestPreemptiveSafetyUnderRandomTraffic(t *testing.T) {
 			req[i] = state&(1<<uint(i*8)) != 0
 		}
 		g := stepBools(p, req)
-		steps = append(steps, TraceStep{Req: append([]bool(nil), req...), Grant: append([]bool(nil), g...)})
+		steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(g)})
 	}
 	if err := CheckMutualExclusion(steps); err != nil {
 		t.Fatal(err)

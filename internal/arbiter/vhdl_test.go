@@ -180,10 +180,7 @@ func TestSynthesizedArbiterMatchesBehavioral(t *testing.T) {
 							n, enc, c, req, i, got[i], want[i])
 					}
 				}
-				steps = append(steps, TraceStep{
-					Req:   append([]bool(nil), req...),
-					Grant: append([]bool(nil), got...),
-				})
+				steps = append(steps, TraceStep{Req: PackBools(req), Grant: PackBools(got)})
 			}
 			if err := CheckMutualExclusion(steps); err != nil {
 				t.Fatalf("N=%d %v: %v", n, enc, err)

@@ -219,7 +219,7 @@ func simulateWithQuietTrace(t *testing.T, d *Design, mem *sim.Memory, opts Optio
 		}
 		for _, a := range sp.Inserted.Arbiters {
 			if a.Resource == res {
-				quiet, err := workload.NewTrace("quiet", lines, [][]bool{make([]bool, lines)})
+				quiet, err := workload.NewTrace("quiet", lines, []arbiter.BitVec{0})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,12 +240,12 @@ func simulateWithQuietTrace(t *testing.T, d *Design, mem *sim.Memory, opts Optio
 // traces and clears the contention stats, recovering the member-width
 // view an uninstrumented run would have produced.
 func projectToMembers(st *sim.Stats, res string, memberN int) {
-	trace := st.ArbiterTraces[res]
-	for i, step := range trace {
-		trace[i] = arbiter.TraceStep{
-			Req:   append([]bool(nil), step.Req[:memberN]...),
-			Grant: append([]bool(nil), step.Grant[:memberN]...),
+	if trace := st.ArbiterTraces[res]; trace != nil {
+		members := arbiter.Mask(memberN)
+		for i, step := range trace.Steps {
+			trace.Steps[i] = arbiter.TraceStep{Req: step.Req & members, Grant: step.Grant & members}
 		}
+		trace.N = memberN
 	}
 	delete(st.Contention, res)
 	if len(st.Contention) == 0 {

@@ -107,10 +107,10 @@ func TestFFTCaseStudyExecution(t *testing.T) {
 					n = a.N()
 				}
 			}
-			if err := arbiter.CheckMutualExclusion(trace); err != nil {
+			if err := arbiter.CheckMutualExclusion(trace.Steps); err != nil {
 				t.Fatalf("stage %d %s: %v", si, resName, err)
 			}
-			if err := arbiter.CheckBoundedWait(n, trace); err != nil {
+			if err := arbiter.CheckBoundedWait(n, trace.Steps); err != nil {
 				t.Fatalf("stage %d %s: %v", si, resName, err)
 			}
 		}

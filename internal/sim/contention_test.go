@@ -97,14 +97,15 @@ func TestContentionClosedLoop(t *testing.T) {
 	// the phantom column, and member grant accounting must exclude them.
 	phantomGrants := 0
 	memberGrants := 0
-	for _, step := range stats.ArbiterTraces["bankS"] {
-		if len(step.Req) != 3 || len(step.Grant) != 3 {
-			t.Fatalf("trace width %d, want members+phantom = 3", len(step.Req))
-		}
-		if step.Grant[2] {
+	tr := stats.ArbiterTraces["bankS"]
+	if tr.N != 3 {
+		t.Fatalf("trace width %d, want members+phantom = 3", tr.N)
+	}
+	for _, step := range tr.Steps {
+		if step.Grant.Bit(2) {
 			phantomGrants++
 		}
-		if step.Grant[0] || step.Grant[1] {
+		if step.Grant&0b11 != 0 {
 			memberGrants++
 		}
 	}
@@ -181,8 +182,8 @@ func TestContentionPolicySizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := stats.ArbiterTraces["bankS"]; len(tr) == 0 || len(tr[0].Req) != 5 || len(tr[0].Grant) != 5 {
-		t.Fatalf("trace of %d steps does not record 5 lines (2 members + 2 + 1 phantom lines)", len(tr))
+	if tr := stats.ArbiterTraces["bankS"]; len(tr.Steps) == 0 || tr.N != 5 {
+		t.Fatalf("trace of %d steps records %d lines, want 5 (2 members + 2 + 1 phantom lines)", len(tr.Steps), tr.N)
 	}
 	cs := stats.Contention["bankS"]
 	if cs == nil || len(cs.Grants) != 3 {
@@ -224,7 +225,7 @@ func TestQuietCyclesStepPhaseOne(t *testing.T) {
 	if got := cs.Grants[0] + cs.Waits[0]; got != stats.Cycles {
 		t.Fatalf("phantom grants+waits = %d+%d = %d, want one per cycle (%d)", cs.Grants[0], cs.Waits[0], got, stats.Cycles)
 	}
-	if got := len(stats.ArbiterTraces["bankS"]); got != stats.Cycles {
+	if got := len(stats.ArbiterTraces["bankS"].Steps); got != stats.Cycles {
 		t.Fatalf("trace has %d steps, want one per cycle (%d)", got, stats.Cycles)
 	}
 }

@@ -47,7 +47,10 @@ func refAdvance(ts *refTaskState) {
 }
 
 // referenceRun is the seed implementation of Run, kept byte-for-byte in
-// behavior (it predates interning, so it uses the string Memory API).
+// behavior (it predates interning, so it uses the string Memory API). It
+// records each cycle's request and grant vectors per line, as the seed
+// did, and packs them into an arbiter.Trace once, when it builds Stats,
+// so Run's word capture is checked against an independent record.
 func referenceRun(cfg Config) (*Stats, error) {
 	maxCycles := cfg.MaxCycles
 	if maxCycles <= 0 {
@@ -62,13 +65,14 @@ func referenceRun(cfg Config) (*Stats, error) {
 		policy = &arbiter.PolicySpec{Kind: "round-robin"}
 	}
 
+	type refStep struct{ req, grant []bool }
 	type arbInst struct {
 		spec    partition.ArbiterSpec
 		policy  arbiter.Policy
 		index   map[string]int
 		req     []bool
 		granted map[string]bool
-		trace   []arbiter.TraceStep
+		trace   []refStep
 	}
 	arbs := map[string]*arbInst{}
 	for _, spec := range cfg.Arbiters {
@@ -119,7 +123,7 @@ func referenceRun(cfg Config) (*Stats, error) {
 		TaskFinish:      map[string]int{},
 		WaitCycles:      map[string]int{},
 		GrantsByRes:     map[string]int{},
-		ArbiterTraces:   map[string][]arbiter.TraceStep{},
+		ArbiterTraces:   map[string]*arbiter.Trace{},
 		PerTaskOverhead: map[string]int{},
 	}
 
@@ -160,9 +164,9 @@ func referenceRun(cfg Config) (*Stats, error) {
 					stats.GrantsByRes[r]++
 				}
 			}
-			ai.trace = append(ai.trace, arbiter.TraceStep{
-				Req:   append([]bool(nil), ai.req...),
-				Grant: append([]bool(nil), grants...),
+			ai.trace = append(ai.trace, refStep{
+				req:   append([]bool(nil), ai.req...),
+				grant: append([]bool(nil), grants...),
 			})
 		}
 
@@ -331,7 +335,11 @@ func referenceRun(cfg Config) (*Stats, error) {
 	}
 	stats.Cycles = cycle
 	for r, ai := range arbs {
-		stats.ArbiterTraces[r] = ai.trace
+		tr := &arbiter.Trace{N: len(ai.req)}
+		for _, st := range ai.trace {
+			tr.Steps = append(tr.Steps, arbiter.TraceStep{Req: arbiter.PackBools(st.req), Grant: arbiter.PackBools(st.grant)})
+		}
+		stats.ArbiterTraces[r] = tr
 	}
 	if !stats.Done {
 		stats.Violations = append(stats.Violations, Violation{
@@ -446,6 +454,39 @@ func equivScenarios(t testing.TB) []equivScenario {
 					"C": {Body: []behav.Instr{behav.Read("S", 0), behav.Write("S", 1)}},
 				},
 				Memory: mem,
+			}, mem
+		}},
+		{"arbitrated-link", func() (Config, *Memory) {
+			// Two channels share one arbitrated physical link: P sends
+			// inside a grant burst, Q sends without a grant (no-grant
+			// violations), and their sends meet on the link (port
+			// conflicts).
+			g := &taskgraph.Graph{
+				Name:     "link",
+				Segments: []*taskgraph.Segment{{Name: "S", SizeBytes: 64, WidthBits: 32}},
+				Channels: []*taskgraph.Channel{
+					{Name: "c", From: "P", To: "R", WidthBits: 8},
+					{Name: "d", From: "Q", To: "R", WidthBits: 8},
+				},
+				Tasks: []*taskgraph.Task{{Name: "P", AreaCLBs: 1}, {Name: "Q", AreaCLBs: 1}, {Name: "R", AreaCLBs: 1}},
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMemory()
+			return Config{
+				Graph: g,
+				Tasks: []string{"P", "Q", "R"},
+				Programs: map[string]behav.Program{
+					"P": {Body: []behav.Instr{
+						behav.Req("link"), behav.WaitGrant("link"), behav.SendImm("c", 1), behav.Release("link"), behav.Compute(3),
+					}, Repeat: 4},
+					"Q": {Body: []behav.Instr{behav.Compute(1), behav.SendImm("d", 2), behav.Compute(4)}, Repeat: 4},
+					"R": {Body: []behav.Instr{behav.Recv("c"), behav.Recv("d"), behav.Write("S", 0)}, Repeat: 4},
+				},
+				Arbiters:          []partition.ArbiterSpec{arbSpec("link", "P", "Q")},
+				ResourceOfChannel: map[string]string{"c": "link", "d": "link"},
+				Memory:            mem,
 			}, mem
 		}},
 		{"deadlock-watchdog", func() (Config, *Memory) {

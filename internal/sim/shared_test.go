@@ -186,8 +186,8 @@ func TestSharedWidensPolicies(t *testing.T) {
 	// Both arbiters: 2 members + 2 lanes = 4 lines.
 	for _, res := range []string{"bankS", "bankT"} {
 		tr := stats.ArbiterTraces[res]
-		if len(tr) == 0 || len(tr[0].Req) != 4 || len(tr[0].Grant) != 4 {
-			t.Fatalf("%s trace width = %d, want 4", res, len(tr[0].Req))
+		if len(tr.Steps) == 0 || tr.N != 4 {
+			t.Fatalf("%s trace of %d steps is %d lines wide, want 4", res, len(tr.Steps), tr.N)
 		}
 		cs := stats.Contention[res]
 		if cs == nil || len(cs.Grants) != 2 || len(cs.Waits) != 2 {
@@ -326,7 +326,7 @@ func TestCaptureOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tr := tapped.ArbiterTraces["bankS"]; tr != nil {
-		t.Fatalf("bankS should not record under CaptureOnly bankT; got %d steps", len(tr))
+		t.Fatalf("bankS should not record under CaptureOnly bankT; got %d steps", len(tr.Steps))
 	}
 	if !reflect.DeepEqual(tapped.ArbiterTraces["bankT"], full.ArbiterTraces["bankT"]) {
 		t.Fatal("bankT trace under CaptureOnly differs from full capture")

@@ -22,8 +22,8 @@
 // index once at setup, request and grant vectors are single
 // arbiter.BitVec words stepped through the policies' word-level
 // BitStepper surface, and memory accesses index interned dense pages
-// (see Memory). Only trace recording and violation capture allocate,
-// amortized through chunked arenas.
+// (see Memory). Only trace recording, which appends one request/grant
+// word pair per arbiter-cycle, and violation capture allocate.
 //
 // Quiet cycles are fast-forwarded. After a cycle in which no task
 // finished, if every started, unfinished task sits inside an OpCompute
@@ -108,7 +108,10 @@ func (v Violation) String() string {
 	return fmt.Sprintf("cycle %d: %s on %s by %v", v.Cycle, v.Kind, v.Resource, v.Tasks)
 }
 
-// Stats is the outcome of one stage simulation.
+// Stats is the outcome of one stage simulation. ArbiterTraces maps each
+// arbiter's resource to its recorded request/grant stream, nil for an
+// arbiter that records nothing (DisableTraces, or left out of
+// CaptureOnly).
 type Stats struct {
 	Cycles          int
 	Done            bool
@@ -119,7 +122,7 @@ type Stats struct {
 	MemWrites       int
 	ChannelSends    int
 	Violations      []Violation
-	ArbiterTraces   map[string][]arbiter.TraceStep
+	ArbiterTraces   map[string]*arbiter.Trace
 	PerTaskOverhead map[string]int
 	// Contention maps each resource with active (non-elided) background
 	// sources to its phantom-line statistics; nil when the run had no
@@ -133,7 +136,7 @@ type Stats struct {
 }
 
 // arbInst is one arbiter instance with its request/grant state packed
-// into single BitVec words (bit i = request line i) and its trace arena.
+// into single BitVec words (bit i = request line i) and its trace.
 // With contention attached, the low memberN bits are the member tasks'
 // lines followed by the phantom sources' line windows up to width, and
 // traces record the full widened width.
@@ -147,29 +150,10 @@ type arbInst struct {
 	memberMask arbiter.BitVec // low memberN bits
 	req        arbiter.BitVec
 	grant      arbiter.BitVec
-	grants     int  // member grants, flushed to Stats.GrantsByRes after the run
-	capture    bool // record per-cycle traces for this arbiter
-	trace      []arbiter.TraceStep
-	arena      []bool // chunked backing for trace req/grant copies
-	phGrants   []int  // per phantom line, flushed to Stats.Contention
+	grants     int            // member grants, flushed to Stats.GrantsByRes after the run
+	trace      *arbiter.Trace // per-cycle request/grant words; nil = not recorded
+	phGrants   []int          // per phantom line, flushed to Stats.Contention
 	phWaits    []int
-}
-
-// record appends this cycle's request/grant words to the trace, unpacked
-// into []bool copies carved out of a chunked arena — the TraceStep
-// surface (and its byte layout) is unchanged from the slice-based
-// simulator.
-func (ai *arbInst) record() {
-	n := ai.width
-	if len(ai.arena) < 2*n {
-		ai.arena = make([]bool, 2*n*1024) //sparcs:ignore hotpath,bitwidth trace arena chunk, amortized over 1024 recorded cycles; TraceStep keeps the []bool surface
-	}
-	rq := ai.arena[0:n:n]
-	gr := ai.arena[n : 2*n : 2*n]
-	ai.arena = ai.arena[2*n:]
-	ai.req.WriteBools(rq)
-	ai.grant.WriteBools(gr)
-	ai.trace = append(ai.trace, arbiter.TraceStep{Req: rq, Grant: gr}) //sparcs:ignore hotpath trace capture is opt-in and amortized; disable traces for allocation-free runs
 }
 
 // cinstr is one precompiled instruction: every map lookup the
@@ -311,9 +295,11 @@ func Run(cfg Config) (*Stats, error) {
 	for _, r := range cfg.CaptureOnly {
 		captureSet[r] = true
 	}
-	//sparcs:ignore determinism each instance flag is set independently; iteration order cannot change the result
+	//sparcs:ignore determinism each instance's trace is set independently; iteration order cannot change the result
 	for _, ai := range arbs {
-		ai.capture = !cfg.DisableTraces && (cfg.CaptureOnly == nil || captureSet[ai.res])
+		if !cfg.DisableTraces && (cfg.CaptureOnly == nil || captureSet[ai.res]) {
+			ai.trace = &arbiter.Trace{N: ai.width}
+		}
 	}
 	// Construct policies in cfg.Arbiters order (not map order), so the
 	// first unservable width reported is deterministic.
@@ -413,7 +399,7 @@ func Run(cfg Config) (*Stats, error) {
 		TaskFinish:      map[string]int{},
 		WaitCycles:      map[string]int{},
 		GrantsByRes:     map[string]int{},
-		ArbiterTraces:   map[string][]arbiter.TraceStep{},
+		ArbiterTraces:   map[string]*arbiter.Trace{},
 		PerTaskOverhead: map[string]int{},
 	}
 
@@ -457,8 +443,8 @@ func Run(cfg Config) (*Stats, error) {
 					}
 				}
 			}
-			if ai.capture {
-				ai.record()
+			if ai.trace != nil {
+				ai.trace.Steps = append(ai.trace.Steps, arbiter.TraceStep{Req: ai.req, Grant: ai.grant}) //sparcs:ignore hotpath trace capture is opt-in and amortized; disable traces for allocation-free runs
 			}
 		}
 		// Cross-resource overlap stats read this cycle's grants on every

@@ -162,7 +162,7 @@ func TestContentionSerializesWithoutViolations(t *testing.T) {
 	}
 	// The arbiter trace itself must satisfy all fairness properties.
 	trace := stats.ArbiterTraces["bankS"]
-	if err := arbiter.CheckAll(2, trace); err != nil {
+	if err := arbiter.CheckAll(2, trace.Steps); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -35,15 +35,15 @@ func SpecColumn(spec string) Column {
 	}
 }
 
-// TraceColumn returns a column replaying a fixed request pattern
-// through NewTrace. Every step must have exactly the same width, which
-// becomes the only arbiter size the column accepts.
-func TraceColumn(name string, steps [][]bool) Column {
+// TraceColumn returns a column replaying a fixed pattern of n-line
+// request words through NewTrace. n is the only arbiter size the column
+// accepts.
+func TraceColumn(name string, n int, steps []arbiter.BitVec) Column {
 	return Column{
 		Name: name,
-		New: func(n int, seed uint64) (Generator, error) {
-			if len(steps) > 0 && len(steps[0]) != n {
-				return nil, fmt.Errorf("workload: trace column %q is %d lines wide, grid wants %d", name, len(steps[0]), n)
+		New: func(width int, seed uint64) (Generator, error) {
+			if width != n {
+				return nil, fmt.Errorf("workload: trace column %q is %d lines wide, grid wants %d", name, n, width)
 			}
 			return NewTrace(name, n, steps)
 		},
@@ -52,25 +52,19 @@ func TraceColumn(name string, steps [][]bool) Column {
 
 // FromArbiterTrace converts a request stream captured by the
 // full-system simulator (one resource's sim.Stats.ArbiterTraces entry)
-// into a replayable grid column: the per-cycle request vectors are
-// copied out of the trace and replayed cyclically through NewTrace,
-// open-loop, exactly as measured. The grant half of the trace is
-// deliberately dropped — grants were the recording policy's decisions,
-// and the point of replay is to let other policies re-decide them.
-func FromArbiterTrace(name string, steps []arbiter.TraceStep) (Column, error) {
-	if len(steps) == 0 {
+// into a replayable grid column of tr.N lines: the per-cycle request
+// words are copied out of the trace and replayed cyclically through
+// NewTrace, open-loop, exactly as measured. The grant half of the trace
+// is deliberately dropped — grants were the recording policy's
+// decisions, and the point of replay is to let other policies re-decide
+// them.
+func FromArbiterTrace(name string, tr *arbiter.Trace) (Column, error) {
+	if tr == nil || len(tr.Steps) == 0 {
 		return Column{}, fmt.Errorf("workload: captured trace %q has no steps", name)
 	}
-	width := len(steps[0].Req)
-	if width == 0 {
-		return Column{}, fmt.Errorf("workload: captured trace %q has zero-width request vectors", name)
+	reqs := make([]arbiter.BitVec, len(tr.Steps))
+	for c, s := range tr.Steps {
+		reqs[c] = s.Req
 	}
-	reqs := make([][]bool, len(steps))
-	for c, s := range steps {
-		if len(s.Req) != width {
-			return Column{}, fmt.Errorf("workload: captured trace %q step %d is %d lines wide, step 0 had %d", name, c, len(s.Req), width)
-		}
-		reqs[c] = append([]bool(nil), s.Req...)
-	}
-	return TraceColumn(name, reqs), nil
+	return TraceColumn(name, tr.N, reqs), nil
 }

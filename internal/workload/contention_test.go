@@ -75,13 +75,14 @@ func TestContentionSafetyAllPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				trace := stats.ArbiterTraces["bankS"]
-				if len(trace) == 0 {
+				tr := stats.ArbiterTraces["bankS"]
+				if len(tr.Steps) == 0 {
 					t.Fatal("no trace recorded")
 				}
-				if w := len(trace[0].Req); w != 4 {
-					t.Fatalf("trace width %d, want 4 (2 members + 2 phantoms)", w)
+				if tr.N != 4 {
+					t.Fatalf("trace width %d, want 4 (2 members + 2 phantoms)", tr.N)
 				}
+				trace := tr.Steps
 				if err := arbiter.CheckMutualExclusion(trace); err != nil {
 					t.Error(err)
 				}
@@ -108,7 +109,7 @@ func TestContentionSafetyAllPolicies(t *testing.T) {
 					}
 					inTrace := 0
 					for _, step := range trace {
-						if step.Grant[2+i] {
+						if step.Grant.Bit(2 + i) {
 							inTrace++
 						}
 					}

@@ -108,13 +108,13 @@ func TestPercentilesInGrid(t *testing.T) {
 // captured trace replayed as a column produces a well-formed histogram
 // (bucket counts sum to total services).
 func TestTraceColumnPercentiles(t *testing.T) {
-	steps := []arbiter.TraceStep{
-		{Req: []bool{true, false}, Grant: []bool{true, false}},
-		{Req: []bool{true, true}, Grant: []bool{true, false}},
-		{Req: []bool{false, true}, Grant: []bool{false, true}},
-		{Req: []bool{false, false}, Grant: []bool{false, false}},
-	}
-	col, err := FromArbiterTrace("captured", steps)
+	tr := &arbiter.Trace{N: 2, Steps: []arbiter.TraceStep{
+		{Req: 0b01, Grant: 0b01},
+		{Req: 0b11, Grant: 0b01},
+		{Req: 0b10, Grant: 0b10},
+		{Req: 0b00, Grant: 0b00},
+	}}
+	col, err := FromArbiterTrace("captured", tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -368,9 +369,8 @@ func (s *silent) Silent() bool { return true }
 func (s *silent) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec { return 0 }
 
 // trace replays a recorded request pattern cyclically — the open-loop
-// shape: requests do not react to grants, exactly as captured. Steps
-// are packed into BitVec words at construction, so replay is one word
-// load per cycle.
+// shape: requests do not react to grants, exactly as captured. Replay
+// is one word load per cycle.
 type trace struct {
 	name  string
 	n     int
@@ -378,23 +378,21 @@ type trace struct {
 	pos   int
 }
 
-// NewTrace returns a generator replaying steps cyclically. Every step
-// must have exactly n request lines.
-func NewTrace(name string, n int, steps [][]bool) (Generator, error) {
+// NewTrace returns a generator replaying a copy of steps, one request
+// word per cycle, cyclically. No step may request a line at or above n.
+func NewTrace(name string, n int, steps []arbiter.BitVec) (Generator, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("workload: trace %q has no steps", name)
 	}
-	packed := make([]arbiter.BitVec, len(steps))
 	for c, s := range steps {
-		if len(s) != n {
-			return nil, fmt.Errorf("workload: trace %q step %d has %d lines, want %d", name, c, len(s), n)
+		if s&^arbiter.Mask(n) != 0 {
+			return nil, fmt.Errorf("workload: trace %q step %d requests a line at or above its width %d", name, c, n)
 		}
-		packed[c] = arbiter.PackBools(s)
 	}
-	return &trace{name: name, n: n, steps: packed}, nil
+	return &trace{name: name, n: n, steps: slices.Clone(steps)}, nil
 }
 
 func (t *trace) Name() string { return t.name }
@@ -417,21 +415,16 @@ func (t *trace) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 // serves under "trace": staggered request windows (task i active for n
 // cycles starting at cycle 2i), then an all-on contention burst, then
 // silence — arrivals, overlap, saturation, and drain in one period.
-func builtinTrace(n int) [][]bool {
+func builtinTrace(n int) []arbiter.BitVec {
 	period := 4*n + 2*n + n // staggered windows, burst, silence
-	steps := make([][]bool, period)
+	steps := make([]arbiter.BitVec, period)
 	for c := range steps {
-		row := make([]bool, n)
 		for i := 0; i < n; i++ {
 			start := 2 * i
-			switch {
-			case c >= start && c < start+n:
-				row[i] = true
-			case c >= 4*n && c < 6*n:
-				row[i] = true
+			if (c >= start && c < start+n) || (c >= 4*n && c < 6*n) {
+				steps[c] |= 1 << uint(i)
 			}
 		}
-		steps[c] = row
 	}
 	return steps
 }

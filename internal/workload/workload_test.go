@@ -126,12 +126,7 @@ func TestGeneratorShapes(t *testing.T) {
 // by hand: task 1 is served instantly and holds two cycles, task 2
 // waits one cycle behind it, then the system drains.
 func TestDriveHandComputed(t *testing.T) {
-	g, err := NewTrace("hand", 2, [][]bool{
-		{true, false},
-		{true, true},
-		{false, true},
-		{false, false},
-	})
+	g, err := NewTrace("hand", 2, []arbiter.BitVec{0b01, 0b11, 0b10, 0b00})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +207,8 @@ func TestNewGeneratorErrors(t *testing.T) {
 	if _, err := NewTrace("empty", 2, nil); err == nil {
 		t.Error("empty trace should error")
 	}
-	if _, err := NewTrace("ragged", 2, [][]bool{{true}}); err == nil {
-		t.Error("ragged trace should error")
+	if _, err := NewTrace("wide", 2, []arbiter.BitVec{0b100}); err == nil {
+		t.Error("a trace requesting a line beyond its width should error")
 	}
 }
 
@@ -326,10 +321,7 @@ func TestNewPoliciesCheckAllUnderEveryWorkload(t *testing.T) {
 			for c := 0; c < cycles; c++ {
 				req = g.NextBits(grant)
 				grant = p.StepBits(req)
-				st := arbiter.TraceStep{Req: make([]bool, n), Grant: make([]bool, n)}
-				req.WriteBools(st.Req)
-				grant.WriteBools(st.Grant)
-				steps = append(steps, st)
+				steps = append(steps, arbiter.TraceStep{Req: req, Grant: grant})
 			}
 			if err := arbiter.CheckAll(n, steps); err != nil {
 				t.Errorf("%s × %s: %v", pspec, wspec, err)

@@ -125,8 +125,9 @@ func FormatPolicyTable(cells []*PolicyMetrics) string {
 
 // WorkloadColumn is one workload column of an evaluation grid: a named
 // generator factory. Textual specs become columns via
-// workload.SpecColumn; measured request streams captured from
-// full-system simulations become columns via CaptureColumn.
+// SpecWorkloadColumn; measured request streams captured from
+// full-system simulations become columns via Result.Column and
+// Result.ColumnByWidth.
 type WorkloadColumn = workload.Column
 
 // EvaluatePolicyColumns generalizes EvaluatePolicies to arbitrary
@@ -140,15 +141,6 @@ func EvaluatePolicyColumns(policies []string, cols []WorkloadColumn, opt Evaluat
 // "hog", ...) as a grid column for EvaluatePolicyColumns.
 func SpecWorkloadColumn(spec string) WorkloadColumn {
 	return workload.SpecColumn(spec)
-}
-
-// CaptureColumn converts a request stream recorded by the simulator —
-// one resource's entry in sim.Stats.ArbiterTraces — into a replayable
-// workload column: the measured per-cycle request vectors replay
-// cyclically (open loop) through workload.NewTrace, so the arbitration
-// traffic of a real run becomes a first-class grid column.
-func CaptureColumn(name string, steps []arbiter.TraceStep) (WorkloadColumn, error) {
-	return workload.FromArbiterTrace(name, steps)
 }
 
 // ArbiterVHDL renders the N-input round-robin arbiter as synthesizable

@@ -458,11 +458,12 @@ func (s *System) validateCapture(resources []string) error {
 
 // Column converts the named resource's captured request stream (the
 // first stage where it recorded a non-empty trace) into a replayable
-// grid column named "<graph>:<resource>" for EvaluatePolicyColumns. The
-// run must have enabled WithCapture for the resource.
+// grid column named "<graph>:<resource>", as wide as the recorded trace,
+// for EvaluatePolicyColumns. The run must have enabled WithCapture for
+// the resource.
 func (r *Result) Column(resource string) (WorkloadColumn, error) {
 	for _, ss := range r.Stages {
-		if trace := ss.Stats.ArbiterTraces[resource]; len(trace) > 0 {
+		if trace := ss.Stats.ArbiterTraces[resource]; trace != nil && len(trace.Steps) > 0 {
 			return workload.FromArbiterTrace(fmt.Sprintf("%s:%s", r.system.graph.Name, resource), trace)
 		}
 	}
@@ -478,14 +479,13 @@ func (r *Result) ColumnByWidth(name string, n int) (WorkloadColumn, error) {
 	for si, ss := range r.Stages {
 		for _, a := range r.system.design.Stages[si].Inserted.Arbiters {
 			trace := ss.Stats.ArbiterTraces[a.Resource]
-			if len(trace) == 0 {
+			if trace == nil || len(trace.Steps) == 0 {
 				continue
 			}
-			if w := len(trace[0].Req); w == n {
+			if trace.N == n {
 				return workload.FromArbiterTrace(fmt.Sprintf("%s:%s", name, a.Resource), trace)
-			} else {
-				widths = append(widths, w)
 			}
+			widths = append(widths, trace.N)
 		}
 	}
 	return WorkloadColumn{}, fmt.Errorf("sparcs: no captured %d-line request stream (available widths: %v)", n, widths)
