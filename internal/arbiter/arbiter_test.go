@@ -339,6 +339,17 @@ func TestMaxWaitEpisodesCounts(t *testing.T) {
 	if w[1] > 2 {
 		t.Fatalf("task 2 waited %d episodes, want <= 2", w[1])
 	}
+	// A double grant's holder is its highest line: tasks 1 and 2 share
+	// cycle 0 (holder task 2) and task 1 alone holds cycle 1, so task 3
+	// waits through two episodes.
+	w = MaxWaitEpisodes(3, []TraceStep{
+		{Req: 0b111, Grant: 0b011},
+		{Req: 0b111, Grant: 0b001},
+		{Req: 0b100, Grant: 0b100},
+	})
+	if w[2] != 2 {
+		t.Fatalf("task 3 waited %d episodes, want 2 (a cycle's holder is its highest granted line)", w[2])
+	}
 }
 
 func TestRoundRobinResetRestoresF1(t *testing.T) {

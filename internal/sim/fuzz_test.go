@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"reflect"
@@ -88,22 +89,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 // is stable, so the task order of one resource's no-grant entries stays.
 func sortViolations(s *Stats) {
 	slices.SortStableFunc(s.Violations, func(a, b Violation) int {
-		if a.Cycle != b.Cycle {
-			return a.Cycle - b.Cycle
-		}
-		if a.Kind != b.Kind {
-			if a.Kind < b.Kind {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Resource < b.Resource:
-			return -1
-		case a.Resource > b.Resource:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Resource, b.Resource))
 	})
 }
 
@@ -145,7 +131,6 @@ const (
 	fuzzSend
 	fuzzRecv
 	fuzzAcquire
-	fuzzOps
 )
 
 const (
@@ -160,7 +145,7 @@ const (
 // input reads as zeros.
 type fuzzReader []byte
 
-func (r *fuzzReader) byte() int {
+func (r *fuzzReader) next() int {
 	if len(*r) == 0 {
 		return 0
 	}
@@ -169,7 +154,7 @@ func (r *fuzzReader) byte() int {
 	return int(v)
 }
 
-func (r *fuzzReader) u16() int { return r.byte()<<8 | r.byte() }
+func (r *fuzzReader) u16() int { return r.next()<<8 | r.next() }
 
 func (r *fuzzReader) delay() int { return r.u16()%fuzzDelays - 1 }
 
@@ -187,14 +172,14 @@ func (r *fuzzReader) delay() int { return r.u16()%fuzzDelays - 1 }
 // ok is false when the dependencies form a cycle.
 func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 	r := fuzzReader(data)
-	nTasks := 1 + r.byte()%fuzzMaxTasks
-	nSegs := 1 + r.byte()%3
-	nChans := r.byte() % 3
+	nTasks := 1 + r.next()%fuzzMaxTasks
+	nSegs := 1 + r.next()%3
+	nChans := r.next() % 3
 	if nTasks == 1 {
 		nChans = 0 // a channel needs two distinct tasks
 	}
-	spec := &arbiter.PolicySpec{Kind: fuzzPolicies[r.byte()%len(fuzzPolicies)]}
-	param := r.byte()
+	spec := &arbiter.PolicySpec{Kind: fuzzPolicies[r.next()%len(fuzzPolicies)]}
+	param := r.next()
 	switch spec.Kind {
 	case "random":
 		spec.Seed = uint16(1 + param)
@@ -215,7 +200,7 @@ func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 		g.Tasks = append(g.Tasks, &taskgraph.Task{Name: fmt.Sprintf("t%d", i), AreaCLBs: 1})
 	}
 	for i, t := range g.Tasks {
-		mask := r.byte()
+		mask := r.next()
 		for j := range g.Tasks {
 			if j != i && mask&(1<<j) != 0 {
 				t.Deps = append(t.Deps, g.Tasks[j].Name)
@@ -227,20 +212,20 @@ func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 	for i := 0; i < nSegs; i++ {
 		name := fmt.Sprintf("s%d", i)
 		g.Segments = append(g.Segments, &taskgraph.Segment{Name: name, SizeBytes: 4096, WidthBits: 32})
-		if bank := r.byte() % 4; bank > 0 {
+		if bank := r.next() % 4; bank > 0 {
 			cfg.ResourceOfSegment[name] = fuzzResources[bank-1]
 		}
-		for a, n := 0, 2*r.byte(); a < n; a++ {
+		for a, n := 0, 2*r.next(); a < n; a++ {
 			mem.Write(name, a, int64(1000+a))
 		}
 	}
 	cfg.ResourceOfChannel = map[string]string{}
 	for c := 0; c < nChans; c++ {
 		name := fmt.Sprintf("c%d", c)
-		from := r.byte() % nTasks
-		to := (from + 1 + r.byte()%(nTasks-1)) % nTasks
+		from := r.next() % nTasks
+		to := (from + 1 + r.next()%(nTasks-1)) % nTasks
 		g.Channels = append(g.Channels, &taskgraph.Channel{Name: name, From: g.Tasks[from].Name, To: g.Tasks[to].Name, WidthBits: 32})
-		if link := r.byte() % 3; link > 0 {
+		if link := r.next() % 3; link > 0 {
 			cfg.ResourceOfChannel[name] = fuzzResources[2+link]
 		}
 	}
@@ -250,17 +235,17 @@ func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 	cfg.Graph = g
 	cfg.Memory = mem
 
-	for n := 1 + r.byte()%nTasks; n > 0; n-- {
-		if name := g.Tasks[r.byte()%nTasks].Name; !slices.Contains(cfg.Tasks, name) {
+	for n := 1 + r.next()%nTasks; n > 0; n-- {
+		if name := g.Tasks[r.next()%nTasks].Name; !slices.Contains(cfg.Tasks, name) {
 			cfg.Tasks = append(cfg.Tasks, name)
 		}
 	}
-	for n := r.byte() % 4; n > 0; n-- {
-		res := fuzzResources[r.byte()%len(fuzzResources)]
+	for n := r.next() % 4; n > 0; n-- {
+		res := fuzzResources[r.next()%len(fuzzResources)]
 		// Up to 8 lines, or up to 16 from a width byte of 0xf0 and
-		// above: an fsm or netlist arbiter over 12 lines takes 0.1–1 s
-		// to synthesize, and each input builds every arbiter three times.
-		width := r.byte()
+		// above: a 16-line fsm or netlist arbiter takes up to a second
+		// to build, and each input builds every arbiter three times.
+		width := r.next()
 		if width < 0xf0 {
 			width = 2 + width%7
 		} else {
@@ -269,7 +254,7 @@ func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 		var members []string
 		for k := 0; k < width; k++ {
 			name := fmt.Sprintf("x%d", k)
-			if m := r.byte() % (nTasks + fuzzMaxLines); m < nTasks {
+			if m := r.next() % (nTasks + fuzzMaxLines); m < nTasks {
 				name = g.Tasks[m].Name
 			}
 			if !slices.Contains(members, name) {
@@ -288,8 +273,8 @@ func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 
 	cfg.Programs = map[string]behav.Program{}
 	for _, name := range cfg.Tasks {
-		prog := behav.Program{Repeat: 1 + r.byte()%4}
-		for n := 1 + r.byte()%fuzzMaxBody; n > 0; n-- {
+		prog := behav.Program{Repeat: 1 + r.next()%4}
+		for n := 1 + r.next()%fuzzMaxBody; n > 0; n-- {
 			prog.Body = append(prog.Body, decodeFuzzInstr(&r, nSegs, nChans)...)
 		}
 		cfg.Programs[name] = prog
@@ -300,19 +285,19 @@ func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 // decodeFuzzInstr decodes one instruction code and its operands. Without
 // declared channels a send or receive decodes to a one-cycle compute.
 func decodeFuzzInstr(r *fuzzReader, nSegs, nChans int) []behav.Instr {
-	op := r.byte() % fuzzOps
-	res := func() string { return fuzzResources[r.byte()%len(fuzzResources)] }
-	seg := func() string { return fmt.Sprintf("s%d", r.byte()%nSegs) }
+	op := r.next() % (fuzzAcquire + 1)
+	res := func() string { return fuzzResources[r.next()%len(fuzzResources)] }
+	seg := func() string { return fmt.Sprintf("s%d", r.next()%nSegs) }
 	ch := func() (string, bool) {
-		c := r.byte()
+		c := r.next()
 		return fmt.Sprintf("c%d", c%max(nChans, 1)), nChans > 0
 	}
 	switch op {
 	case fuzzCompute:
 		return []behav.Instr{behav.Compute(r.delay())}
 	case fuzzTransform:
-		n := r.byte() % 5
-		return []behav.Instr{behav.Transform(n, r.delay(), fuzzFns[r.byte()%len(fuzzFns)])}
+		n := r.next() % 5
+		return []behav.Instr{behav.Transform(n, r.delay(), fuzzFns[r.next()%len(fuzzFns)])}
 	case fuzzReq:
 		return []behav.Instr{behav.Req(res())}
 	case fuzzWaitGrant:
@@ -322,15 +307,16 @@ func decodeFuzzInstr(r *fuzzReader, nSegs, nChans int) []behav.Instr {
 	case fuzzRead:
 		s := seg()
 		addr := r.u16() % 1024
-		return []behav.Instr{behav.ReadStride(s, addr, r.byte()%4)}
+		return []behav.Instr{behav.ReadStride(s, addr, r.next()%4)}
 	case fuzzWrite:
-		in := behav.WriteStride(seg(), r.u16()%1024, 0)
-		in.Stride = r.byte() % 4
-		in.Val = int64(r.byte())
+		s := seg()
+		addr := r.u16() % 1024
+		in := behav.WriteStride(s, addr, r.next()%4)
+		in.Val = int64(r.next())
 		return []behav.Instr{in}
 	case fuzzSend:
 		c, ok := ch()
-		v := int64(r.byte())
+		v := int64(r.next())
 		if !ok {
 			return []behav.Instr{behav.Compute(1)}
 		}
@@ -407,8 +393,8 @@ func encodeFuzzConfig(cfg Config, mem *Memory) ([]byte, error) {
 	for _, a := range cfg.Arbiters {
 		bank(a.Resource)
 	}
-	for _, p := range cfg.Programs {
-		for _, in := range p.Body {
+	for _, name := range cfg.Tasks {
+		for _, in := range cfg.Programs[name].Body {
 			if in.Op == behav.OpReq || in.Op == behav.OpWaitGrant || in.Op == behav.OpRelease {
 				bank(in.Res)
 			}

@@ -165,8 +165,7 @@ type cinstr struct {
 	op      behav.Op
 	res     string         // resolved resource name (violations)
 	ai      *arbInst       // arbiter guarding the op's resource; nil = unarbitrated
-	line    int            // this task's request line on ai; -1 = not a member
-	lineBit arbiter.BitVec // 1<<line, or 0 when not a member
+	lineBit arbiter.BitVec // this task's request line on ai; 0 = not a member
 	conf    int            // conflict-resource index; -1 = private / conflict-free
 	seg     int            // interned memory segment ID (OpRead/OpWrite)
 	ch      *chanReg       // channel register (OpSend/OpRecv)
@@ -353,7 +352,7 @@ func Run(cfg Config) (*Stats, error) {
 		ts.code = make([]cinstr, len(prog.Body))
 		for i, in := range prog.Body {
 			ci := cinstr{
-				op: in.Op, res: in.Res, ai: nil, line: -1, conf: -1, seg: -1,
+				op: in.Op, res: in.Res, ai: nil, conf: -1, seg: -1,
 				addr: in.Addr, stride: in.Stride, n: in.N, cycles: in.Cycles,
 				val: in.Val, fn: in.Fn,
 			}
@@ -375,7 +374,6 @@ func Run(cfg Config) (*Stats, error) {
 			}
 			if ci.ai = arbs[ci.res]; ci.ai != nil {
 				if line, isMember := ci.ai.index[name]; isMember {
-					ci.line = line
 					ci.lineBit = 1 << uint(line)
 				}
 			}
@@ -516,7 +514,7 @@ func Run(cfg Config) (*Stats, error) {
 					touched = append(touched, in.conf) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
 				}
 				confUsers[in.conf] = append(confUsers[in.conf], ts.name) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-				if in.ai != nil && in.line >= 0 && in.ai.grant&in.lineBit == 0 {
+				if in.lineBit != 0 && in.ai.grant&in.lineBit == 0 {
 					//sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
 					stats.Violations = append(stats.Violations, Violation{
 						Cycle: cycle, Resource: in.res, Tasks: []string{ts.name}, Kind: "no-grant", //sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
