@@ -11,11 +11,13 @@
 //	go build -o /tmp/sparcsvet ./cmd/sparcsvet
 //	go vet -vettool=/tmp/sparcsvet ./...
 //
-// Standalone mode sees the whole module at once, so the call graph
-// spans package boundaries (interprocedural hotpath, lockorder cycle
-// detection) and unused //sparcs:ignore comments are reported; vet mode
-// analyzes one package per invocation and skips both. CI runs the
-// standalone form as the gate and the vet form as a protocol smoke.
+// Standalone mode loads the named packages with their module-local
+// dependencies, so the call graph spans package boundaries
+// (interprocedural hotpath, lockorder cycle detection); when every
+// loaded package is named (./...), unused //sparcs:ignore comments are
+// reported too. Vet mode analyzes one package per invocation and skips
+// both. CI runs the standalone form as the gate and the vet form as a
+// protocol smoke.
 package main
 
 import (
@@ -99,8 +101,8 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	return active, nil
 }
 
-// runStandalone loads the whole module and runs the suite with full
-// cross-package context.
+// runStandalone loads the named packages and their module-local
+// dependencies and runs the suite with full cross-package context.
 func runStandalone(patterns []string, active []*analysis.Analyzer) int {
 	m, err := analysis.LoadPackages(".", patterns...)
 	if err != nil {

@@ -358,11 +358,16 @@ func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 // ApplyIgnores filters diags through the module's //sparcs:ignore
 // comments and appends the suite's own findings about those comments:
 // malformed ones always, unused ones when reportUnused is set (the
-// full-module driver sets it; single-unit vet mode cannot see every
-// root, so it does not). Only ignores naming an active analyzer
-// participate; an ignore is unused when every analyzer it names is
-// active yet it suppressed nothing.
+// standalone driver sets it; single-unit vet mode cannot see every
+// root, so it does not) and every loaded package is a root. An ignore in
+// a dependency may serve a walk rooted in a package this load did not
+// analyze, so a subset load cannot call it unused. Only ignores naming
+// an active analyzer participate; an ignore is unused when every
+// analyzer it names is active yet it suppressed nothing.
 func ApplyIgnores(m *Module, active []*Analyzer, diags []Diagnostic, reportUnused bool) []Diagnostic {
+	for _, p := range m.Pkgs {
+		reportUnused = reportUnused && p.Root
+	}
 	activeNames := map[string]bool{}
 	for _, a := range active {
 		activeNames[a.Name] = true

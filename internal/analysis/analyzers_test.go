@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"strings"
 	"testing"
 
 	"sparcs/internal/analysis"
@@ -47,4 +48,36 @@ func TestBrokenPackage(t *testing.T) {
 // driver's malformed/unused reporting.
 func TestIgnores(t *testing.T) {
 	vettest.Run(t, "testdata/ignore", analysis.Hotpath, "ign")
+}
+
+// TestIgnoresSubsetLoad: an ignore in a dependency may serve a walk
+// rooted in a package the load did not analyze, so a load whose roots
+// are a subset of its packages reports no unused ignore (malformed ones
+// still surface), and the corpus's unused ignore fires again once every
+// loaded package is a root.
+func TestIgnoresSubsetLoad(t *testing.T) {
+	active := []*analysis.Analyzer{analysis.Hotpath}
+	driverDiags := func(roots ...string) (unused, malformed int) {
+		t.Helper()
+		m, err := analysis.LoadTree("testdata/ignore/src", roots...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range analysis.ApplyIgnores(m, active, analysis.RunAnalyzers(m, active), true) {
+			switch {
+			case d.Analyzer != analysis.Driver:
+			case strings.HasPrefix(d.Message, "unused "):
+				unused++
+			default:
+				malformed++
+			}
+		}
+		return unused, malformed
+	}
+	if unused, malformed := driverDiags("ignuser"); unused != 0 || malformed != 3 {
+		t.Errorf("subset load (ignuser only): %d unused, %d malformed ignores reported; want 0 and 3", unused, malformed)
+	}
+	if unused, malformed := driverDiags("ignuser", "ign"); unused != 1 || malformed != 3 {
+		t.Errorf("full load (ignuser, ign): %d unused, %d malformed ignores reported; want 1 and 3", unused, malformed)
+	}
 }
