@@ -230,7 +230,7 @@ func runFlow(o flowOptions) error {
 
 	// Build once: the compiled design is fixed, and the expected
 	// background load prices every arbiter at its simulated width in the
-	// memory mapper's area model (contention-aware partitioning).
+	// memory mapper (contention-aware partitioning).
 	build := []sparcs.BuildOption{
 		sparcs.WithAccessesPerGrant(o.m),
 		sparcs.WithExpectedContention(o.contend),

@@ -15,10 +15,9 @@ import (
 
 // DesignHash returns the stable content hash ("sha256:<hex>") of the
 // System that Build(g, board, programs, opts...) would compile, without
-// compiling it. It fails (wrapping core.ErrUnhashable) when the options
-// carry function-valued knobs like WithArbiterArea, which have no
-// canonical serialization. See core.Fingerprint for what the hash does
-// and does not cover.
+// compiling it. Its only errors are those a build option returns (an
+// unparsable WithExpectedContention spec, say). See core.Fingerprint for
+// what the hash does and does not cover.
 func DesignHash(g *taskgraph.Graph, board *rc.Board, programs map[string]Program, opts ...BuildOption) (string, error) {
 	var c buildConfig
 	for _, opt := range opts {
@@ -29,11 +28,5 @@ func DesignHash(g *taskgraph.Graph, board *rc.Board, programs map[string]Program
 			return "", err
 		}
 	}
-	return core.Fingerprint(g, board, programs, c.opts)
-}
-
-// Hash returns the System's design hash — identical to the DesignHash
-// of the inputs it was built from.
-func (s *System) Hash() (string, error) {
-	return core.Fingerprint(s.graph, s.board, s.programs, s.build)
+	return core.Fingerprint(g, board, programs, c.opts), nil
 }

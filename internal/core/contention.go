@@ -152,8 +152,8 @@ func parseEntry(entry string) (ContentionSpec, error) {
 }
 
 // ExtraLines sums the request lines the specs add to each resource's
-// arbiter on top of its members: what the partitioner's area model
-// prices and what policies must be sized for. An independent spec whose
+// arbiter on top of its members: the width the partitioner prices
+// arbiters at and what policies must be sized for. An independent spec whose
 // workload is statically silent ("silent") adds none, mirroring the
 // simulator's elision; a correlated spec adds its lines to every
 // resource it spans.

@@ -20,7 +20,8 @@ import (
 
 // Options configures the flow.
 type Options struct {
-	// Partition options (fixed stages, pin budgets, arbiter area model).
+	// Partition options (fixed stages, pin budgets, expected contention
+	// that widens the arbiters the partitioner prices).
 	Partition partition.Options
 	// Insert options (M accesses per grant, conservative mode).
 	Insert arbinsert.Options
@@ -139,8 +140,8 @@ func checkPrograms(g *taskgraph.Graph, programs map[string]behav.Program) error 
 }
 
 // StageAreas returns each stage's resident CLB footprint under the given
-// partition options' area model (tasks plus contention-widened arbiters;
-// see partition.StageArea).
+// partition options (tasks plus arbiters widened by their expected
+// contention; see partition.StageArea).
 func (d *Design) StageAreas(opts partition.Options) []int {
 	areas := make([]int, len(d.Stages))
 	for i, sp := range d.Stages {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -12,20 +11,13 @@ import (
 	"sparcs/internal/taskgraph"
 )
 
-// ErrUnhashable marks build inputs the design fingerprint cannot cover:
-// function-valued knobs (a custom Partition.ArbArea model) have no
-// canonical serialization, so two Options carrying different functions
-// would collide under any hash. Callers that need fingerprinting must
-// stick to the declarative knobs.
-var ErrUnhashable = errors.New("core: build options contain a function value, which the design fingerprint cannot cover")
-
 // Fingerprint returns a stable content hash ("sha256:<hex>") over
 // everything Compile consumes that shapes the compiled design: the
-// taskgraph, the board, the task programs, and the declarative build
-// options (Partition and Insert knobs). Two calls agree exactly when
-// Compile would produce structurally identical designs, which is what
-// lets a compile cache (cmd/sparcsd) key on the fingerprint and skip
-// Compile entirely on repeat designs.
+// taskgraph, the board, the task programs, and the build options
+// (Partition and Insert knobs, all plain values). Two calls agree
+// exactly when Compile would produce structurally identical designs,
+// which is what lets a compile cache (cmd/sparcsd) key on the
+// fingerprint and skip Compile entirely on repeat designs.
 //
 // Run-time options (Policy, contention, seeds, capture) are
 // deliberately outside the hash — they parameterize experiments, not
@@ -34,10 +26,7 @@ var ErrUnhashable = errors.New("core: build options contain a function value, wh
 // differ solely in the pure function behind an identical instruction
 // structure hash alike (the simulator's cycle structure is identical —
 // only data values diverge).
-func Fingerprint(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Program, opts Options) (string, error) {
-	if opts.Partition.ArbArea != nil {
-		return "", fmt.Errorf("core: Partition.ArbArea is a custom area function: %w", ErrUnhashable)
-	}
+func Fingerprint(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Program, opts Options) string {
 	h := sha256.New()
 	// Version tag: bump when the serialization changes so stale cache
 	// keys can never alias across encodings.
@@ -46,7 +35,7 @@ func Fingerprint(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.
 	writeBoard(h, board)
 	writePrograms(h, programs)
 	writeBuildOptions(h, opts)
-	return fmt.Sprintf("sha256:%x", h.Sum(nil)), nil
+	return fmt.Sprintf("sha256:%x", h.Sum(nil))
 }
 
 func writeGraph(w io.Writer, g *taskgraph.Graph) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -26,16 +25,10 @@ func fftFingerprintInputs() fingerprintInputs {
 
 // TestFingerprint: equal inputs hash alike; changing any input Compile
 // consumes — the graph, the board, a program, the fixed stages, M, the
-// expected contention — changes the hash; a function-valued area model
-// is refused with ErrUnhashable.
+// expected contention — changes the hash.
 func TestFingerprint(t *testing.T) {
 	hash := func(in fingerprintInputs) string {
-		t.Helper()
-		h, err := Fingerprint(in.g, in.board, in.programs, in.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
+		return Fingerprint(in.g, in.board, in.programs, in.opts)
 	}
 	base := hash(fftFingerprintInputs())
 	if !strings.HasPrefix(base, "sha256:") {
@@ -70,11 +63,5 @@ func TestFingerprint(t *testing.T) {
 		if got := hash(in); got == base {
 			t.Errorf("changing the %s left the fingerprint at %s", tc.name, base)
 		}
-	}
-
-	in := fftFingerprintInputs()
-	in.opts.Partition.ArbArea = func(n int) int { return n }
-	if _, err := Fingerprint(in.g, in.board, in.programs, in.opts); !errors.Is(err, ErrUnhashable) {
-		t.Fatalf("custom ArbArea: got %v, want an error wrapping ErrUnhashable", err)
 	}
 }

@@ -3,90 +3,36 @@
 // and outputs, their area, and their delay, [so] a precise estimation can
 // be performed by the partitioners."
 //
-// Characterize runs the real synthesis pipeline once per arbiter size and
-// caches the results; the partitioners then query the table instead of
-// re-synthesizing, exactly as SPARCS' estimator did.
+// The characterization is a checked-in table of the CLB area the
+// repository's synthesis flow gives the Figure 5 arbiter (arbiter.Machine
+// through synth.Run, Synplify, one-hot) at every width it can synthesize.
+// The partitioner queries it through ArbiterCLBs instead of
+// re-synthesizing, as SPARCS' estimator did, and
+// TestArbiterTableMatchesSynthesis re-derives every row from the flow.
 package estimate
 
-import (
-	"fmt"
-	"sync"
+import "sparcs/internal/arbiter"
 
-	"sparcs/internal/arbiter"
-	"sparcs/internal/fsm"
-	"sparcs/internal/synth"
-)
-
-// Entry is one pre-characterized arbiter.
-type Entry struct {
-	N      int
-	CLBs   int
-	MaxMHz float64
+// arbiterCLBs[n] is the synthesized CLB area of an n-input arbiter for
+// arbiter.MinN ≤ n ≤ arbiter.MaxSynthN.
+var arbiterCLBs = [arbiter.MaxSynthN + 1]int{
+	2: 4, 3: 10, 4: 13, 5: 19, 6: 25, 7: 31, 8: 37, 9: 50,
+	10: 55, 11: 68, 12: 78, 13: 90, 14: 95, 15: 111, 16: 122,
 }
 
-// Table caches arbiter characterization for one tool/encoding pair.
-type Table struct {
-	Tool synth.Tool
-	Enc  fsm.Encoding
-
-	mu      sync.Mutex
-	entries map[int]Entry
-}
-
-// NewTable returns an empty table for the tool/encoding pair.
-func NewTable(tool synth.Tool, enc fsm.Encoding) *Table {
-	return &Table{Tool: tool, Enc: enc, entries: map[int]Entry{}}
-}
-
-// Characterize returns the entry for an n-input arbiter, synthesizing it
-// on first use.
-func (t *Table) Characterize(n int) (Entry, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.entries[n]; ok {
-		return e, nil
+// ArbiterCLBs returns the CLB area of an n-input arbiter: 0 below
+// arbiter.MinN, where there is nothing to arbitrate, and the synthesized
+// row up to arbiter.MaxSynthN. Wider arbiters exist only as behavioral
+// bitset policies, which the FSM flow cannot synthesize, so they are
+// priced linearly from the widest row: table[MaxSynthN]·n / MaxSynthN.
+func ArbiterCLBs(n int) int {
+	switch {
+	case n < arbiter.MinN:
+		return 0
+	case n <= arbiter.MaxSynthN:
+		return arbiterCLBs[n]
 	}
-	m, err := arbiter.Machine(n)
-	if err != nil {
-		return Entry{}, err
-	}
-	r, _, err := synth.Run(m, t.Enc, t.Tool)
-	if err != nil {
-		return Entry{}, err
-	}
-	e := Entry{N: n, CLBs: r.CLBs, MaxMHz: r.MaxMHz}
-	t.entries[n] = e
-	return e, nil
-}
-
-// estimateKneeN is the largest arbiter the synthesis flow can
-// characterize directly — arbiter.MaxSynthN, the FSM/netlist width cap.
-// The behavioral bitset policies scale to arbiter.MaxN, but area numbers
-// come from synthesizing the Figure 5 machine, so AreaFn extrapolates
-// linearly beyond this knee instead of raising it with MaxN.
-const estimateKneeN = arbiter.MaxSynthN
-
-// AreaFn adapts the table to the partitioner's arbiter-area callback.
-// Sizes beyond the synthesizable knee (estimateKneeN) fall back to
-// linear extrapolation from the knee entry.
-func (t *Table) AreaFn() func(n int) int {
-	return func(n int) int {
-		if n < arbiter.MinN {
-			return 0
-		}
-		capped := n
-		if capped > estimateKneeN {
-			capped = estimateKneeN
-		}
-		e, err := t.Characterize(capped)
-		if err != nil {
-			return 0
-		}
-		if n > estimateKneeN {
-			return e.CLBs * n / estimateKneeN
-		}
-		return e.CLBs
-	}
+	return arbiterCLBs[arbiter.MaxSynthN] * n / arbiter.MaxSynthN
 }
 
 // ProtocolOverhead models the paper's fixed protocol cost: each group of
@@ -101,21 +47,4 @@ func ProtocolOverhead(accesses, m int) int {
 	}
 	groups := (accesses + m - 1) / m
 	return 2 * groups
-}
-
-// SlowerThanDesign reports whether an arbiter of size n would limit a
-// design clocked at designMHz — the paper's Section 4.2 argument that
-// arbiters "did not introduce any overhead on the clock speed" because
-// even the 10-input arbiter clocks above typical design speeds.
-func (t *Table) SlowerThanDesign(n int, designMHz float64) (bool, error) {
-	e, err := t.Characterize(n)
-	if err != nil {
-		return false, err
-	}
-	return e.MaxMHz < designMHz, nil
-}
-
-// String renders the table contents.
-func (e Entry) String() string {
-	return fmt.Sprintf("N=%d: %d CLBs, %.1f MHz", e.N, e.CLBs, e.MaxMHz)
 }

@@ -3,73 +3,56 @@ package estimate
 import (
 	"testing"
 
+	"sparcs/internal/arbiter"
 	"sparcs/internal/fsm"
 	"sparcs/internal/synth"
 )
 
-func TestCharacterizeCachesAndGrows(t *testing.T) {
-	tab := NewTable(synth.Synplify, fsm.OneHot)
-	e2, err := tab.Characterize(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e6, err := tab.Characterize(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e6.CLBs <= e2.CLBs {
-		t.Fatalf("area should grow: N=2 %d, N=6 %d", e2.CLBs, e6.CLBs)
-	}
-	if e6.MaxMHz >= e2.MaxMHz {
-		t.Fatalf("clock should fall: N=2 %.1f, N=6 %.1f", e2.MaxMHz, e6.MaxMHz)
-	}
-	// Cached: a second call returns the identical entry.
-	again, err := tab.Characterize(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != e6 {
-		t.Fatal("cache miss on repeated characterization")
-	}
-	if e6.String() == "" {
-		t.Fatal("empty String")
+// TestArbiterTableMatchesSynthesis re-derives the checked-in table: every
+// row must equal what the synthesis flow gives the Figure 5 arbiter at
+// that width today, so a change to the flow cannot leave the
+// partitioner pricing arbiters from stale numbers.
+func TestArbiterTableMatchesSynthesis(t *testing.T) {
+	for n := arbiter.MinN; n <= arbiter.MaxSynthN; n++ {
+		m, err := arbiter.Machine(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := synth.Run(m, fsm.OneHot, synth.Synplify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ArbiterCLBs(n); got != r.CLBs {
+			t.Errorf("N=%d: table says %d CLBs, synthesis gives %d", n, got, r.CLBs)
+		}
 	}
 }
 
+// TestAreaFnBounds: a single requester needs no arbiter, and area grows
+// strictly with width over every width a policy can take, across the
+// knee included.
 func TestAreaFnBounds(t *testing.T) {
-	tab := NewTable(synth.Synplify, fsm.OneHot)
-	fn := tab.AreaFn()
-	if fn(1) != 0 {
-		t.Error("N=1 has no arbiter")
+	if got := ArbiterCLBs(1); got != 0 {
+		t.Errorf("ArbiterCLBs(1) = %d, want 0 (nothing to arbitrate)", got)
 	}
-	if fn(4) <= 0 {
-		t.Error("N=4 should have positive area")
-	}
-	if fn(20) <= fn(10) {
-		t.Error("extrapolation beyond the knee should grow")
+	for n := arbiter.MinN + 1; n <= arbiter.MaxN; n++ {
+		if ArbiterCLBs(n) <= ArbiterCLBs(n-1) {
+			t.Errorf("ArbiterCLBs(%d) = %d, not above ArbiterCLBs(%d) = %d",
+				n, ArbiterCLBs(n), n-1, ArbiterCLBs(n-1))
+		}
 	}
 }
 
-// TestAreaFnKnee pins the extrapolation knee to the synthesizable width
-// cap: behavioral policies run to arbiter.MaxN, but area still comes
-// from synthesizing a MaxSynthN machine and scaling linearly. A knee
-// accidentally raised to MaxN would make every n>16 estimate silently 0
-// (Characterize(64) cannot synthesize).
+// TestAreaFnKnee pins the rule beyond the table: widths past
+// arbiter.MaxSynthN scale the widest synthesized row linearly, so twice
+// the knee width costs exactly twice the knee area.
 func TestAreaFnKnee(t *testing.T) {
-	if estimateKneeN != 16 {
-		t.Fatalf("estimateKneeN = %d, want 16 (arbiter.MaxSynthN)", estimateKneeN)
-	}
-	tab := NewTable(synth.Synplify, fsm.OneHot)
-	fn := tab.AreaFn()
-	knee := fn(estimateKneeN)
+	knee := ArbiterCLBs(arbiter.MaxSynthN)
 	if knee <= 0 {
 		t.Fatalf("area at the knee = %d, want positive", knee)
 	}
-	if got := fn(2 * estimateKneeN); got != 2*knee {
-		t.Errorf("fn(%d) = %d, want exactly 2*knee = %d", 2*estimateKneeN, got, 2*knee)
-	}
-	if got := fn(64); got <= 0 {
-		t.Errorf("fn(64) = %d, want positive (behavioral sizes must not estimate to 0)", got)
+	if got := ArbiterCLBs(2 * arbiter.MaxSynthN); got != 2*knee {
+		t.Errorf("ArbiterCLBs(%d) = %d, want exactly 2*knee = %d", 2*arbiter.MaxSynthN, got, 2*knee)
 	}
 }
 
@@ -86,25 +69,5 @@ func TestProtocolOverhead(t *testing.T) {
 	}
 	if got := ProtocolOverhead(0, 2); got != 0 {
 		t.Fatalf("overhead(0,2) = %d, want 0", got)
-	}
-}
-
-func TestSlowerThanDesign(t *testing.T) {
-	// Paper Section 4.2: the 10-input arbiter clocks above the 6 MHz FFT
-	// design, so arbitration does not limit the system clock.
-	tab := NewTable(synth.Synplify, fsm.OneHot)
-	slower, err := tab.SlowerThanDesign(10, 6.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slower {
-		t.Fatal("the 10-input arbiter must not limit a 6 MHz design")
-	}
-	faster, err := tab.SlowerThanDesign(10, 500.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !faster {
-		t.Fatal("a 500 MHz design would be limited by the arbiter")
 	}
 }

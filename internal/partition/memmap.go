@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sparcs/internal/estimate"
 	"sparcs/internal/rc"
 	"sparcs/internal/taskgraph"
 )
@@ -301,7 +302,7 @@ func checkAreaWithArbiters(g *taskgraph.Graph, board *rc.Board, st *Stage, opts 
 			// Price the arbiter at its simulated width: expected
 			// background phantom lines widen the policy at run time and
 			// its hardware footprint with it.
-			load[pe] += opts.arbArea(arb.N() + opts.ExpectedContention[arb.Resource])
+			load[pe] += estimate.ArbiterCLBs(arb.N() + opts.ExpectedContention[arb.Resource])
 		}
 	}
 	for pe, l := range load {

@@ -15,22 +15,22 @@ import (
 	"fmt"
 	"sort"
 
+	"sparcs/internal/estimate"
 	"sparcs/internal/rc"
 	"sparcs/internal/taskgraph"
 )
 
 // Options tunes the partitioning heuristics. The zero value is usable.
+// Arbiter area always comes from the pre-characterization table,
+// estimate.ArbiterCLBs.
 type Options struct {
-	// ArbArea estimates arbiter CLB area for n request lines; nil uses a
-	// built-in table from the pre-characterization sweep.
-	ArbArea func(n int) int
 	// ExpectedContention maps resource names (bank or physical channel)
 	// to the background phantom request lines simulation is expected to
-	// add. The area model then prices each arbiter at its simulated
-	// width — members plus expected phantoms — instead of member width,
-	// so a design that fits at compile time still fits once contention
-	// widens its arbiters (sparcs.WithExpectedContention fills it from a
-	// contention spec; nil prices member widths).
+	// add. Each arbiter is then priced at its simulated width — members
+	// plus expected phantoms — instead of member width, so a design that
+	// fits at compile time still fits once contention widens its
+	// arbiters (sparcs.WithExpectedContention fills it from a contention
+	// spec; nil prices member widths).
 	ExpectedContention map[string]int
 	// BusPins is the pin cost of one PE-to-remote-bank bus (address +
 	// data + mode lines); 0 means the default 25, matching the paper's
@@ -48,21 +48,6 @@ func (o Options) busPins() int {
 		return 25
 	}
 	return o.BusPins
-}
-
-func (o Options) arbArea(n int) int {
-	if n < 2 {
-		return 0
-	}
-	if o.ArbArea != nil {
-		return o.ArbArea(n)
-	}
-	// Synplify one-hot pre-characterization (internal/synth sweep).
-	table := map[int]int{2: 4, 3: 10, 4: 13, 5: 19, 6: 25, 7: 31, 8: 37, 9: 50, 10: 55}
-	if a, ok := table[n]; ok {
-		return a
-	}
-	return 55 + (n-10)*9
 }
 
 // Stage is one temporal partition with its spatial and memory solution.
@@ -94,7 +79,7 @@ type ArbiterSpec struct {
 func (a ArbiterSpec) N() int { return len(a.Members) }
 
 // StageArea is the stage's resident CLB footprint: every task's area
-// plus each arbiter priced by the options' area model at its expected
+// plus each arbiter priced by estimate.ArbiterCLBs at its expected
 // simulated width (members + ExpectedContention lines) — the same
 // pricing checkAreaWithArbiters enforces per PE, summed board-wide.
 // Schedulers that treat a compiled stage as one relocatable region
@@ -105,7 +90,7 @@ func StageArea(g *taskgraph.Graph, st *Stage, opts Options) int {
 		area += g.TaskByName(t).AreaCLBs
 	}
 	for _, arb := range st.Arbiters {
-		area += opts.arbArea(arb.N() + opts.ExpectedContention[arb.Resource])
+		area += estimate.ArbiterCLBs(arb.N() + opts.ExpectedContention[arb.Resource])
 	}
 	return area
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"sparcs/internal/estimate"
 	"sparcs/internal/rc"
 	"sparcs/internal/taskgraph"
 	"sparcs/internal/xc4000"
@@ -162,66 +163,39 @@ func TestSegmentTooLargeForBank(t *testing.T) {
 }
 
 // TestExpectedContentionPricesSimulatedWidth pins contention-aware
-// partitioning: the arbiter-area model must be consulted at member
-// width plus the expected background lines, and the widened price must
-// be able to push a stage over CLB capacity.
+// partitioning: each arbiter is priced at member width plus the expected
+// background lines, and the widened price counts against CLB capacity.
 func TestExpectedContentionPricesSimulatedWidth(t *testing.T) {
 	g := pipelineGraph()
-	var widths []int
-	opts := Options{
-		ArbArea: func(n int) int {
-			widths = append(widths, n)
-			return 0
-		},
-		ExpectedContention: map[string]int{"M1": 3},
-	}
-	// pipelineGraph produces one 2-input arbiter; the Wildforce's first
-	// bank is M1, where the mapper places S (largest-first), so the area
-	// model must see 2 members + 3 expected phantoms = 5.
-	stages, err := Temporal(g, rc.Wildforce(), opts)
+	bare, err := Temporal(g, rc.Wildforce(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stages) != 1 || len(stages[0].Arbiters) != 1 {
-		t.Fatalf("unexpected structure: %+v", stages)
+	if len(bare) != 1 || len(bare[0].Arbiters) != 1 || bare[0].Arbiters[0].N() != 2 {
+		t.Fatalf("unexpected structure: %+v", bare)
 	}
-	res := stages[0].Arbiters[0].Resource
-	want := 2 + opts.ExpectedContention[res]
-	saw := false
-	for _, w := range widths {
-		if w == want {
-			saw = true
-		}
-		if w == 2 && opts.ExpectedContention[res] > 0 {
-			t.Fatalf("area model consulted at member width 2 despite %d expected phantom lines", opts.ExpectedContention[res])
-		}
+	res := bare[0].Arbiters[0].Resource
+
+	// pipelineGraph's one 2-member arbiter, with 3 expected phantom
+	// lines, is priced as a 5-line arbiter.
+	opts := Options{ExpectedContention: map[string]int{res: 3}}
+	widened, err := Temporal(g, rc.Wildforce(), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !saw {
-		t.Fatalf("area model never consulted at simulated width %d (saw %v)", want, widths)
+	if len(widened) != 1 || len(widened[0].Arbiters) != 1 {
+		t.Fatalf("unexpected structure under 3 expected lines: %+v", widened)
+	}
+	got := StageArea(g, widened[0], opts) - StageArea(g, bare[0], Options{})
+	if want := estimate.ArbiterCLBs(5) - estimate.ArbiterCLBs(2); got != want {
+		t.Fatalf("3 expected lines raised StageArea by %d CLBs, want %d (5-line minus 2-line arbiter)", got, want)
 	}
 
-	// The widened price must count against CLB capacity: a model whose
-	// widened arbiter is enormous fits at member width in one stage, but
-	// under expected contention the temporal partitioner must re-plan
-	// around the unaffordable arbiter (serializing Q and R into separate
-	// stages so no arbiter is needed at all).
-	blowUp := Options{
-		ArbArea: func(n int) int {
-			if n > 2 {
-				return 1_000_000
-			}
-			return 1
-		},
-	}
-	one, err := Temporal(g, rc.Wildforce(), blowUp)
-	if err != nil {
-		t.Fatalf("member-width pricing should fit: %v", err)
-	}
-	if len(one) != 1 || len(one[0].Arbiters) != 1 {
-		t.Fatalf("member-width pricing: %d stages, %+v arbiters", len(one), one[0].Arbiters)
-	}
-	blowUp.ExpectedContention = map[string]int{res: 1}
-	replanned, err := Temporal(g, rc.Wildforce(), blowUp)
+	// A 64-line arbiter (62 expected lines) does not fit beside its
+	// members' tasks on one XC4013E, so the temporal partitioner must
+	// re-plan around it (serializing Q and R so no arbiter is needed)
+	// rather than keep the single-stage plan.
+	replanned, err := Temporal(g, rc.Wildforce(), Options{ExpectedContention: map[string]int{res: 62}})
 	if err != nil {
 		t.Fatalf("widened pricing should re-plan, not fail: %v", err)
 	}
@@ -232,19 +206,6 @@ func TestExpectedContentionPricesSimulatedWidth(t *testing.T) {
 	if len(replanned) == 1 && arbiters > 0 {
 		t.Fatalf("widened pricing kept the unaffordable single-stage arbiter plan (%d stages, %d arbiters)",
 			len(replanned), arbiters)
-	}
-}
-
-func TestArbAreaDefaultTable(t *testing.T) {
-	o := Options{}
-	if o.arbArea(1) != 0 {
-		t.Error("size-1 arbiter has no area")
-	}
-	if o.arbArea(2) <= 0 || o.arbArea(10) <= o.arbArea(2) {
-		t.Error("arbiter area should grow with N")
-	}
-	if o.arbArea(12) <= o.arbArea(10) {
-		t.Error("extrapolation should grow beyond the table")
 	}
 }
 

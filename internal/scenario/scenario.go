@@ -32,8 +32,8 @@ type Class struct {
 	// Design is the compiled design every job of this class instantiates.
 	Design *core.Design
 	// Opts are the run options each stage executes under — the Partition
-	// options carry the arbiter area model that prices the class's
-	// fabric footprint.
+	// options' expected contention sets the arbiter widths that price
+	// the class's fabric footprint.
 	Opts core.Options
 }
 

@@ -147,6 +147,27 @@ func TestClockFallsWithN(t *testing.T) {
 	}
 }
 
+// TestArbiterDoesNotLimitFFTClock: the paper's Section 4.2 claim that
+// arbiters "did not introduce any overhead on the clock speed" — the
+// 10-input arbiter clocks above the 6 MHz FFT design (though not above
+// any design: 500 MHz would be limited by it).
+func TestArbiterDoesNotLimitFFTClock(t *testing.T) {
+	m, err := arbiter.Machine(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := Run(m, fsm.OneHot, Synplify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.MaxMHz < 6.0 {
+		t.Errorf("the 10-input arbiter clocks at %.1f MHz, below the 6 MHz FFT design", r.MaxMHz)
+	}
+	if r.MaxMHz >= 500.0 {
+		t.Errorf("the 10-input arbiter clocks at %.1f MHz; a 500 MHz design should be limited by it", r.MaxMHz)
+	}
+}
+
 // TestSynplifyBeatsExpressOneHot: with the same one-hot encoding, the
 // area-oriented tool produces no more LUTs than the depth-oriented one at
 // the large sizes where sharing matters (the paper singles out N=9,10 as

@@ -38,15 +38,13 @@ func NewMemory() *Memory { return sim.NewMemory() }
 // System is a compiled design plus everything needed to run experiments
 // against it. Build it once; Run it many times with per-run options.
 type System struct {
-	graph    *taskgraph.Graph
-	board    *rc.Board
-	programs map[string]Program
-	design   *core.Design
-	build    core.Options // the Partition/Insert knobs fixed at Build time
+	graph  *taskgraph.Graph
+	design *core.Design
+	build  core.Options // the Partition/Insert knobs fixed at Build time
 }
 
 // buildConfig collects Build-time options: everything that changes the
-// compiled design (partitioning, insertion, area models). Per-experiment
+// compiled design (partitioning, insertion, expected contention). Per-experiment
 // knobs (policy, contention, capture, seed) are RunOptions instead.
 type buildConfig struct {
 	opts core.Options
@@ -87,17 +85,8 @@ func WithConservativeArbitration() BuildOption {
 	}
 }
 
-// WithArbiterArea overrides the partitioner's arbiter CLB-area model
-// (default: the pre-characterization table from the synthesis sweep).
-func WithArbiterArea(area func(n int) int) BuildOption {
-	return func(c *buildConfig) error {
-		c.opts.Partition.ArbArea = area
-		return nil
-	}
-}
-
-// WithExpectedContention tells the partitioner's area model what
-// background load later runs will inject, in the WithContention grammar
+// WithExpectedContention tells the partitioner what background load
+// later runs will inject, in the WithContention grammar
 // ("M1=hog/2,M1+M3=corr:0.25"): each arbiter is priced at its simulated
 // width instead of its member width, so a design that fits at Build time
 // still fits once contention widens its arbiters. An empty spec ""
@@ -141,7 +130,7 @@ func Build(g *taskgraph.Graph, board *rc.Board, programs map[string]Program, opt
 	if err != nil {
 		return nil, err
 	}
-	return &System{graph: g, board: board, programs: programs, design: d, build: c.opts}, nil
+	return &System{graph: g, design: d, build: c.opts}, nil
 }
 
 // FFTSystem builds the Section 5 case study — the 4x4 2-D FFT on the
@@ -386,7 +375,7 @@ func (s *System) composeRun(opts []RunOption) (runConfig, error) {
 }
 
 // FootprintCLBs is the compiled design's peak per-stage CLB footprint
-// under the Build-time area model — tasks plus contention-widened
+// under the Build-time options — tasks plus contention-widened
 // arbiters. It is the fabric rectangle a dynamic scheduler reserves for
 // the System (RunScenario) and the weight sparcsd's LRU cache charges a
 // cached compilation.

@@ -284,6 +284,39 @@ func TestConcurrentBuildSharedGraph(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFFTDesignArea pins the paper's FFT design against the arbiter area
+// model: its arbiters (6 and 2 lines in stage 0, 4 in stage 1) and the
+// CLB footprint of every stage, so an edit to the pre-characterization
+// table cannot move the paper's design silently. The footprint does not
+// depend on the tile count.
+func TestFFTDesignArea(t *testing.T) {
+	wantWidths := [][]int{{6, 2}, {4}, nil}
+	wantAreas := []int{1929, 533, 260}
+	for _, tiles := range []int{2, 6} {
+		sys, err := sparcs.FFTSystem(tiles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.FootprintCLBs(); got != 1929 {
+			t.Errorf("tiles %d: FootprintCLBs = %d, want 1929", tiles, got)
+		}
+		if got := sys.Design().StageAreas(partition.Options{}); !reflect.DeepEqual(got, wantAreas) {
+			t.Errorf("tiles %d: StageAreas = %v, want %v", tiles, got, wantAreas)
+		}
+		var widths [][]int
+		for _, sp := range sys.Design().Stages {
+			var w []int
+			for _, a := range sp.Stage.Arbiters {
+				w = append(w, a.N())
+			}
+			widths = append(widths, w)
+		}
+		if !reflect.DeepEqual(widths, wantWidths) {
+			t.Errorf("tiles %d: arbiter widths per stage = %v, want %v", tiles, widths, wantWidths)
+		}
+	}
+}
+
 func TestSystemRunErrors(t *testing.T) {
 	sys, err := sparcs.FFTSystem(2)
 	if err != nil {
