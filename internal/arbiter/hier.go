@@ -151,3 +151,7 @@ func (p *Hierarchical) StepBits(req BitVec) BitVec {
 	p.holder = -1
 	return 0
 }
+
+// Settle implements Policy: after one step a requesting holder keeps its
+// grant without moving a pointer, and an idle tree stays idle.
+func (p *Hierarchical) Settle(BitVec, int) bool { return true }

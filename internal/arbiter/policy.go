@@ -17,6 +17,14 @@ type Policy interface {
 	N() int
 	// BitStepper arbitrates one cycle on the packed request word.
 	BitStepper
+	// Settle lets a caller skip cycles whose request word does not
+	// change. It is called right after StepBits(req). A true result
+	// means each of the next k StepBits(req) calls would return the
+	// grant that call returned, and the policy has already applied
+	// the state change those k calls would make, so the caller skips
+	// them. A false result means the policy changed nothing, and the
+	// caller steps the k cycles itself.
+	Settle(req BitVec, k int) bool
 	// Reset returns the policy to its initial state.
 	Reset()
 }
@@ -91,6 +99,10 @@ func (a *RoundRobin) StepBits(req BitVec) BitVec {
 	a.holder = t
 	return 1 << uint(t)
 }
+
+// Settle implements Policy: after one step a requesting holder keeps its
+// grant without moving a pointer, and an idle arbiter stays idle.
+func (a *RoundRobin) Settle(BitVec, int) bool { return true }
 
 // State reports the symbolic FSM state the behavioral arbiter is in, for
 // cross-checking against fsm.Reference ("C3", "F1", ...). It reflects the
@@ -181,6 +193,11 @@ func (a *FIFO) StepBits(req BitVec) BitVec {
 	return 0
 }
 
+// Settle implements Policy: one step queued every rising edge of req and
+// dropped every non-requesting head, so the queue, and the head's grant,
+// stay as they are while req does.
+func (a *FIFO) Settle(BitVec, int) bool { return true }
+
 // Priority grants the lowest-indexed requester, except that a holder is
 // not preempted while it keeps requesting. Starvation-prone by design:
 // high-priority tasks can lock out low-priority ones indefinitely.
@@ -220,6 +237,10 @@ func (a *Priority) StepBits(req BitVec) BitVec {
 	a.holder = req.FirstSet()
 	return req & -req // isolate the lowest set bit
 }
+
+// Settle implements Policy: after one step a requesting holder keeps its
+// grant, and an idle arbiter stays idle.
+func (a *Priority) Settle(BitVec, int) bool { return true }
 
 // Random grants a pseudo-random requester (16-bit LFSR, deterministic),
 // without preempting a still-requesting holder. Fair only in expectation;
@@ -282,3 +303,7 @@ func (a *Random) StepBits(req BitVec) BitVec {
 	a.holder = v.FirstSet()
 	return v & -v
 }
+
+// Settle implements Policy: after one step a requesting holder keeps its
+// grant without drawing from the LFSR, and an idle arbiter draws nothing.
+func (a *Random) Settle(BitVec, int) bool { return true }

@@ -110,6 +110,23 @@ func (p *WeightedRoundRobin) StepBits(req BitVec) BitVec {
 	return g
 }
 
+// Settle implements Policy. With no request the arbiter stays idle. A
+// holder that is the only requester keeps its grant, and its hold count
+// grows by one a cycle, so Settle adds k to it. With a competitor
+// waiting, the quantum can run out within the k cycles, so Settle
+// returns false.
+func (p *WeightedRoundRobin) Settle(req BitVec, k int) bool {
+	req &= p.inner.mask
+	if req == 0 {
+		return true
+	}
+	if h := p.inner.holder; h >= 0 && req == 1<<uint(h) {
+		p.heldFor += k
+		return true
+	}
+	return false
+}
+
 // grantHold returns the hold count to restart from after a holder
 // change: 1 if some task was just granted, 0 on an idle cycle.
 func grantHold(grant BitVec) int {

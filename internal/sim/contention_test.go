@@ -193,9 +193,12 @@ func TestContentionPolicySizing(t *testing.T) {
 
 // TestQuietCyclesStepPhaseOne: while the only task sits in a
 // Compute(500), Run skips task execution but must still step the
-// arbiter, refresh the phantom source and record the trace on every
-// cycle. An always-requesting phantom line is granted or waits on each
-// of them, so its counts sum to the run length, as does the trace.
+// arbiter with phantom lines, refresh the phantom source and record the
+// trace on every cycle. An always-requesting phantom line is granted or
+// waits on each of them, so its counts sum to the run length, as does
+// the trace. The task holds a second arbiter, without phantom lines,
+// through the windows; it settles, and its trace and grant count must
+// still cover every cycle.
 // TestContentionGoldenStats pins the same property end to end (the FFT's
 // 255-cycle transforms under five contention specs, traces on).
 func TestQuietCyclesStepPhaseOne(t *testing.T) {
@@ -208,9 +211,9 @@ func TestQuietCyclesStepPhaseOne(t *testing.T) {
 		Tasks: []string{"A"},
 		Programs: map[string]behav.Program{"A": {Body: []behav.Instr{
 			behav.Req("bankS"), behav.WaitGrant("bankS"), behav.WriteImm("S", 0, 1), behav.Release("bankS"),
-			behav.Compute(500),
+			behav.Req("bankT"), behav.WaitGrant("bankT"), behav.Compute(500), behav.Release("bankT"),
 		}, Repeat: 2}},
-		Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
+		Arbiters:          []partition.ArbiterSpec{arbSpec("bankT", "A", "B"), arbSpec("bankS", "A", "B")},
 		ResourceOfSegment: map[string]string{"S": "bankS"},
 		Policy:            spec,
 		Sources:           []Source{{Resources: []string{"bankS"}, Gen: &greedyShared{n: 1}}},
@@ -225,7 +228,19 @@ func TestQuietCyclesStepPhaseOne(t *testing.T) {
 	if got := cs.Grants[0] + cs.Waits[0]; got != stats.Cycles {
 		t.Fatalf("phantom grants+waits = %d+%d = %d, want one per cycle (%d)", cs.Grants[0], cs.Waits[0], got, stats.Cycles)
 	}
-	if got := len(stats.ArbiterTraces["bankS"].Steps); got != stats.Cycles {
-		t.Fatalf("trace has %d steps, want one per cycle (%d)", got, stats.Cycles)
+	// bankT has no phantom lines and A holds it alone through each
+	// window, so it settles; its trace and grant count still take
+	// every cycle.
+	for _, res := range []string{"bankS", "bankT"} {
+		if got := len(stats.ArbiterTraces[res].Steps); got != stats.Cycles {
+			t.Fatalf("%s trace has %d steps, want one per cycle (%d)", res, got, stats.Cycles)
+		}
+	}
+	held := 0
+	for _, st := range stats.ArbiterTraces["bankT"].Steps {
+		held += int(st.Grant & 1)
+	}
+	if held < 1000 || stats.GrantsByRes["bankT"] != held {
+		t.Fatalf("bankT granted A %d times, %d cycles in its trace; want at least 1000 of both, equal", stats.GrantsByRes["bankT"], held)
 	}
 }

@@ -186,7 +186,7 @@ func decodeFuzzConfig(data []byte) (cfg Config, mem *Memory, ok bool) {
 	case "preemptive":
 		spec.MaxHold = 1 + param%8
 	case "wrr":
-		spec.Weight = 1 + param%4
+		spec.Weight = 1 + param%8
 	case "hier":
 		spec.Groups = 1 + param%4
 	case "netlist":

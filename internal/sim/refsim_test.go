@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -389,6 +390,42 @@ func equivScenarios(t testing.TB) []equivScenario {
 			}, mem
 		}
 	}
+	// holdThrough keeps A's grant through a Compute(20) while B, in a
+	// Compute(9), has yet to request: A is the only requester through a
+	// quiet window, and a wrr or preemptive arbiter must count every
+	// cycle of it toward A's hold, or it revokes A's grant late. When
+	// contested, B requests before its Compute(9), so the arbiter
+	// cannot settle and A's quantum runs out inside the window.
+	holdThrough := func(policy string, contested bool) func() (Config, *Memory) {
+		return func() (Config, *Memory) {
+			spec, err := arbiter.ParsePolicySpec(policy)
+			if err != nil {
+				panic(err)
+			}
+			b := []behav.Instr{behav.Compute(9), behav.Req("bankS")}
+			if contested {
+				b = []behav.Instr{behav.Req("bankS"), behav.Compute(9)}
+			}
+			mem := NewMemory()
+			return Config{
+				Graph: simpleGraph(),
+				Tasks: []string{"A", "B"},
+				Programs: map[string]behav.Program{
+					"A": {Body: []behav.Instr{
+						behav.Req("bankS"), behav.WaitGrant("bankS"), behav.Compute(20),
+						behav.WriteImm("S", 0, 1), behav.Release("bankS"), behav.Compute(3),
+					}, Repeat: 4},
+					"B": {Body: append(b,
+						behav.WaitGrant("bankS"), behav.WriteImm("S", 1, 2), behav.Release("bankS"),
+					), Repeat: 4},
+				},
+				Arbiters:          []partition.ArbiterSpec{arbSpec("bankS", "A", "B")},
+				ResourceOfSegment: map[string]string{"S": "bankS"},
+				Policy:            spec,
+				Memory:            mem,
+			}, mem
+		}
+	}
 	return []equivScenario{
 		{"contended-round-robin", contended("")},
 		{"contended-fifo", contended("fifo")},
@@ -511,8 +548,9 @@ func equivScenarios(t testing.TB) []equivScenario {
 		// The rest open quiet windows (cycles where every started task
 		// sits inside a delay and Run steps only the arbiters): windows
 		// clipped by staggered delays, a window a finishing task must
-		// not open, a watchdog inside a window, and delays that never
-		// count down.
+		// not open, a watchdog inside a window, delays that never count
+		// down, and a holder a quantum must revoke after a window or
+		// inside one.
 		{"quiet-staggered-delays", func() (Config, *Memory) {
 			g := quietGraph()
 			inc := func(in []int64) []int64 {
@@ -583,6 +621,9 @@ func equivScenarios(t testing.TB) []equivScenario {
 				Memory:            mem,
 			}, mem
 		}},
+		{"hold-through-wrr", holdThrough("wrr:8", false)},
+		{"hold-through-preemptive", holdThrough("preemptive:8", false)},
+		{"hold-through-contested", holdThrough("preemptive:4", true)},
 	}
 }
 
@@ -633,7 +674,8 @@ func quietDependent(order ...string) func() (Config, *Memory) {
 
 // TestRunMatchesReference requires the optimized Run to produce Stats
 // deeply equal to the seed interpreter on every scenario, including
-// traces, violations, per-task finish cycles, and memory images.
+// traces, violations, per-task finish cycles, and memory images, and
+// the untraced Run to produce the same Stats without the traces.
 func TestRunMatchesReference(t *testing.T) {
 	for _, sc := range equivScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
@@ -652,6 +694,20 @@ func TestRunMatchesReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(memNew.Snapshot("S"), memRef.Snapshot("S")) {
 				t.Fatalf("memory images diverge: %v vs %v", memNew.Snapshot("S"), memRef.Snapshot("S"))
+			}
+			cfgBare, _ := sc.cfg()
+			cfgBare.DisableTraces = true
+			bare, err := Run(cfgBare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			untraced := *want
+			untraced.ArbiterTraces = maps.Clone(want.ArbiterTraces)
+			for r := range untraced.ArbiterTraces {
+				untraced.ArbiterTraces[r] = nil
+			}
+			if !reflect.DeepEqual(bare, &untraced) {
+				t.Fatalf("untraced stats diverge:\n new: %+v\n ref: %+v", bare, &untraced)
 			}
 		})
 	}

@@ -29,11 +29,14 @@
 // finished, if every started, unfinished task sits inside an OpCompute
 // or OpTransform delay with at least two cycles left, the next k =
 // (smallest remaining delay) − 1 cycles cannot change any task: Run
-// counts k off every delay at once and runs only Phase 1 in those
-// cycles. Arbiters, background sources, member and phantom grant
-// counters, correlated statistics and traces step every cycle; only
-// task execution, and the conflict and channel updates it feeds, is
-// skipped, so Stats equal those of stepping every task every cycle.
+// counts k off every delay at once and runs no task in those cycles.
+// No request line moves and no grant is read, so Run covers each
+// window in one step. An arbiter without phantom lines settles: its
+// policy either answers for the whole window at once (Policy.Settle) or
+// is stepped through it on its own. Arbiters with phantom lines step
+// cycle by cycle with their background sources and correlated
+// statistics. Grant counters and traces take every window cycle, so
+// Stats equal those of stepping every task every cycle.
 package sim
 
 import (
@@ -240,8 +243,9 @@ var roundRobin = arbiter.PolicySpec{Kind: "round-robin"}
 // Run simulates one stage to completion (or MaxCycles). Each cycle runs
 // three phases: Phase 1 steps the background sources and the arbiters
 // and records traces, Phase 2 executes every task one cycle, and Phase 3
-// detects port conflicts and latches channel sends. A quiet cycle (see
-// the package comment) runs Phase 1 only; the watchdog still counts it.
+// detects port conflicts and latches channel sends. A quiet window (see
+// the package comment) runs Phase 1 only, in one step for the arbiters
+// that settle; the watchdog still counts every cycle of it.
 func Run(cfg Config) (*Stats, error) {
 	maxCycles := cfg.MaxCycles
 	if maxCycles <= 0 {
@@ -256,8 +260,7 @@ func Run(cfg Config) (*Stats, error) {
 		policy = &roundRobin
 	}
 
-	// Arbiter instances and request-line plumbing, stepped each cycle in
-	// sorted resource order (hoisted out of the loop).
+	// Arbiter instances and request-line plumbing.
 	arbs := map[string]*arbInst{}
 	for _, spec := range cfg.Arbiters {
 		if spec.N() > arbiter.MaxN {
@@ -315,7 +318,21 @@ func Run(cfg Config) (*Stats, error) {
 	for _, ai := range arbs {
 		arbList = append(arbList, ai)
 	}
-	sort.Slice(arbList, func(i, j int) bool { return arbList[i].res < arbList[j].res })
+	// Fed arbiters, those with phantom lines, come first, each group in
+	// resource order. Arbiters never read each other's lines within a
+	// cycle, so the order only keeps runs deterministic.
+	sort.Slice(arbList, func(i, j int) bool {
+		a, b := arbList[i], arbList[j]
+		if (a.phGrants != nil) != (b.phGrants != nil) {
+			return a.phGrants != nil
+		}
+		return a.res < b.res
+	})
+	nFed := 0
+	for nFed < len(arbList) && arbList[nFed].phGrants != nil {
+		nFed++
+	}
+	fed, unfed := arbList[:nFed], arbList[nFed:]
 
 	chans := map[string]*chanReg{}
 	for _, c := range cfg.Graph.Channels {
@@ -419,38 +436,22 @@ func Run(cfg Config) (*Stats, error) {
 		}
 
 		// Phase 1: arbiters sample request lines (set by earlier cycles)
-		// and issue grants for this cycle. Phantom sources refresh their
-		// lines first, before ANY arbiter steps, observing last cycle's
-		// grants — the closed loop — so a source spanning several
-		// resources sees one coherent grant snapshot.
-		for _, s := range sources {
-			s.next()
-		}
-		for _, ai := range arbList {
-			ai.grant = ai.policy.StepBits(ai.req)
-			ai.grants += (ai.grant & ai.memberMask).Count()
-			if ai.phGrants != nil {
-				for i := range ai.phGrants {
-					//sparcs:ignore bitwidth memberN+i < width <= MaxN, bounded by wire
-					bit := arbiter.BitVec(1) << uint(ai.memberN+i)
-					switch {
-					case ai.grant&bit != 0:
-						ai.phGrants[i]++
-					case ai.req&bit != 0:
-						ai.phWaits[i]++
-					}
+		// and issue grants for this cycle.
+		phase1(sources, arbList, correlated)
+		if cycle <= quietUntil {
+			// The first cycle of a quiet window. Cover the rest of it,
+			// clipped to the watchdog, in one step.
+			end := min(quietUntil, maxCycles-1)
+			k := end - cycle
+			for _, ai := range unfed {
+				ai.settle(k)
+			}
+			if len(sources) > 0 {
+				for i := 0; i < k; i++ {
+					phase1(sources, fed, correlated)
 				}
 			}
-			if ai.trace != nil {
-				ai.trace.Steps = append(ai.trace.Steps, arbiter.TraceStep{Req: ai.req, Grant: ai.grant}) //sparcs:ignore hotpath trace capture is opt-in and amortized; disable traces for allocation-free runs
-			}
-		}
-		// Cross-resource overlap stats read this cycle's grants on every
-		// spanned resource, after all arbiters have stepped.
-		for _, s := range correlated {
-			s.observe()
-		}
-		if cycle <= quietUntil {
+			cycle = end
 			continue
 		}
 
@@ -652,6 +653,72 @@ func Run(cfg Config) (*Stats, error) {
 		})
 	}
 	return stats, nil
+}
+
+// phase1 runs Phase 1 of one cycle over arbs. Phantom sources refresh
+// their lines first, before ANY arbiter steps, observing last cycle's
+// grants (the closed loop), so a source spanning several resources sees
+// one coherent grant snapshot. Cross-resource overlap statistics then
+// read this cycle's grants on every spanned resource.
+//
+//sparcs:hotpath
+func phase1(sources []*source, arbs []*arbInst, correlated []*source) {
+	for _, s := range sources {
+		s.next()
+	}
+	for _, ai := range arbs {
+		ai.step()
+	}
+	for _, s := range correlated {
+		s.observe()
+	}
+}
+
+// step arbitrates one cycle and counts its grants and waits.
+//
+//sparcs:hotpath
+func (ai *arbInst) step() {
+	ai.grant = ai.policy.StepBits(ai.req)
+	for i := range ai.phGrants {
+		//sparcs:ignore bitwidth memberN+i < width <= MaxN, bounded by wire
+		bit := arbiter.BitVec(1) << uint(ai.memberN+i)
+		switch {
+		case ai.grant&bit != 0:
+			ai.phGrants[i]++
+		case ai.req&bit != 0:
+			ai.phWaits[i]++
+		}
+	}
+	ai.record(1)
+}
+
+// settle covers the k cycles after a step of an arbiter without phantom
+// lines, whose request word stays as it is: in one step when the policy
+// settles, otherwise by stepping k times.
+//
+//sparcs:hotpath
+func (ai *arbInst) settle(k int) {
+	if !ai.policy.Settle(ai.req, k) {
+		for i := 0; i < k; i++ {
+			ai.step()
+		}
+		return
+	}
+	ai.record(k)
+}
+
+// record counts k cycles of the current grant toward the member grants
+// and appends them to the trace.
+//
+//sparcs:hotpath
+func (ai *arbInst) record(k int) {
+	ai.grants += k * (ai.grant & ai.memberMask).Count()
+	if ai.trace != nil {
+		st := arbiter.TraceStep{Req: ai.req, Grant: ai.grant}
+		for i := 0; i < k; i++ {
+			ai.trace.Steps = append(ai.trace.Steps, st) //sparcs:ignore hotpath trace capture is opt-in and amortized; disable traces for allocation-free runs
+		}
+	}
 }
 
 // quietCycles returns k, the number of coming cycles in which no task
