@@ -231,8 +231,7 @@ func BenchmarkAblationElision(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tiles := 4
 				opts := core.Options{
-					Partition: partition.Options{FixedStages: fft.PaperStages()},
-					Insert:    arbinsert.Options{Conservative: mode.conservative},
+					Partition: partition.Options{FixedStages: fft.PaperStages(), Conservative: mode.conservative},
 				}
 				g := fft.Taskgraph()
 				d, err := core.Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)

@@ -1,9 +1,11 @@
 // Package arbinsert implements the paper's automatic arbiter-insertion
-// pass (Sections 4.3 and 5): given a partitioned stage, it decides which
-// shared resources need arbiters, sizes them, and rewrites each affected
-// task's program with the Request/Grant access protocol of Figure 8.
+// pass (Sections 4.3 and 5): given a partitioned stage, it wires the
+// arbiters the partitioner decided and rewrites each member task's
+// program with the Request/Grant access protocol of Figure 8.
 //
-// Two modes reproduce the paper's discussion:
+// The partitioner chooses between the paper's two modes
+// (partition.Options.Conservative), so the arbiters a stage is priced for
+// are the ones inserted here:
 //
 //   - Conservative: every resource with two or more accessor tasks gets an
 //     arbiter wired to all of them ("the arbiter insertion assumed that
@@ -16,12 +18,10 @@ package arbinsert
 
 import (
 	"fmt"
-	"sort"
 
 	"sparcs/internal/behav"
 	"sparcs/internal/partition"
 	"sparcs/internal/rc"
-	"sparcs/internal/taskgraph"
 )
 
 // Options tunes insertion.
@@ -30,8 +30,6 @@ type Options struct {
 	// request must be released (Figure 8 uses M=2). Values < 1 default
 	// to 2.
 	M int
-	// Conservative disables dependency-based elision.
-	Conservative bool
 	// HoldThrough implements the alternative task-modification scheme the
 	// paper's conclusion suggests ("different task modification schemes
 	// ... to decrease the number of clock cycles due to arbiter
@@ -67,9 +65,9 @@ type Result struct {
 	ExtraCyclesPerTask map[string]int
 }
 
-// Insert computes the arbitration configuration for one stage and
-// rewrites the given raw task programs.
-func Insert(g *taskgraph.Graph, board *rc.Board, st *partition.Stage,
+// Insert wires the stage's arbiters (st.Arbiters, then each route's
+// Arbiter) and rewrites the given raw task programs.
+func Insert(board *rc.Board, st *partition.Stage,
 	routes []partition.PhysChannel, programs map[string]behav.Program, opts Options) (*Result, error) {
 
 	res := &Result{
@@ -87,17 +85,12 @@ func Insert(g *taskgraph.Graph, board *rc.Board, st *partition.Stage,
 		}
 	}
 
-	// Arbiter specs: dependency-aware specs come from the partitioner and
-	// channel router; conservative mode re-derives them without elision.
-	var specs []partition.ArbiterSpec
-	if opts.Conservative {
-		specs = conservativeSpecs(g, board, st, routes)
-	} else {
-		specs = append(specs, st.Arbiters...)
-		for _, pc := range routes {
-			if pc.Arbiter != nil {
-				specs = append(specs, *pc.Arbiter)
-			}
+	// The partitioner decided every arbiter: the stage's bank arbiters,
+	// then each routed channel's.
+	specs := append([]partition.ArbiterSpec(nil), st.Arbiters...)
+	for _, pc := range routes {
+		if pc.Arbiter != nil {
+			specs = append(specs, *pc.Arbiter)
 		}
 	}
 	res.Arbiters = specs
@@ -125,43 +118,6 @@ func Insert(g *taskgraph.Graph, board *rc.Board, st *partition.Stage,
 		res.ExtraCyclesPerTask[tname] = added
 	}
 	return res, nil
-}
-
-// conservativeSpecs sizes every multi-accessor resource for all its
-// accessors, ignoring control dependencies.
-func conservativeSpecs(g *taskgraph.Graph, board *rc.Board, st *partition.Stage, routes []partition.PhysChannel) []partition.ArbiterSpec {
-	inStage := map[string]bool{}
-	for _, t := range st.Tasks {
-		inStage[t] = true
-	}
-	var specs []partition.ArbiterSpec
-	for bi, segs := range st.Banks {
-		if len(segs) == 0 {
-			continue
-		}
-		accSet := map[string]bool{}
-		var acc []string
-		for _, s := range segs {
-			for _, a := range g.Accessors(s) {
-				if inStage[a] && !accSet[a] {
-					accSet[a] = true
-					acc = append(acc, a)
-				}
-			}
-		}
-		sort.Strings(acc)
-		if len(acc) >= 2 {
-			specs = append(specs, partition.ArbiterSpec{Resource: board.Banks[bi].Name, Members: acc})
-		}
-	}
-	for _, pc := range routes {
-		if len(pc.SrcTasks) >= 2 {
-			src := append([]string(nil), pc.SrcTasks...)
-			sort.Strings(src)
-			specs = append(specs, partition.ArbiterSpec{Resource: pc.Name, Members: src})
-		}
-	}
-	return specs
 }
 
 // rewrite applies the Figure 8 task-modification process: every maximal

@@ -27,8 +27,15 @@ func twoWriters() *taskgraph.Graph {
 
 func compile(t *testing.T, g *taskgraph.Graph, opts Options) (*partition.Stage, *Result) {
 	t.Helper()
+	return compileWith(t, g, partition.Options{}, opts)
+}
+
+// compileWith partitions g under part, routes its channels and inserts
+// the arbiters the partitioner decided.
+func compileWith(t *testing.T, g *taskgraph.Graph, part partition.Options, opts Options) (*partition.Stage, *Result) {
+	t.Helper()
 	board := rc.Wildforce()
-	stages, err := partition.Temporal(g, board, partition.Options{})
+	stages, err := partition.Temporal(g, board, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +47,11 @@ func compile(t *testing.T, g *taskgraph.Graph, opts Options) (*partition.Stage, 
 		"W2": {Body: []behav.Instr{behav.WriteImm("S", 8, 21)}},
 		"R":  {Body: []behav.Instr{behav.Read("S", 0), behav.Read("S", 8)}},
 	}
-	routes, err := partition.RouteChannels(g, board, stages[0])
+	routes, err := partition.RouteChannels(g, board, stages[0], part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Insert(g, board, stages[0], routes, progs, opts)
+	res, err := Insert(board, stages[0], routes, progs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +101,7 @@ func TestInsertElidesOrderedReader(t *testing.T) {
 }
 
 func TestConservativeModeWrapsEveryone(t *testing.T) {
-	_, res := compile(t, twoWriters(), Options{Conservative: true})
+	_, res := compileWith(t, twoWriters(), partition.Options{Conservative: true}, Options{})
 	if len(res.Arbiters) != 1 || res.Arbiters[0].N() != 3 {
 		t.Fatalf("conservative arbiters = %+v, want one Arb3", res.Arbiters)
 	}
@@ -147,7 +154,7 @@ func TestMissingProgramRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Insert(g, board, stages[0], nil, map[string]behav.Program{}, Options{})
+	_, err = Insert(board, stages[0], nil, map[string]behav.Program{}, Options{})
 	if err == nil {
 		t.Fatal("expected missing-program error")
 	}
@@ -167,7 +174,7 @@ func TestFigure8Shape(t *testing.T) {
 		"W2": {Body: []behav.Instr{behav.WriteImm("S", 8, 8)}},
 		"R":  {Body: []behav.Instr{behav.Read("S", 1)}},
 	}
-	res, err := Insert(g, board, stages[0], nil, progs, Options{M: 2})
+	res, err := Insert(board, stages[0], nil, progs, Options{M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +208,11 @@ func TestHoldThroughReducesProtocol(t *testing.T) {
 		"W2": {Body: []behav.Instr{behav.WriteImm("S", 8, 8)}},
 		"R":  {Body: []behav.Instr{behav.Read("S", 0)}},
 	}
-	plain, err := Insert(g, board, stages[0], nil, progs, Options{M: 2})
+	plain, err := Insert(board, stages[0], nil, progs, Options{M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := Insert(g, board, stages[0], nil, progs, Options{M: 2, HoldThrough: 1})
+	held, err := Insert(board, stages[0], nil, progs, Options{M: 2, HoldThrough: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +261,7 @@ func TestHoldThroughRespectsM(t *testing.T) {
 		"W2": {Body: []behav.Instr{behav.WriteImm("S", 8, 8)}},
 		"R":  {Body: []behav.Instr{behav.Read("S", 0)}},
 	}
-	res, err := Insert(g, board, stages[0], nil, progs, Options{M: 2, HoldThrough: 2})
+	res, err := Insert(board, stages[0], nil, progs, Options{M: 2, HoldThrough: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,16 +351,3 @@ func TestMaxWaitEpisodesCounts(t *testing.T) {
 		t.Fatalf("task 3 waited %d episodes, want 2 (a cycle's holder is its highest granted line)", w[2])
 	}
 }
-
-func TestRoundRobinResetRestoresF1(t *testing.T) {
-	a := NewRoundRobin(3)
-	stepBools(a, []bool{false, false, true})
-	a.Reset()
-	if a.State() != "F1" {
-		t.Fatalf("state after reset = %s, want F1", a.State())
-	}
-	g := stepBools(a, []bool{false, true, true})
-	if !g[1] {
-		t.Fatalf("after reset task 2 beats task 3 from F1, got %v", g)
-	}
-}

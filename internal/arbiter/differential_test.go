@@ -254,25 +254,6 @@ func TestFIFOSteadyStateAllocationFree(t *testing.T) {
 	if cap(f.queue) != 2*n {
 		t.Errorf("queue capacity drifted to %d, want the original %d", cap(f.queue), 2*n)
 	}
-	// Reset restores the original backing slice and the initial state:
-	// the reset arbiter must replay a fresh arbiter's grant stream.
-	f.Reset()
-	if cap(f.queue) != 2*n || len(f.queue) != 0 || f.head != 0 {
-		t.Errorf("Reset left queue len=%d head=%d cap=%d, want 0/0/%d", len(f.queue), f.head, cap(f.queue), 2*n)
-	}
-	fresh := NewFIFO(n)
-	r := rand.New(rand.NewSource(99))
-	for c := 0; c < 2000; c++ {
-		for i := range req {
-			req[i] = r.Intn(2) == 0
-		}
-		a, b := stepBools(f, req), stepBools(fresh, req)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("cycle %d: reset FIFO diverged from fresh FIFO", c)
-			}
-		}
-	}
 }
 
 // TestFIFOArrivalOrderUnderLongStreams: the head-indexed queue keeps

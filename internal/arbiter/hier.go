@@ -100,15 +100,6 @@ func (p *Hierarchical) Name() string { return p.name }
 // N implements Policy.
 func (p *Hierarchical) N() int { return p.n }
 
-// Reset implements Policy.
-func (p *Hierarchical) Reset() {
-	p.holder = -1
-	p.top = 0
-	for g := range p.leaf {
-		p.leaf[g] = 0
-	}
-}
-
 // StepBits implements BitStepper: grant a still-requesting holder,
 // otherwise scan clusters cyclically from the top pointer — each
 // cluster's request window extracted as a size-bit word and scanned

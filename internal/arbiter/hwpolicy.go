@@ -78,9 +78,6 @@ func (p *FSMPolicy) Name() string { return "round-robin-fsm" }
 // N implements Policy.
 func (p *FSMPolicy) N() int { return p.n }
 
-// Reset implements Policy.
-func (p *FSMPolicy) Reset() { p.ref.Reset() }
-
 // Settle implements Policy. The machine steps every cycle, as the
 // hardware does, so Settle changes nothing and returns false.
 func (p *FSMPolicy) Settle(BitVec, int) bool { return false }
@@ -134,9 +131,6 @@ func (p *NetlistPolicy) Name() string { return p.name }
 
 // N implements Policy.
 func (p *NetlistPolicy) N() int { return p.n }
-
-// Reset implements Policy.
-func (p *NetlistPolicy) Reset() { p.sim.Reset() }
 
 // Settle implements Policy. The gates step every cycle, as the hardware
 // does, so Settle changes nothing and returns false.

@@ -25,8 +25,6 @@ type Policy interface {
 	// them. A false result means the policy changed nothing, and the
 	// caller steps the k cycles itself.
 	Settle(req BitVec, k int) bool
-	// Reset returns the policy to its initial state.
-	Reset()
 }
 
 // NewPolicy constructs a policy by name. Every implementation in the
@@ -60,12 +58,6 @@ func (a *RoundRobin) Name() string { return "round-robin" }
 
 // N implements Policy.
 func (a *RoundRobin) N() int { return a.n }
-
-// Reset implements Policy.
-func (a *RoundRobin) Reset() {
-	a.holder = -1
-	a.priority = 0
-}
 
 // StepBits implements BitStepper with the exact Figure 5 semantics: scan
 // requests cyclically starting at the holder (if any) or the priority
@@ -148,14 +140,6 @@ func (a *FIFO) Name() string { return "fifo" }
 // N implements Policy.
 func (a *FIFO) N() int { return a.n }
 
-// Reset implements Policy, restoring the original backing array.
-func (a *FIFO) Reset() {
-	a.queue = a.queue[:0]
-	a.head = 0
-	a.queued = 0
-	a.prev = 0
-}
-
 // StepBits implements BitStepper: rising edges (req & ^prev & ^queued)
 // enqueue in index order via successive lowest-set extraction, the head
 // drops non-requesters, and the head entry (if any) is granted.
@@ -218,9 +202,6 @@ func (a *Priority) Name() string { return "priority" }
 // N implements Policy.
 func (a *Priority) N() int { return a.n }
 
-// Reset implements Policy.
-func (a *Priority) Reset() { a.holder = -1 }
-
 // StepBits implements BitStepper: a still-requesting holder persists,
 // otherwise the lowest set request bit wins (task 1 highest priority).
 //
@@ -249,7 +230,6 @@ type Random struct {
 	n      int
 	mask   BitVec
 	lfsr   uint16
-	seed   uint16
 	holder int
 }
 
@@ -259,7 +239,7 @@ func NewRandom(n int, seed uint16) *Random {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Random{n: n, mask: Mask(n), lfsr: seed, seed: seed, holder: -1}
+	return &Random{n: n, mask: Mask(n), lfsr: seed, holder: -1}
 }
 
 // Name implements Policy.
@@ -267,12 +247,6 @@ func (a *Random) Name() string { return "random" }
 
 // N implements Policy.
 func (a *Random) N() int { return a.n }
-
-// Reset implements Policy.
-func (a *Random) Reset() {
-	a.lfsr = a.seed
-	a.holder = -1
-}
 
 // StepBits implements BitStepper: a still-requesting holder persists,
 // otherwise the k-th set request bit (k from the LFSR) wins.

@@ -75,12 +75,6 @@ func (p *WeightedRoundRobin) Name() string { return p.name }
 // N implements Policy.
 func (p *WeightedRoundRobin) N() int { return p.n }
 
-// Reset implements Policy.
-func (p *WeightedRoundRobin) Reset() {
-	p.inner.Reset()
-	p.heldFor = 0
-}
-
 // StepBits implements BitStepper: the inner round-robin scan, with the
 // holder's request bit masked out for one step once its quantum is
 // exhausted while another task waits.

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"sparcs/internal/arbiter"
 	"sparcs/internal/sim"
 	"sparcs/internal/workload"
 )
@@ -292,12 +293,35 @@ func validateRun(d *Design, opts Options) error {
 	return CheckProtocols(opts.Contention)
 }
 
-// StageWidths reports, per stage, the request-line width every arbiter
+// CheckPolicy validates a size-dependent policy against every arbiter's
+// simulated width under specs: its member lines plus the ExtraLines of
+// every spec its stage hosts, the width Options.Policy is instantiated
+// at. A run then fails before its first stage, with the stage and the
+// member/background split named. Widened arbiters validate through
+// NewWidened, which keeps layout-sensitive policies (hier) anchored to
+// the member count. A nil policy, the behavioral round-robin, fits every
+// width.
+func CheckPolicy(d *Design, p *arbiter.PolicySpec, specs []ContentionSpec) error {
+	if p == nil {
+		return nil
+	}
+	widths := stageWidths(d, specs)
+	for si, sp := range d.Stages {
+		for _, a := range sp.Inserted.Arbiters {
+			w := widths[si][a.Resource]
+			if _, err := p.NewWidened(a.N(), w); err != nil {
+				return fmt.Errorf("core: policy %s unusable for the %d-line arbiter on %s in stage %d (%d members + %d background): %w",
+					p, w, a.Resource, si, a.N(), w-a.N(), err)
+			}
+		}
+	}
+	return nil
+}
+
+// stageWidths reports, per stage, the request-line width every arbiter
 // is simulated at under the specs: member lines plus the ExtraLines of
-// every spec the stage hosts. Options.Policy is instantiated at these
-// widths; callers use them to validate size-dependent policies before
-// running.
-func StageWidths(d *Design, specs []ContentionSpec) []map[string]int {
+// every spec the stage hosts.
+func stageWidths(d *Design, specs []ContentionSpec) []map[string]int {
 	out := make([]map[string]int, len(d.Stages))
 	for si, sp := range d.Stages {
 		arbitrated := stageArbitrated(sp)

@@ -21,9 +21,9 @@ import (
 // Options configures the flow.
 type Options struct {
 	// Partition options (fixed stages, pin budgets, expected contention
-	// that widens the arbiters the partitioner prices).
+	// that widens the arbiters the partitioner prices, conservative mode).
 	Partition partition.Options
-	// Insert options (M accesses per grant, conservative mode).
+	// Insert options (M accesses per grant, hold-through).
 	Insert arbinsert.Options
 	// Policy picks the arbiter implementation for simulation (see
 	// sim.Config.Policy); nil uses the behavioral round-robin.
@@ -43,7 +43,8 @@ type Options struct {
 	// arbiters from one generator in every stage that arbitrates them
 	// together, and its cross-resource overlap and wait statistics land
 	// in that stage's sim.Stats.Shared. Policy is instantiated at the
-	// widened line count (StageWidths) of every arbiter the load reaches.
+	// widened line count of every arbiter the load reaches (CheckPolicy
+	// validates it there).
 	Contention []ContentionSpec
 	// ContentionSeed seeds the background generators' random streams
 	// (0 means 1). Runs are deterministic for a given seed.
@@ -90,11 +91,11 @@ func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Prog
 	}
 	d := &Design{Graph: g, Board: board}
 	for _, st := range stages {
-		routes, err := partition.RouteChannels(g, board, st)
+		routes, err := partition.RouteChannels(g, board, st, opts.Partition)
 		if err != nil {
 			return nil, err
 		}
-		ins, err := arbinsert.Insert(g, board, st, routes, programs, opts.Insert)
+		ins, err := arbinsert.Insert(board, st, routes, programs, opts.Insert)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"sparcs/internal/arbinsert"
 	"sparcs/internal/arbiter"
 	"sparcs/internal/fft"
 	"sparcs/internal/fsm"
@@ -152,7 +151,7 @@ func TestConservativeInsertionCostsMore(t *testing.T) {
 	tiles := 3
 	run := func(conservative bool) (int, int) {
 		opts := paperOpts()
-		opts.Insert = arbinsert.Options{Conservative: conservative}
+		opts.Partition.Conservative = conservative
 		g := fft.Taskgraph()
 		d, err := Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
 		if err != nil {
@@ -182,6 +181,39 @@ func TestConservativeInsertionCostsMore(t *testing.T) {
 	}
 	if depCycles > conCycles {
 		t.Fatalf("dep-aware cycles %d should not exceed conservative %d", depCycles, conCycles)
+	}
+}
+
+// TestPricedArbitersAreInserted: the partitioner decides every bank
+// arbiter once, so the list a stage is priced for (Stage.Arbiters) is the
+// bank-arbiter list arbinsert wires and the simulator runs, in order, in
+// both elision modes.
+func TestPricedArbitersAreInserted(t *testing.T) {
+	for _, conservative := range []bool{false, true} {
+		for _, tiles := range []int{1, 2, 6} {
+			for _, m := range []int{1, 2, 4} {
+				opts := paperOpts()
+				opts.Partition.Conservative = conservative
+				opts.Insert.M = m
+				d, _, _ := compileFFT(t, tiles, opts)
+				banks := map[string]bool{}
+				for _, b := range d.Board.Banks {
+					banks[b.Name] = true
+				}
+				for si, sp := range d.Stages {
+					var inserted []partition.ArbiterSpec
+					for _, a := range sp.Inserted.Arbiters {
+						if banks[a.Resource] {
+							inserted = append(inserted, a)
+						}
+					}
+					if !reflect.DeepEqual(sp.Stage.Arbiters, inserted) {
+						t.Errorf("conservative %v, tiles %d, m %d, stage %d: priced %+v, inserted %+v",
+							conservative, tiles, m, si, sp.Stage.Arbiters, inserted)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -108,6 +108,8 @@ func writeBuildOptions(w io.Writer, opts Options) {
 			fmt.Fprintf(w, "expected %q %d\n", r, ec[r])
 		}
 	}
+	// Conservative is a partition option now, but it keeps its place on
+	// the insert line, so every hash recorded before the move holds.
 	fmt.Fprintf(w, "insert m=%d conservative=%t holdthrough=%d\n",
-		opts.Insert.M, opts.Insert.Conservative, opts.Insert.HoldThrough)
+		opts.Insert.M, opts.Partition.Conservative, opts.Insert.HoldThrough)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparcs/internal/arbinsert"
+	"sparcs/internal/arbiter"
 	"sparcs/internal/partition"
 )
 
@@ -94,7 +95,8 @@ func TestExtraLines(t *testing.T) {
 }
 
 // fakeDesign builds a Design skeleton with the given per-stage arbiter
-// resource lists, enough for validateContention/StageWidths.
+// resource lists, enough for validateContention, stageWidths and
+// CheckPolicy.
 func fakeDesign(stages ...[]string) *Design {
 	d := &Design{}
 	for _, resources := range stages {
@@ -137,7 +139,7 @@ func TestStageWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	widths := StageWidths(d, specs)
+	widths := stageWidths(d, specs)
 	// Stage 0: M1 = 3 members + 2 hog + 1 corr lane; M3 = 3 members + 1
 	// corr lane. Stage 1 hosts no corr source (M1 missing): M3 = 3
 	// members only... but the hog spec attaches wherever M1 is
@@ -147,7 +149,33 @@ func TestStageWidths(t *testing.T) {
 		{"M3": 3},
 	}
 	if !reflect.DeepEqual(widths, want) {
-		t.Fatalf("StageWidths = %v, want %v", widths, want)
+		t.Fatalf("stageWidths = %v, want %v", widths, want)
+	}
+}
+
+// TestCheckPolicy: a policy is checked at each arbiter's simulated
+// width, and the error names the arbiter and its member/background
+// split.
+func TestCheckPolicy(t *testing.T) {
+	d := fakeDesign([]string{"M1", "M3"}, []string{"M3"})
+	specs, err := ParseContention("M1=hog/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrr3, err := arbiter.ParsePolicySpec("wrr:1,2,3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckPolicy(d, nil, specs); err != nil {
+		t.Fatalf("nil policy: %v", err)
+	}
+	if err := CheckPolicy(d, wrr3, nil); err != nil {
+		t.Fatalf("three weights on 3-member arbiters: %v", err)
+	}
+	err = CheckPolicy(d, wrr3, specs)
+	want := "unusable for the 5-line arbiter on M1 in stage 0 (3 members + 2 background)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("three weights on the widened M1 arbiter: err = %v, want it to mention %q", err, want)
 	}
 }
 

@@ -183,9 +183,6 @@ func (r *Reference) State() int { return r.state }
 // StateName returns the current symbolic state name.
 func (r *Reference) StateName() string { return r.m.States[r.state] }
 
-// Reset returns the interpreter to the reset state.
-func (r *Reference) Reset() { r.state = r.m.Reset }
-
 // Step consumes one input vector, returns the Mealy outputs, and advances
 // the state.
 func (r *Reference) Step(in []bool) ([]bool, error) {

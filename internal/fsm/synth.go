@@ -24,9 +24,6 @@ type Options struct {
 	// logic.Minimize (full Quine-McCluskey effort). Weaker synthesis tools
 	// are modeled by substituting logic.Simplify here.
 	Minimize func(on, dc *logic.Cover) *logic.Cover
-	// DisableExtract skips the shared-product extraction pass, leaving
-	// pure two-level logic per cover (much larger networks).
-	DisableExtract bool
 	// FactorOr additionally merges single-variant cubes through shared OR
 	// products before AND extraction (the stronger algebraic pass).
 	FactorOr bool
@@ -159,18 +156,12 @@ func SynthesizeOpts(m *Machine, enc Encoding, opt Options) (*netlist.Netlist, *S
 
 	// Multi-level factoring: extract shared 2-literal products across all
 	// covers jointly (next-state and outputs), as commercial tools do.
-	// With extraction disabled, a threshold above any possible pair count
-	// leaves the covers two-level.
 	allCovers := make([]*logic.Cover, 0, stateBits+len(m.Outputs))
 	allCovers = append(allCovers, nextCovers...)
 	allCovers = append(allCovers, outCovers...)
-	minOcc := 2
-	if opt.DisableExtract {
-		minOcc = 1 << 30
-	}
 	ex := logic.Factor(allCovers, logic.FactorOptions{
-		PairMinOcc: minOcc,
-		MergeOr:    opt.FactorOr && !opt.DisableExtract,
+		PairMinOcc: 2,
+		MergeOr:    opt.FactorOr,
 	})
 
 	// Build the netlist: inputs, state register, factored covers with

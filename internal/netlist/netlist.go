@@ -94,17 +94,13 @@ type Netlist struct {
 	const0 NetID
 	const1 NetID
 
-	inputIndex  map[string]NetID
 	outputIndex map[string]NetID
 }
 
 // New returns an empty netlist with constant-0 and constant-1 nets
 // pre-allocated.
 func New() *Netlist {
-	n := &Netlist{
-		inputIndex:  map[string]NetID{},
-		outputIndex: map[string]NetID{},
-	}
+	n := &Netlist{outputIndex: map[string]NetID{}}
 	n.const0 = n.AddNet("const0")
 	n.const1 = n.AddNet("const1")
 	return n
@@ -141,7 +137,6 @@ func (n *Netlist) Const(v bool) NetID {
 func (n *Netlist) AddInput(name string) NetID {
 	id := n.AddNet(name)
 	n.inputs = append(n.inputs, id)
-	n.inputIndex[name] = id
 	return id
 }
 
@@ -156,18 +151,6 @@ func (n *Netlist) Inputs() []NetID { return n.inputs }
 
 // Outputs returns the primary output nets in declaration order.
 func (n *Netlist) Outputs() []NetID { return n.outputs }
-
-// InputNet looks up a primary input net by name.
-func (n *Netlist) InputNet(name string) (NetID, bool) {
-	id, ok := n.inputIndex[name]
-	return id, ok
-}
-
-// OutputNet looks up a primary output net by name.
-func (n *Netlist) OutputNet(name string) (NetID, bool) {
-	id, ok := n.outputIndex[name]
-	return id, ok
-}
 
 // AddGate creates a gate driving a fresh net and returns that net.
 func (n *Netlist) AddGate(kind GateKind, in ...NetID) NetID {

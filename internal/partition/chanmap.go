@@ -11,14 +11,16 @@ import (
 // PhysChannel is one physical inter-PE connection carrying one or more
 // logical channels (paper Section 2.2, Figure 3). Every logical channel
 // terminates in a register at its receiving end, so sharing never loses
-// data; an arbiter is required when the merged channels have multiple
-// unordered source tasks.
+// data; an arbiter is required when two or more of the merged channels'
+// source tasks hold request lines: every source under
+// Options.Conservative, otherwise those not ordered against every other
+// source.
 type PhysChannel struct {
 	Name     string
 	A, B     int // PE endpoints
 	Pins     int // data width of the shared channel (max logical width)
 	Logical  []string
-	Arbiter  *ArbiterSpec // nil when a single source (or ordered sources)
+	Arbiter  *ArbiterSpec // nil below two sources holding request lines
 	ViaXbar  bool
 	SrcTasks []string
 }
@@ -26,8 +28,9 @@ type PhysChannel struct {
 // RouteChannels merges the stage's logical channels onto physical
 // channels: all logical channels between one PE pair share a single
 // physical channel sized to the widest logical channel. Channels between
-// tasks on the same PE need no physical resources.
-func RouteChannels(g *taskgraph.Graph, board *rc.Board, st *Stage) ([]PhysChannel, error) {
+// tasks on the same PE need no physical resources. opts.Conservative
+// decides channel arbiters as it does bank arbiters.
+func RouteChannels(g *taskgraph.Graph, board *rc.Board, st *Stage, opts Options) ([]PhysChannel, error) {
 	inStage := map[string]bool{}
 	for _, t := range st.Tasks {
 		inStage[t] = true
@@ -78,24 +81,10 @@ func RouteChannels(g *taskgraph.Graph, board *rc.Board, st *Stage) ([]PhysChanne
 		if _, ok := board.LinkBetween(key[0], key[1]); !ok {
 			pc.ViaXbar = true
 		}
-		// Arbitration is needed when distinct unordered source tasks
-		// share the physical channel (paper Section 4.3: "an arbiter is
-		// required when different sources of the shared channels belong
-		// to different tasks").
-		members := g.UnorderedMembers(sources)
-		if len(members) >= 2 {
-			var elided []string
-			memberSet := map[string]bool{}
-			for _, m := range members {
-				memberSet[m] = true
-			}
-			for _, s := range sources {
-				if !memberSet[s] {
-					elided = append(elided, s)
-				}
-			}
-			pc.Arbiter = &ArbiterSpec{Resource: pc.Name, Members: members, Elided: elided}
-		}
+		// Paper Section 4.3: "an arbiter is required when different
+		// sources of the shared channels belong to different tasks";
+		// arbiterFor elides the sources ordered against every other.
+		pc.Arbiter = arbiterFor(g, pc.Name, sources, opts)
 		out = append(out, pc)
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sparcs/internal/estimate"
@@ -20,6 +21,12 @@ import (
 // whose accessors are strictly ordered (e.g. an F task's input with a g
 // task's output) is free — the packing structure behind the paper's
 // Figure 11.
+//
+// The cost counts lines with elision under opts.Conservative too. The
+// paper's arbitration-aware mapping assumes elision, and conservative
+// insertion is an ablation of insertion alone: it widens the arbiters of
+// the bank map elision chooses. Counting every accessor here would move
+// conservative bank maps, and their simulations, with it.
 func mapSegments(g *taskgraph.Graph, board *rc.Board, st *Stage, opts Options) error {
 	inStage := map[string]bool{}
 	for _, t := range st.Tasks {
@@ -225,7 +232,7 @@ func mapSegments(g *taskgraph.Graph, board *rc.Board, st *Stage, opts Options) e
 	for bi := range st.Banks {
 		sort.Strings(st.Banks[bi])
 	}
-	st.Arbiters = deriveArbiters(g, board, st, inStage)
+	st.Arbiters = deriveArbiters(g, board, st, inStage, opts)
 	return nil
 }
 
@@ -244,14 +251,11 @@ func mergeNames(a, b []string) []string {
 	return out
 }
 
-// deriveArbiters computes the arbiter specs for each bank with contending
+// deriveArbiters computes the arbiter of each bank with contending
 // accessors.
-func deriveArbiters(g *taskgraph.Graph, board *rc.Board, st *Stage, inStage map[string]bool) []ArbiterSpec {
+func deriveArbiters(g *taskgraph.Graph, board *rc.Board, st *Stage, inStage map[string]bool, opts Options) []ArbiterSpec {
 	var out []ArbiterSpec
 	for bi, segs := range st.Banks {
-		if len(segs) == 0 {
-			continue
-		}
 		accSet := map[string]bool{}
 		var accList []string
 		for _, s := range segs {
@@ -263,27 +267,39 @@ func deriveArbiters(g *taskgraph.Graph, board *rc.Board, st *Stage, inStage map[
 			}
 		}
 		sort.Strings(accList)
-		members := g.UnorderedMembers(accList)
-		if len(members) < 2 {
-			continue
+		if arb := arbiterFor(g, board.Banks[bi].Name, accList, opts); arb != nil {
+			out = append(out, *arb)
 		}
-		var elided []string
-		memberSet := map[string]bool{}
-		for _, m := range members {
-			memberSet[m] = true
-		}
-		for _, a := range accList {
-			if !memberSet[a] {
-				elided = append(elided, a)
-			}
-		}
-		out = append(out, ArbiterSpec{
-			Resource: board.Banks[bi].Name,
-			Members:  members,
-			Elided:   elided,
-		})
 	}
 	return out
+}
+
+// arbiterFor decides which of a resource's stage-local accessors hold
+// request lines on its arbiter; every bank and physical-channel arbiter
+// is decided here. Under opts.Conservative every accessor does, in name
+// order. Otherwise only the accessors with an unordered peer among them
+// do, in accessor order, and the rest are elided in accessor order: the
+// control dependencies order them against every contender (paper
+// Section 5). It returns nil below two members.
+func arbiterFor(g *taskgraph.Graph, resource string, accessors []string, opts Options) *ArbiterSpec {
+	if opts.Conservative {
+		members := slices.Sorted(slices.Values(accessors))
+		if len(members) < 2 {
+			return nil
+		}
+		return &ArbiterSpec{Resource: resource, Members: members}
+	}
+	members := g.UnorderedMembers(accessors)
+	if len(members) < 2 {
+		return nil
+	}
+	arb := &ArbiterSpec{Resource: resource, Members: members}
+	for _, a := range accessors {
+		if !slices.Contains(members, a) {
+			arb.Elided = append(arb.Elided, a)
+		}
+	}
+	return arb
 }
 
 // checkAreaWithArbiters verifies per-PE CLB capacity including the

@@ -41,6 +41,12 @@ type Options struct {
 	// the paper's 3-stage FFT split comes from its temporal ILP, which is
 	// outside this paper's scope).
 	FixedStages [][]string
+	// Conservative disables dependency-based elision: every task that
+	// accesses a shared bank or physical channel holds a request line on
+	// its arbiter, the paper's conservative insertion ("the arbiter
+	// insertion assumed that all 6 tasks were executing in parallel").
+	// The partitioner prices, and arbinsert wires, those wider arbiters.
+	Conservative bool
 }
 
 func (o Options) busPins() int {
@@ -59,7 +65,9 @@ type Stage struct {
 	SegBank map[string]int
 	// Banks lists, per board bank, the segments mapped to it.
 	Banks [][]string
-	// Arbiters lists the shared-resource arbiters this stage needs.
+	// Arbiters lists the stage's bank arbiters: the ones StageArea and
+	// the per-PE area and pin checks price, and the ones arbinsert wires
+	// and the simulator runs, under either elision mode.
 	Arbiters []ArbiterSpec
 	// PinUse is the crossbar/link pin usage per PE.
 	PinUse []int
@@ -79,9 +87,10 @@ type ArbiterSpec struct {
 func (a ArbiterSpec) N() int { return len(a.Members) }
 
 // StageArea is the stage's resident CLB footprint: every task's area
-// plus each arbiter priced by estimate.ArbiterCLBs at its expected
+// plus each bank arbiter priced by estimate.ArbiterCLBs at its expected
 // simulated width (members + ExpectedContention lines) — the same
 // pricing checkAreaWithArbiters enforces per PE, summed board-wide.
+// Physical-channel arbiters (PhysChannel.Arbiter) are not priced.
 // Schedulers that treat a compiled stage as one relocatable region
 // (internal/scenario's strip packer) size its rectangle from this.
 func StageArea(g *taskgraph.Graph, st *Stage, opts Options) int {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 
 	"sparcs/internal/estimate"
@@ -221,7 +222,7 @@ func TestRouteChannelsMergesPerPEPair(t *testing.T) {
 	}
 	st := stages[0]
 	// Force interesting placement: move all three to distinct PEs.
-	routes, err := RouteChannels(g, rc.Wildforce(), st)
+	routes, err := RouteChannels(g, rc.Wildforce(), st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestRouteChannelsArbiterOnlyForUnorderedSources(t *testing.T) {
 	st.TaskPE["P"] = 0
 	st.TaskPE["Q"] = 1
 	st.TaskPE["R"] = 1
-	routes, err := RouteChannels(g, rc.Wildforce(), st)
+	routes, err := RouteChannels(g, rc.Wildforce(), st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +268,36 @@ func TestRouteChannelsArbiterOnlyForUnorderedSources(t *testing.T) {
 	}
 	if routes[0].Arbiter.N() != 2 {
 		t.Fatalf("channel arbiter size = %d, want 2", routes[0].Arbiter.N())
+	}
+
+	// P precedes Q, so their shared channel needs no arbiter, except
+	// under conservative insertion, which wires every source.
+	g = pipelineGraph()
+	g.Channels = []*taskgraph.Channel{
+		{Name: "cq", From: "Q", To: "R", WidthBits: 8},
+		{Name: "cp", From: "P", To: "R", WidthBits: 8},
+	}
+	stages, err = Temporal(g, rc.Wildforce(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = stages[0]
+	st.TaskPE["P"], st.TaskPE["Q"], st.TaskPE["R"] = 1, 1, 0
+	for _, conservative := range []bool{false, true} {
+		routes, err := RouteChannels(g, rc.Wildforce(), st, Options{Conservative: conservative})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(routes) != 1 {
+			t.Fatalf("conservative %v: routes = %d, want 1 merged channel", conservative, len(routes))
+		}
+		var want *ArbiterSpec
+		if conservative {
+			want = &ArbiterSpec{Resource: routes[0].Name, Members: []string{"P", "Q"}}
+		}
+		if got := routes[0].Arbiter; !reflect.DeepEqual(got, want) {
+			t.Fatalf("conservative %v: ordered sources Q,P got arbiter %+v, want %+v", conservative, got, want)
+		}
 	}
 }
 

@@ -114,6 +114,11 @@ func newEngine(cfg *Config) (*engine, error) {
 	if cfg.Jobs < 1 {
 		return nil, fmt.Errorf("scenario: Jobs must be at least 1, got %d", cfg.Jobs)
 	}
+	if cfg.CrossContention != "" {
+		if _, err := workload.NewGenerator(cfg.CrossContention, 1, 1); err != nil {
+			return nil, fmt.Errorf("scenario: cross-contention spec: %w", err)
+		}
+	}
 	for i, c := range cfg.Classes {
 		if c.Design == nil {
 			return nil, fmt.Errorf("scenario: class %d (%s) has no compiled design", i, c.Name)
@@ -143,7 +148,7 @@ func newEngine(cfg *Config) (*engine, error) {
 		compactAt: -1,
 	}
 	for i, c := range cfg.Classes {
-		ci, err := newClassInfo(c, e.perCLB, cols, rows)
+		ci, err := newClassInfo(c, cfg.CrossContention, e.perCLB, cols, rows)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: class %d (%s): %w", i, c.Name, err)
 		}
@@ -159,7 +164,7 @@ func newEngine(cfg *Config) (*engine, error) {
 	return e, nil
 }
 
-func newClassInfo(c Class, perCLB, cols, rows int) (classInfo, error) {
+func newClassInfo(c Class, cross string, perCLB, cols, rows int) (classInfo, error) {
 	ci := classInfo{name: c.Name, design: c.Design, opts: c.Opts}
 	ci.stageAreas = c.Design.StageAreas(c.Opts.Partition)
 	if len(ci.stageAreas) == 0 {
@@ -180,6 +185,16 @@ func newClassInfo(c Class, perCLB, cols, rows int) (classInfo, error) {
 	if ci.w > cols || ci.h > rows {
 		return ci, fmt.Errorf("footprint %d CLBs (%dx%d) exceeds the %dx%d fabric",
 			footprint, ci.w, ci.h, cols, rows)
+	}
+	// Cross-contention widens every arbiter of a running stage by up to
+	// maxCrossLines lines, so check the policy at that worst case before
+	// the clock starts rather than failing mid-scenario.
+	if cross != "" {
+		for s := range c.Design.Stages {
+			if err := core.CheckPolicy(c.Design, c.Opts.Policy, crossSpecs(c.Design, s, cross, maxCrossLines)); err != nil {
+				return ci, err
+			}
+		}
 	}
 	// Baseline run: contention-free stage execution times over a carried
 	// memory image — exactly a solo System.Run. These seed the oracle's
@@ -449,19 +464,7 @@ func (e *engine) startStage(j *job) error {
 	if e.cfg.CrossContention != "" {
 		opts := ci.opts
 		if co := len(e.residents) - 1; co > 0 {
-			lines := co
-			if m := e.cfg.maxCrossLines(); lines > m {
-				lines = m
-			}
-			var specs []core.ContentionSpec
-			for _, arb := range ci.design.Stages[j.stage].Inserted.Arbiters {
-				specs = append(specs, core.ContentionSpec{
-					Resources: []string{arb.Resource},
-					Workload:  e.cfg.CrossContention,
-					Lines:     lines,
-				})
-			}
-			if len(specs) > 0 {
+			if specs := crossSpecs(ci.design, j.stage, e.cfg.CrossContention, min(co, maxCrossLines)); len(specs) > 0 {
 				opts.Contention = specs
 				opts.ContentionSeed = e.cfg.seed() +
 					uint64(j.id+1)*0x9e3779b97f4a7c15 +
@@ -485,6 +488,21 @@ func (e *engine) startStage(j *job) error {
 		j.stats = append(j.stats, stats)
 	}
 	return nil
+}
+
+// crossSpecs is the cross-contention stage s of d runs under: one
+// independent spec per arbiter, each adding lines phantom lines of the
+// cross workload.
+func crossSpecs(d *core.Design, s int, cross string, lines int) []core.ContentionSpec {
+	var specs []core.ContentionSpec
+	for _, arb := range d.Stages[s].Inserted.Arbiters {
+		specs = append(specs, core.ContentionSpec{
+			Resources: []string{arb.Resource},
+			Workload:  cross,
+			Lines:     lines,
+		})
+	}
+	return specs
 }
 
 // scheduleLoad points the idle configuration port at the most urgent

@@ -37,6 +37,9 @@ type Class struct {
 	Opts core.Options
 }
 
+// maxCrossLines caps the cross-contention phantom lines per arbiter.
+const maxCrossLines = 4
+
 // Placement modes for the strip allocator.
 const (
 	PlaceFirstFit = "firstfit"
@@ -83,16 +86,15 @@ type Config struct {
 	MaxCycles int
 	// CrossContention, when non-empty, is a workload spec injected as
 	// phantom request lines on every arbiter of a running stage, one
-	// line per co-resident (capped at MaxCrossLines) — the fabric-bus
-	// interference neighbors impose on each other. The cross lines
-	// replace a stage's contention rather than adding to it, so a class
-	// whose Opts carry their own Contention is rejected while this is
-	// set. Empty keeps stage executions bit-identical to a solo
-	// System.Run, so every job takes its class's one baseline run
-	// instead of simulating.
+	// line per co-resident (capped at 4) — the fabric-bus interference
+	// neighbors impose on each other. The cross lines replace a stage's
+	// contention rather than adding to it, so a class whose Opts carry
+	// their own Contention is rejected while this is set, and each
+	// class's policy must fit its arbiters widened by the cap. Empty
+	// keeps stage executions bit-identical to a solo System.Run, so
+	// every job takes its class's one baseline run instead of
+	// simulating.
 	CrossContention string
-	// MaxCrossLines caps the phantom lines per arbiter; 0 means 4.
-	MaxCrossLines int
 	// KeepStats retains each job's per-stage sim.Stats and final memory
 	// image in its JobStats, at the cost of a per-job memory copy.
 	KeepStats bool
@@ -130,13 +132,6 @@ func (c *Config) maxCycles() int {
 		return 5_000_000
 	}
 	return c.MaxCycles
-}
-
-func (c *Config) maxCrossLines() int {
-	if c.MaxCrossLines <= 0 {
-		return 4
-	}
-	return c.MaxCrossLines
 }
 
 func (c *Config) seed() uint64 {

@@ -3,12 +3,16 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"sparcs/internal/arbiter"
+	"sparcs/internal/behav"
 	"sparcs/internal/core"
 	"sparcs/internal/fft"
 	"sparcs/internal/partition"
 	"sparcs/internal/rc"
+	"sparcs/internal/taskgraph"
 )
 
 // fftClass compiles the Section 5 FFT case study as a scenario class,
@@ -309,5 +313,58 @@ func TestScenarioConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: Run accepted an invalid config", tc.name)
 		}
+	}
+}
+
+// twoWritersClass compiles a one-stage design whose only arbiter is an
+// Arb2 (W1 and W2 write one segment, unordered), run under policy.
+func twoWritersClass(t *testing.T, policy string) Class {
+	t.Helper()
+	g := &taskgraph.Graph{
+		Name:     "two-writers",
+		Segments: []*taskgraph.Segment{{Name: "S", SizeBytes: 1024, WidthBits: 32}},
+		Tasks: []*taskgraph.Task{
+			{Name: "W1", AreaCLBs: 50, Accesses: []taskgraph.Access{{Segment: "S", Kind: taskgraph.Write}}},
+			{Name: "W2", AreaCLBs: 50, Accesses: []taskgraph.Access{{Segment: "S", Kind: taskgraph.Write}}},
+		},
+	}
+	progs := map[string]behav.Program{
+		"W1": {Body: []behav.Instr{behav.WriteImm("S", 0, 1)}},
+		"W2": {Body: []behav.Instr{behav.WriteImm("S", 1, 2)}},
+	}
+	sp, err := arbiter.ParsePolicySpec(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Policy: sp, DisableTraces: true}
+	d, err := core.Compile(g, rc.Wildforce(), progs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Arbiters(); len(got) != 1 || !strings.HasSuffix(got[0], ":2") {
+		t.Fatalf("arbiters = %v, want one Arb2", got)
+	}
+	return Class{Name: "two-writers", Design: d, Opts: opts}
+}
+
+// TestCrossContentionCheckedUpFront: newEngine rejects a bad
+// cross-contention spec even when no job could have a co-resident, and
+// a policy that fits a class's members but not its arbiters widened by
+// maxCrossLines, before the clock starts.
+func TestCrossContentionCheckedUpFront(t *testing.T) {
+	cfg := churnConfig(t)
+	cfg.Jobs = 1
+	cfg.CrossContention = "no-such-shape"
+	if _, err := newEngine(&cfg); err == nil {
+		t.Fatal("a bad cross-contention spec was accepted")
+	}
+
+	cfg = Config{Classes: []Class{twoWritersClass(t, "wrr:1,1")}, Jobs: 1}
+	if _, err := newEngine(&cfg); err != nil {
+		t.Fatalf("wrr:1,1 on an Arb2 without cross-contention: %v", err)
+	}
+	cfg.CrossContention = "bernoulli:0.30"
+	if _, err := newEngine(&cfg); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("wrr:1,1 on an Arb2 widened by %d cross lines: err = %v, want the policy rejected", maxCrossLines, err)
 	}
 }

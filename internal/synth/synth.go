@@ -36,15 +36,12 @@ type Tool struct {
 	// AreaMap selects area-oriented LUT mapping (shared logic implemented
 	// once); false selects depth-oriented mapping (faster, larger).
 	AreaMap bool
-	// FactorOr enables the stronger algebraic pass (single-variant cube
-	// merging through shared OR products).
-	FactorOr bool
 }
 
 // The two tools of the paper's Figures 6 and 7.
 var (
-	Synplify = Tool{Name: "synplify", ForceOneHot: true, FullEffort: true, AreaMap: true, FactorOr: true}
-	Express  = Tool{Name: "fpga-express", ForceOneHot: false, FullEffort: false, AreaMap: false, FactorOr: true}
+	Synplify = Tool{Name: "synplify", ForceOneHot: true, FullEffort: true, AreaMap: true}
+	Express  = Tool{Name: "fpga-express", ForceOneHot: false, FullEffort: false, AreaMap: false}
 )
 
 // ParseTool resolves a command-line tool name.
@@ -87,7 +84,9 @@ func Run(m *fsm.Machine, requested fsm.Encoding, tool Tool) (Result, *netlist.Ne
 	if tool.ForceOneHot {
 		enc = fsm.OneHot
 	}
-	opt := fsm.Options{FactorOr: tool.FactorOr}
+	// Both tools run the stronger algebraic pass (single-variant cube
+	// merging through shared OR products).
+	opt := fsm.Options{FactorOr: true}
 	if !tool.FullEffort {
 		opt.Minimize = func(on, dc *logic.Cover) *logic.Cover { return logic.Simplify(on) }
 	}

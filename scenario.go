@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"sparcs/internal/scenario"
-	"sparcs/internal/workload"
 )
 
 // ScenarioResult aliases the scenario engine's run report.
@@ -72,15 +71,15 @@ type ScenarioConfig struct {
 	// MaxCycles is the engine watchdog (0 means 5,000,000).
 	MaxCycles int
 	// CrossContention, when set, injects that workload as phantom lines
-	// (one per co-resident, capped at MaxCrossLines, default cap 4) on
-	// every arbiter of a running stage — neighbors interfering on the
-	// fabric's buses. It replaces a stage's contention rather than
-	// adding to it, so RunScenario rejects it alongside an entry that
-	// uses WithContention. Empty keeps each stage bit-identical to a
-	// solo System.Run: each entry's stages then simulate once per
-	// RunScenario, and every job of the entry takes that result.
+	// (one per co-resident, capped at 4) on every arbiter of a running
+	// stage — neighbors interfering on the fabric's buses. It replaces a
+	// stage's contention rather than adding to it, so RunScenario
+	// rejects it alongside an entry that uses WithContention, and an
+	// entry's policy must fit its arbiters widened by the cap. Empty
+	// keeps each stage bit-identical to a solo System.Run: each entry's
+	// stages then simulate once per RunScenario, and every job of the
+	// entry takes that result.
 	CrossContention string
-	MaxCrossLines   int
 	// KeepStats retains per-stage sim.Stats and a per-job copy of the
 	// final memory image in each JobStats; without it both are nil.
 	// Without CrossContention the Stats are the entry's one run, shared
@@ -89,15 +88,12 @@ type ScenarioConfig struct {
 }
 
 // RunScenario validates each entry's run composition against its design
-// and executes the online scenario to completion.
+// and executes the online scenario to completion. The engine rejects a
+// bad CrossContention spec, and a policy that does not fit an entry's
+// arbiters once cross-contention widens them, before the clock starts.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if len(cfg.Entries) == 0 {
 		return nil, fmt.Errorf("sparcs: scenario needs at least one entry")
-	}
-	if cfg.CrossContention != "" {
-		if _, err := workload.NewGenerator(cfg.CrossContention, 1, 1); err != nil {
-			return nil, fmt.Errorf("sparcs: cross-contention spec: %w", err)
-		}
 	}
 	sc := scenario.Config{
 		Arrivals:             cfg.Arrivals,
@@ -111,12 +107,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		FabricRows:           cfg.FabricRows,
 		MaxCycles:            cfg.MaxCycles,
 		CrossContention:      cfg.CrossContention,
-		MaxCrossLines:        cfg.MaxCrossLines,
 		KeepStats:            cfg.KeepStats,
-	}
-	maxCross := cfg.MaxCrossLines
-	if maxCross <= 0 {
-		maxCross = 4 // mirrors scenario.Config.maxCrossLines
 	}
 	for i, ent := range cfg.Entries {
 		if ent.System == nil {
@@ -128,22 +119,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		if c.mem != nil {
 			return nil, fmt.Errorf("sparcs: scenario entry %d: jobs own their memory images; WithMemory is not supported", i)
-		}
-		// composeRun validated the policy at this entry's own widths;
-		// cross-contention, which the engine accepts only for entries
-		// without their own, widens every arbiter by up to maxCross lines
-		// at run time, so validate that worst case before the clock
-		// starts rather than failing mid-scenario.
-		if p := c.opts.Policy; cfg.CrossContention != "" && p != nil {
-			for si, sp := range ent.System.design.Stages {
-				for _, a := range sp.Inserted.Arbiters {
-					w := a.N() + maxCross
-					if _, err := p.NewWidened(a.N(), w); err != nil {
-						return nil, fmt.Errorf("sparcs: scenario entry %d: policy %s unusable for the %d-line arbiter on %s in stage %d once cross-contention widens it: %w",
-							i, p, w, a.Resource, si, err)
-					}
-				}
-			}
 		}
 		name := ent.Name
 		if name == "" {

@@ -77,10 +77,12 @@ func WithAccessesPerGrant(m int) BuildOption {
 
 // WithConservativeArbitration disables dependency-based arbiter elision:
 // every accessor of a shared resource gets a request line, matching the
-// paper's conservative baseline.
+// paper's conservative baseline. The partitioner prices the wider
+// arbiters and their request/grant pins, so FootprintCLBs and the
+// per-PE fit checks cover what the run instantiates.
 func WithConservativeArbitration() BuildOption {
 	return func(c *buildConfig) error {
-		c.opts.Insert.Conservative = true
+		c.opts.Partition.Conservative = true
 		return nil
 	}
 }
@@ -353,23 +355,10 @@ func (s *System) composeRun(opts []RunOption) (runConfig, error) {
 		c.opts.DisableTraces = false
 		c.opts.CaptureOnly = c.capture
 	}
-	if p := c.opts.Policy; p != nil {
-		// Validate size-dependent policies against every arbiter's
-		// simulated width (members + phantoms + correlated lanes) so the
-		// run fails before its first stage, with the stage and the
-		// member/background split named. Widened arbiters validate
-		// through NewWidened, which keeps layout-sensitive policies
-		// (hier) anchored to the member count.
-		widths := core.StageWidths(s.design, c.opts.Contention)
-		for si, sp := range s.design.Stages {
-			for _, a := range sp.Inserted.Arbiters {
-				w := widths[si][a.Resource]
-				if _, err := p.NewWidened(a.N(), w); err != nil {
-					return c, fmt.Errorf("sparcs: policy %s unusable for the %d-line arbiter on %s in stage %d (%d members + %d background): %w",
-						p, w, a.Resource, si, a.N(), w-a.N(), err)
-				}
-			}
-		}
+	// Validate the policy at every arbiter's simulated width (members +
+	// phantoms + correlated lanes) before the first stage runs.
+	if err := core.CheckPolicy(s.design, c.opts.Policy, c.opts.Contention); err != nil {
+		return c, err
 	}
 	return c, nil
 }

@@ -287,32 +287,45 @@ func TestConcurrentBuildSharedGraph(t *testing.T) {
 // TestFFTDesignArea pins the paper's FFT design against the arbiter area
 // model: its arbiters (6 and 2 lines in stage 0, 4 in stage 1) and the
 // CLB footprint of every stage, so an edit to the pre-characterization
-// table cannot move the paper's design silently. The footprint does not
-// depend on the tile count.
+// table cannot move the paper's design silently. The conservative build
+// prices every arbiter it inserts, M2 and both stage-2 arbiters included.
+// The footprint does not depend on the tile count.
 func TestFFTDesignArea(t *testing.T) {
-	wantWidths := [][]int{{6, 2}, {4}, nil}
-	wantAreas := []int{1929, 533, 260}
-	for _, tiles := range []int{2, 6} {
-		sys, err := sparcs.FFTSystem(tiles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sys.FootprintCLBs(); got != 1929 {
-			t.Errorf("tiles %d: FootprintCLBs = %d, want 1929", tiles, got)
-		}
-		if got := sys.Design().StageAreas(partition.Options{}); !reflect.DeepEqual(got, wantAreas) {
-			t.Errorf("tiles %d: StageAreas = %v, want %v", tiles, got, wantAreas)
-		}
-		var widths [][]int
-		for _, sp := range sys.Design().Stages {
-			var w []int
-			for _, a := range sp.Stage.Arbiters {
-				w = append(w, a.N())
+	for _, c := range []struct {
+		conservative bool
+		footprint    int
+		areas        []int
+		widths       [][]int
+	}{
+		{false, 1929, []int{1929, 533, 260}, [][]int{{6, 2}, {4}, nil}},
+		{true, 1939, []int{1939, 537, 268}, [][]int{{6, 2, 3}, {4, 2}, {2, 2}}},
+	} {
+		for _, tiles := range []int{2, 6} {
+			var opts []sparcs.BuildOption
+			if c.conservative {
+				opts = append(opts, sparcs.WithConservativeArbitration())
 			}
-			widths = append(widths, w)
-		}
-		if !reflect.DeepEqual(widths, wantWidths) {
-			t.Errorf("tiles %d: arbiter widths per stage = %v, want %v", tiles, widths, wantWidths)
+			sys, err := sparcs.FFTSystem(tiles, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.FootprintCLBs(); got != c.footprint {
+				t.Errorf("conservative %v, tiles %d: FootprintCLBs = %d, want %d", c.conservative, tiles, got, c.footprint)
+			}
+			if got := sys.Design().StageAreas(partition.Options{}); !reflect.DeepEqual(got, c.areas) {
+				t.Errorf("conservative %v, tiles %d: StageAreas = %v, want %v", c.conservative, tiles, got, c.areas)
+			}
+			var widths [][]int
+			for _, sp := range sys.Design().Stages {
+				var w []int
+				for _, a := range sp.Stage.Arbiters {
+					w = append(w, a.N())
+				}
+				widths = append(widths, w)
+			}
+			if !reflect.DeepEqual(widths, c.widths) {
+				t.Errorf("conservative %v, tiles %d: arbiter widths per stage = %v, want %v", c.conservative, tiles, widths, c.widths)
+			}
 		}
 	}
 }
