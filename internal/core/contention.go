@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"sparcs/internal/arbiter"
 	"sparcs/internal/sim"
 	"sparcs/internal/workload"
 )
@@ -154,10 +153,11 @@ func parseEntry(entry string) (ContentionSpec, error) {
 
 // ExtraLines sums the request lines the specs add to each resource's
 // arbiter on top of its members: the width the partitioner prices
-// arbiters at and what policies must be sized for. An independent spec whose
-// workload is statically silent ("silent") adds none, mirroring the
-// simulator's elision; a correlated spec adds its lines to every
-// resource it spans.
+// arbiters at under WithExpectedContention. (A run's policies are sized
+// by the simulator, which widens each arbiter as it wires the stage's
+// sources.) An independent spec whose workload is statically silent
+// ("silent") adds none, mirroring the simulator's elision; a correlated
+// spec adds its lines to every resource it spans.
 func ExtraLines(specs []ContentionSpec) map[string]int {
 	extra := map[string]int{}
 	for _, cs := range specs {
@@ -278,65 +278,4 @@ func validateContention(d *Design, specs []ContentionSpec) error {
 			cs, strings.Join(stages, " "))
 	}
 	return nil
-}
-
-// validateRun vets a run's options against the design before any stage
-// executes: the composed contention list (validateContention) and,
-// unless UnsafeProtocols is set, its acquisition order (CheckProtocols).
-func validateRun(d *Design, opts Options) error {
-	if err := validateContention(d, opts.Contention); err != nil {
-		return err
-	}
-	if opts.UnsafeProtocols {
-		return nil
-	}
-	return CheckProtocols(opts.Contention)
-}
-
-// CheckPolicy validates a size-dependent policy against every arbiter's
-// simulated width under specs: its member lines plus the ExtraLines of
-// every spec its stage hosts, the width Options.Policy is instantiated
-// at. A run then fails before its first stage, with the stage and the
-// member/background split named. Widened arbiters validate through
-// NewWidened, which keeps layout-sensitive policies (hier) anchored to
-// the member count. A nil policy, the behavioral round-robin, fits every
-// width.
-func CheckPolicy(d *Design, p *arbiter.PolicySpec, specs []ContentionSpec) error {
-	if p == nil {
-		return nil
-	}
-	widths := stageWidths(d, specs)
-	for si, sp := range d.Stages {
-		for _, a := range sp.Inserted.Arbiters {
-			w := widths[si][a.Resource]
-			if _, err := p.NewWidened(a.N(), w); err != nil {
-				return fmt.Errorf("core: policy %s unusable for the %d-line arbiter on %s in stage %d (%d members + %d background): %w",
-					p, w, a.Resource, si, a.N(), w-a.N(), err)
-			}
-		}
-	}
-	return nil
-}
-
-// stageWidths reports, per stage, the request-line width every arbiter
-// is simulated at under the specs: member lines plus the ExtraLines of
-// every spec the stage hosts.
-func stageWidths(d *Design, specs []ContentionSpec) []map[string]int {
-	out := make([]map[string]int, len(d.Stages))
-	for si, sp := range d.Stages {
-		arbitrated := stageArbitrated(sp)
-		var hosted []ContentionSpec
-		for _, cs := range specs {
-			if hostsAll(arbitrated, cs.Resources) {
-				hosted = append(hosted, cs)
-			}
-		}
-		extra := ExtraLines(hosted)
-		widths := map[string]int{}
-		for _, a := range sp.Inserted.Arbiters {
-			widths[a.Resource] = a.N() + extra[a.Resource]
-		}
-		out[si] = widths
-	}
-	return out
 }

@@ -43,8 +43,7 @@ type Options struct {
 	// arbiters from one generator in every stage that arbitrates them
 	// together, and its cross-resource overlap and wait statistics land
 	// in that stage's sim.Stats.Shared. Policy is instantiated at the
-	// widened line count of every arbiter the load reaches (CheckPolicy
-	// validates it there).
+	// widened line count of every arbiter the load reaches (see Check).
 	Contention []ContentionSpec
 	// ContentionSeed seeds the background generators' random streams
 	// (0 means 1). Runs are deterministic for a given seed.
@@ -200,23 +199,22 @@ func (d *Design) Arbiters() []string {
 	return out
 }
 
-// Simulate runs every stage in order, carrying memory contents across
-// reconfigurations (physical banks retain data; the host restages
-// streaming windows).
+// Simulate sets up every stage (see Check), then runs them in order,
+// carrying memory contents across reconfigurations (physical banks
+// retain data; the host restages streaming windows). A run that cannot
+// simulate fails before its first stage does, with mem untouched.
 func Simulate(d *Design, mem *sim.Memory, opts Options) (*RunResult, error) {
 	if mem == nil {
 		mem = sim.NewMemory()
 	}
-	if err := validateRun(d, opts); err != nil {
+	sims, err := setup(d, 0, len(d.Stages), mem, opts)
+	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{Memory: mem}
-	for _, sp := range d.Stages {
-		stats, err := simulateStage(d, sp, mem, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Stages = append(res.Stages, StageStats{Stage: sp, Stats: stats})
+	res := &RunResult{Stages: make([]StageStats, len(sims)), Memory: mem}
+	for si, s := range sims {
+		stats := s.Run()
+		res.Stages[si] = StageStats{Stage: d.Stages[si], Stats: stats}
 		res.TotalCycles += stats.Cycles
 	}
 	return res, nil
@@ -227,43 +225,66 @@ func Simulate(d *Design, mem *sim.Memory, opts Options) (*RunResult, error) {
 // for that stage (same contention seed derivation, same config).
 // This is the entry point for schedulers that interleave stages of many
 // designs on one fabric (internal/scenario): a design's stage i executed
-// here is cycle-identical to its execution inside Simulate.
+// here is cycle-identical to its execution inside Simulate. Only stage
+// si is set up; a nil mem starts blank.
 func SimulateStage(d *Design, si int, mem *sim.Memory, opts Options) (*sim.Stats, error) {
 	if si < 0 || si >= len(d.Stages) {
 		return nil, fmt.Errorf("core: stage index %d out of range (design has %d)", si, len(d.Stages))
 	}
-	if mem == nil {
-		mem = sim.NewMemory()
-	}
-	if err := validateRun(d, opts); err != nil {
-		return nil, err
-	}
-	return simulateStage(d, d.Stages[si], mem, opts)
-}
-
-// simulateStage is the shared per-stage body of Simulate and
-// SimulateStage: build this stage's background sources from the run's
-// contention specs and execute the sim hot loop.
-func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*sim.Stats, error) {
-	sources, err := stageSources(sp, opts.Contention, opts.ContentionSeed)
+	sims, err := setup(d, si, si+1, mem, opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.Config{
-		Graph:             d.Graph,
-		Tasks:             sp.Stage.Tasks,
-		Programs:          sp.Inserted.Programs,
-		Arbiters:          sp.Inserted.Arbiters,
-		ResourceOfSegment: sp.Inserted.ResourceOfSegment,
-		ResourceOfChannel: sp.Inserted.ResourceOfChannel,
-		Policy:            opts.Policy,
-		MaxCycles:         opts.MaxCyclesPerStage,
-		Memory:            mem,
-		DisableTraces:     opts.DisableTraces,
-		CaptureOnly:       opts.CaptureOnly,
-		Sources:           sources,
+	return sims[0].Run(), nil
+}
+
+// Check sets up every stage of d under opts, each on a blank memory, and
+// runs none: it returns the error Simulate would, without a cycle run.
+func Check(d *Design, opts Options) error {
+	_, err := setup(d, 0, len(d.Stages), nil, opts)
+	return err
+}
+
+// setup vets opts against d (validateContention, then CheckProtocols
+// unless UnsafeProtocols is set) and sets up stages lo..hi-1 over mem:
+// each stage's background sources, then its simulator (sim.New), which
+// builds the policy at every arbiter's simulated width.
+func setup(d *Design, lo, hi int, mem *sim.Memory, opts Options) ([]*sim.Sim, error) {
+	if err := validateContention(d, opts.Contention); err != nil {
+		return nil, err
 	}
-	return sim.Run(cfg)
+	if !opts.UnsafeProtocols {
+		if err := CheckProtocols(opts.Contention); err != nil {
+			return nil, err
+		}
+	}
+	sims := make([]*sim.Sim, 0, hi-lo)
+	for si := lo; si < hi; si++ {
+		sp := d.Stages[si]
+		sources, err := stageSources(sp, opts.Contention, opts.ContentionSeed)
+		var s *sim.Sim
+		if err == nil {
+			s, err = sim.New(sim.Config{
+				Graph:             d.Graph,
+				Tasks:             sp.Stage.Tasks,
+				Programs:          sp.Inserted.Programs,
+				Arbiters:          sp.Inserted.Arbiters,
+				ResourceOfSegment: sp.Inserted.ResourceOfSegment,
+				ResourceOfChannel: sp.Inserted.ResourceOfChannel,
+				Policy:            opts.Policy,
+				MaxCycles:         opts.MaxCyclesPerStage,
+				Memory:            mem,
+				DisableTraces:     opts.DisableTraces,
+				CaptureOnly:       opts.CaptureOnly,
+				Sources:           sources,
+			})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: stage %d: %w", si, err)
+		}
+		sims = append(sims, s)
+	}
+	return sims, nil
 }
 
 // Report renders a human-readable compilation summary resembling the

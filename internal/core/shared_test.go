@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sparcs/internal/arbinsert"
-	"sparcs/internal/arbiter"
 	"sparcs/internal/partition"
 )
 
@@ -95,8 +94,7 @@ func TestExtraLines(t *testing.T) {
 }
 
 // fakeDesign builds a Design skeleton with the given per-stage arbiter
-// resource lists, enough for validateContention, stageWidths and
-// CheckPolicy.
+// resource lists, enough for validateContention.
 func fakeDesign(stages ...[]string) *Design {
 	d := &Design{}
 	for _, resources := range stages {
@@ -133,49 +131,46 @@ func TestValidateSharedRequiresCoArbitration(t *testing.T) {
 	}
 }
 
-func TestStageWidths(t *testing.T) {
-	d := fakeDesign([]string{"M1", "M3"}, []string{"M3"})
-	specs, err := ParseContention("M1=hog/2,M1+M3=corr:0.30/1")
-	if err != nil {
-		t.Fatal(err)
+// TestSetupChecksEveryStageFirst: a run's policy is built at every
+// arbiter's simulated width when its stages are set up, so Simulate and
+// Check reject a width the policy cannot serve before any stage runs,
+// naming the stage and the member/background split, and the caller's
+// memory image is left as it was. A default-policy run whose contention
+// overflows a later stage's arbiter fails the same way.
+func TestSetupChecksEveryStageFirst(t *testing.T) {
+	d, mem, _ := compileFFT(t, 2, paperOpts())
+	image := func() map[string]map[int]int64 {
+		segs := map[string]map[int]int64{}
+		for _, s := range d.Graph.Segments {
+			segs[s.Name] = mem.Snapshot(s.Name)
+		}
+		return segs
 	}
-	widths := stageWidths(d, specs)
-	// Stage 0: M1 = 3 members + 2 hog + 1 corr lane; M3 = 3 members + 1
-	// corr lane. Stage 1 hosts no corr source (M1 missing): M3 = 3
-	// members only... but the hog spec attaches wherever M1 is
-	// arbitrated, which stage 1 doesn't.
-	want := []map[string]int{
-		{"M1": 6, "M3": 4},
-		{"M3": 3},
-	}
-	if !reflect.DeepEqual(widths, want) {
-		t.Fatalf("stageWidths = %v, want %v", widths, want)
-	}
-}
+	loaded := image()
 
-// TestCheckPolicy: a policy is checked at each arbiter's simulated
-// width, and the error names the arbiter and its member/background
-// split.
-func TestCheckPolicy(t *testing.T) {
-	d := fakeDesign([]string{"M1", "M3"}, []string{"M3"})
-	specs, err := ParseContention("M1=hog/2")
-	if err != nil {
-		t.Fatal(err)
+	bad := policyOpts(t, "wrr:1,1,1,1,1,1")
+	bad.Contention = mustContention(t, "M1=hog/1")
+	_, simErr := Simulate(d, mem, bad)
+	want := "7-line arbiter on M1 (6 members + 1 background)"
+	for name, err := range map[string]error{"Simulate": simErr, "Check": Check(d, bad)} {
+		if err == nil || !strings.HasPrefix(err.Error(), "core: stage 0: ") || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s = %v, want a stage 0 error mentioning %q", name, err, want)
+		}
 	}
-	wrr3, err := arbiter.ParsePolicySpec("wrr:1,2,3")
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(image(), loaded) {
+		t.Error("a Simulate that failed in setup changed the memory image")
 	}
-	if err := CheckPolicy(d, nil, specs); err != nil {
-		t.Fatalf("nil policy: %v", err)
+
+	wide := paperOpts()
+	wide.Contention = mustContention(t, "M3=hog/61")
+	if err := Check(d, wide); err == nil || !strings.HasPrefix(err.Error(), "core: stage 1: ") || !strings.Contains(err.Error(), "M3") {
+		t.Errorf("Check(M3=hog/61) = %v, want a stage 1 error on M3", err)
 	}
-	if err := CheckPolicy(d, wrr3, nil); err != nil {
-		t.Fatalf("three weights on 3-member arbiters: %v", err)
-	}
-	err = CheckPolicy(d, wrr3, specs)
-	want := "unusable for the 5-line arbiter on M1 in stage 0 (3 members + 2 background)"
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("three weights on the widened M1 arbiter: err = %v, want it to mention %q", err, want)
+
+	fine := policyOpts(t, "wrr:2")
+	fine.Contention = mustContention(t, "M1=hog/1,M3=bursty/2")
+	if err := Check(d, fine); err != nil {
+		t.Errorf("Check(wrr:2, M1=hog/1,M3=bursty/2) = %v", err)
 	}
 }
 

@@ -190,16 +190,17 @@ func (s *Simulator) StepInto(inputs, out []bool) error {
 	// Combinational evaluation.
 	tbufs := s.n.TBufs()
 	gates := s.n.Gates()
-	for _, nd := range s.order {
+	for i := range s.order {
+		nd := &s.order[i]
 		if nd.gate >= 0 {
-			g := gates[nd.gate]
+			g := &gates[nd.gate]
 			s.val[g.Out] = evalGate(g, s.val)
 			continue
 		}
 		enabled := 0
 		v := false
 		for _, ti := range nd.tbufs {
-			tb := tbufs[ti]
+			tb := &tbufs[ti]
 			if s.val[tb.En] {
 				enabled++
 				v = s.val[tb.In]
@@ -269,7 +270,7 @@ func (s *Simulator) outputName(i int) string {
 	return s.n.NetName(id)
 }
 
-func evalGate(g Gate, val []bool) bool {
+func evalGate(g *Gate, val []bool) bool {
 	switch g.Kind {
 	case And, Nand:
 		v := true

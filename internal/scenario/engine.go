@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"sparcs/internal/core"
 	"sparcs/internal/sim"
@@ -187,31 +188,31 @@ func newClassInfo(c Class, cross string, perCLB, cols, rows int) (classInfo, err
 			footprint, ci.w, ci.h, cols, rows)
 	}
 	// Cross-contention widens every arbiter of a running stage by up to
-	// maxCrossLines lines, so check the policy at that worst case before
-	// the clock starts rather than failing mid-scenario.
+	// maxCrossLines lines, so set every stage up at that worst case
+	// before the clock starts rather than failing mid-scenario.
 	if cross != "" {
-		for s := range c.Design.Stages {
-			if err := core.CheckPolicy(c.Design, c.Opts.Policy, crossSpecs(c.Design, s, cross, maxCrossLines)); err != nil {
-				return ci, err
-			}
+		worst := c.Opts
+		worst.Contention = crossSpecs(cross, maxCrossLines, c.Design.Stages...)
+		if err := core.Check(c.Design, worst); err != nil {
+			return ci, err
 		}
 	}
 	// Baseline run: contention-free stage execution times over a carried
 	// memory image — exactly a solo System.Run. These seed the oracle's
 	// critical-path and area-time bounds (lower bounds even when
 	// cross-contention stretches the online run) and validate the
-	// class's options before the clock starts. sim.Run is a pure
-	// function of its config and memory, so a job that runs its stages
-	// in order on a blank image under these options computes exactly
-	// these Stats and this final image.
-	ci.mem = sim.NewMemory()
-	for s := range ci.stageAreas {
-		stats, err := core.SimulateStage(c.Design, s, ci.mem, c.Opts)
-		if err != nil {
-			return ci, err
-		}
-		ci.stats = append(ci.stats, stats)
-		ci.totalExec += execCycles(stats)
+	// class's options before the clock starts. A stage's simulation is a
+	// pure function of its config and memory, so a job that runs its
+	// stages in order on a blank image under these options computes
+	// exactly these Stats and this final image.
+	res, err := core.Simulate(c.Design, nil, c.Opts)
+	if err != nil {
+		return ci, err
+	}
+	ci.mem = res.Memory
+	for _, ss := range res.Stages {
+		ci.stats = append(ci.stats, ss.Stats)
+		ci.totalExec += execCycles(ss.Stats)
 	}
 	return ci, nil
 }
@@ -464,7 +465,7 @@ func (e *engine) startStage(j *job) error {
 	if e.cfg.CrossContention != "" {
 		opts := ci.opts
 		if co := len(e.residents) - 1; co > 0 {
-			if specs := crossSpecs(ci.design, j.stage, e.cfg.CrossContention, min(co, maxCrossLines)); len(specs) > 0 {
+			if specs := crossSpecs(e.cfg.CrossContention, min(co, maxCrossLines), ci.design.Stages[j.stage]); len(specs) > 0 {
 				opts.Contention = specs
 				opts.ContentionSeed = e.cfg.seed() +
 					uint64(j.id+1)*0x9e3779b97f4a7c15 +
@@ -490,17 +491,21 @@ func (e *engine) startStage(j *job) error {
 	return nil
 }
 
-// crossSpecs is the cross-contention stage s of d runs under: one
-// independent spec per arbiter, each adding lines phantom lines of the
-// cross workload.
-func crossSpecs(d *core.Design, s int, cross string, lines int) []core.ContentionSpec {
+// crossSpecs is the cross-contention the stages run under: one
+// independent spec per arbitrated resource, however many of the stages
+// arbitrate it, each adding lines phantom lines of the cross workload.
+func crossSpecs(cross string, lines int, stages ...*core.StagePlan) []core.ContentionSpec {
 	var specs []core.ContentionSpec
-	for _, arb := range d.Stages[s].Inserted.Arbiters {
-		specs = append(specs, core.ContentionSpec{
-			Resources: []string{arb.Resource},
-			Workload:  cross,
-			Lines:     lines,
-		})
+	for _, sp := range stages {
+		for _, arb := range sp.Inserted.Arbiters {
+			if !slices.ContainsFunc(specs, func(cs core.ContentionSpec) bool { return cs.Resources[0] == arb.Resource }) {
+				specs = append(specs, core.ContentionSpec{
+					Resources: []string{arb.Resource},
+					Workload:  cross,
+					Lines:     lines,
+				})
+			}
+		}
 	}
 	return specs
 }

@@ -28,7 +28,7 @@ type Requester interface {
 	// phantom line i) after observing prevGrant, the grants issued to
 	// these lines last cycle. Bits at or above N() are ignored.
 	NextBits(prevGrant arbiter.BitVec) arbiter.BitVec
-	// Reset returns the source to its initial state. Run calls it once
+	// Reset returns the source to its initial state. New calls it once
 	// at setup so a source replays identically across runs.
 	Reset()
 }

@@ -17,6 +17,11 @@
 // vectors and policies so synthetic traffic competes for grants exactly
 // like a real task — see Source.
 //
+// A stage runs in two steps: New does all the setup and returns every
+// error the stage can raise, and (*Sim).Run is the cycle loop, which
+// cannot fail. A caller with several stages can set up all of them
+// before it runs the first.
+//
 // The per-cycle path is allocation-free: programs are precompiled so
 // every resource/segment/channel name resolves to a pointer or dense
 // index once at setup, request and grant vectors are single
@@ -69,7 +74,7 @@ type Config struct {
 	// line count and width the total once background sources widen the
 	// request vector, so a layout-sensitive policy (the hierarchical
 	// tree) keeps its member-line structure under widening. A width the
-	// spec cannot serve fails Run with the spec's error. Nil uses the
+	// spec cannot serve fails New with the spec's error. Nil uses the
 	// behavioral round-robin; "fsm" or "netlist" simulates the actual
 	// generated hardware.
 	Policy *arbiter.PolicySpec
@@ -237,16 +242,35 @@ type pendingSend struct {
 }
 
 // roundRobin is the policy a Config without one simulates: the paper's
-// behavioral round-robin (Figure 5 semantics). Run only reads it.
+// behavioral round-robin (Figure 5 semantics). New only reads it.
 var roundRobin = arbiter.PolicySpec{Kind: "round-robin"}
 
-// Run simulates one stage to completion (or MaxCycles). Each cycle runs
-// three phases: Phase 1 steps the background sources and the arbiters
-// and records traces, Phase 2 executes every task one cycle, and Phase 3
-// detects port conflicts and latches channel sends. A quiet window (see
-// the package comment) runs Phase 1 only, in one step for the arbiters
-// that settle; the watchdog still counts every cycle of it.
+// Sim is one stage set up to simulate: New has built its arbiters,
+// policies, sources and compiled programs, and Run executes it once.
+type Sim struct {
+	mem                 *Memory
+	sources, correlated []*source
+	arbs                []*arbInst // the nFed with phantom lines first
+	tasks               []*taskState
+	confNames           []string // conflict resources by interned index
+	maxCycles, nFed     int
+}
+
+// Run is New followed by (*Sim).Run.
 func Run(cfg Config) (*Stats, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(), nil
+}
+
+// New sets up one stage's simulation and returns every error the stage
+// can raise, such as an arbiter or source wider than arbiter.MaxN, a
+// policy that cannot serve an arbiter's widened width, an unknown
+// channel or an op outside OpCompute..OpTransform. It only interns
+// segment names in cfg.Memory; no word moves until Run.
+func New(cfg Config) (*Sim, error) {
 	maxCycles := cfg.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = 10_000_000
@@ -309,7 +333,8 @@ func Run(cfg Config) (*Stats, error) {
 		ai := arbs[spec.Resource]
 		p, err := policy.NewWidened(ai.memberN, ai.width)
 		if err != nil {
-			return nil, fmt.Errorf("sim: policy %s for the %d-line arbiter on %s: %w", policy, ai.width, ai.res, err)
+			return nil, fmt.Errorf("sim: policy %s unusable for the %d-line arbiter on %s (%d members + %d background): %w",
+				policy, ai.width, ai.res, ai.memberN, ai.width-ai.memberN, err)
 		}
 		ai.policy = p
 	}
@@ -332,7 +357,6 @@ func Run(cfg Config) (*Stats, error) {
 	for nFed < len(arbList) && arbList[nFed].phGrants != nil {
 		nFed++
 	}
-	fed, unfed := arbList[:nFed], arbList[nFed:]
 
 	chans := map[string]*chanReg{}
 	for _, c := range cfg.Graph.Channels {
@@ -368,6 +392,9 @@ func Run(cfg Config) (*Stats, error) {
 		ts := &taskState{name: name, iters: prog.Iterations()}
 		ts.code = make([]cinstr, len(prog.Body))
 		for i, in := range prog.Body {
+			if in.Op > behav.OpTransform {
+				return nil, fmt.Errorf("sim: task %s instruction %d: unsupported op %v", name, i, in.Op)
+			}
 			ci := cinstr{
 				op: in.Op, res: in.Res, ai: nil, conf: -1, seg: -1,
 				addr: in.Addr, stride: in.Stride, n: in.N, cycles: in.Cycles,
@@ -409,6 +436,20 @@ func Run(cfg Config) (*Stats, error) {
 			}
 		}
 	}
+	return &Sim{mem: mem, sources: sources, correlated: correlated, arbs: arbList,
+		tasks: tasks, confNames: confNames, maxCycles: maxCycles, nFed: nFed}, nil
+}
+
+// Run simulates the stage New set up, once. Each cycle runs three
+// phases: Phase 1 steps the background sources and the arbiters and
+// records traces, Phase 2 executes every task one cycle, and Phase 3
+// detects port conflicts and latches channel sends. A quiet window (see
+// the package comment) runs Phase 1 only, in one step for the arbiters
+// that settle; the watchdog still counts every cycle of it.
+func (s *Sim) Run() *Stats {
+	maxCycles, mem, sources, correlated := s.maxCycles, s.mem, s.sources, s.correlated
+	arbList, confNames, tasks := s.arbs, s.confNames, s.tasks
+	fed, unfed := arbList[:s.nFed], arbList[s.nFed:]
 
 	stats := &Stats{
 		TaskFinish:      map[string]int{},
@@ -591,9 +632,6 @@ func Run(cfg Config) (*Stats, error) {
 					in.ai.req &^= in.lineBit
 				}
 				advance(ts)
-			default:
-				//sparcs:ignore hotpath cold error path; aborts the run
-				return nil, fmt.Errorf("sim: task %s: unsupported op %v", ts.name, in.op)
 			}
 			if ts.iter >= ts.iters {
 				ts.done = true
@@ -652,7 +690,7 @@ func Run(cfg Config) (*Stats, error) {
 			Cycle: cycle, Resource: "", Kind: "deadlock-or-timeout",
 		})
 	}
-	return stats, nil
+	return stats
 }
 
 // phase1 runs Phase 1 of one cycle over arbs. Phantom sources refresh

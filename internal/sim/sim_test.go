@@ -356,6 +356,22 @@ func TestRunRejectsUnknownChannels(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnsupportedOps: an op outside OpCompute..OpTransform
+// fails New, so Run cannot fail. The task would reach it only after
+// 1000 cycles, far past the 10-cycle watchdog.
+func TestNewRejectsUnsupportedOps(t *testing.T) {
+	_, err := New(Config{
+		Graph:     simpleGraph(),
+		Tasks:     []string{"A"},
+		Programs:  map[string]behav.Program{"A": {Body: []behav.Instr{behav.Compute(1000), {Op: behav.Op(99)}}}},
+		MaxCycles: 10,
+	})
+	want := fmt.Sprintf("sim: task A instruction 1: unsupported op %v", behav.Op(99))
+	if err == nil || err.Error() != want {
+		t.Errorf("New = %v, want %q", err, want)
+	}
+}
+
 func TestDeadlockWatchdog(t *testing.T) {
 	g := &taskgraph.Graph{
 		Name:     "dead",

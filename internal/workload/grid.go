@@ -54,14 +54,15 @@ func RunGrid(policies, workloads []string, opt GridOptions) ([]*Metrics, error) 
 // textual specs via SpecColumn, measured request streams via
 // FromArbiterTrace/TraceColumn — returning one Metrics per cell in
 // row-major order (policies × columns, columns fastest). A nil policies
-// slice evaluates DefaultPolicies. Cells are independent — each
-// constructs its own policy and generator from the column recipe — and
-// fan out across GOMAXPROCS workers via sim.ParallelFor; results and
-// their order are fully deterministic.
+// slice evaluates DefaultPolicies. Cells are independent — each drives
+// its own policy and its own generator from the column recipe — and fan
+// out across GOMAXPROCS workers via sim.ParallelFor; results and their
+// order are fully deterministic.
 //
-// Policies and columns are validated up front (including size-dependent
-// constraints like hier group divisibility and trace widths) so a bad
-// entry fails fast instead of erroring from inside a worker.
+// Every cell's policy and generator are built once, serially, before
+// the fan-out, so a bad entry (including size-dependent constraints like
+// hier group divisibility and trace widths) fails before any cell runs
+// and the workers only drive.
 func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metrics, error) {
 	if policies == nil {
 		policies = DefaultPolicies()
@@ -70,44 +71,40 @@ func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metri
 		return nil, fmt.Errorf("workload: grid needs at least one policy and one workload")
 	}
 	opt = opt.withDefaults()
-	specs := make([]*arbiter.PolicySpec, len(policies))
-	for i, ps := range policies {
-		sp, err := arbiter.ParsePolicySpec(ps)
+	cells := len(policies) * len(cols)
+	ps := make([]arbiter.Policy, cells)
+	gs := make([]Generator, cells)
+	for pi, spec := range policies {
+		sp, err := arbiter.ParsePolicySpec(spec)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sp.New(opt.N); err != nil {
-			return nil, fmt.Errorf("workload: policy %q at N=%d: %w", ps, opt.N, err)
+		for wi := range cols {
+			if ps[pi*len(cols)+wi], err = sp.New(opt.N); err != nil {
+				return nil, fmt.Errorf("workload: policy %q at N=%d: %w", spec, opt.N, err)
+			}
 		}
-		specs[i] = sp
 	}
-	for _, col := range cols {
+	for wi, col := range cols {
 		if col.New == nil {
 			return nil, fmt.Errorf("workload: column %q has no generator factory", col.Name)
 		}
-		if _, err := col.New(opt.N, opt.Seed); err != nil {
-			return nil, err
+		// Column seed depends only on the workload, so every policy in
+		// a column faces the same arrival process.
+		seed := opt.Seed + uint64(wi)*0x9e3779b97f4a7c15
+		for pi := range policies {
+			g, err := col.New(opt.N, seed)
+			if err != nil {
+				return nil, err
+			}
+			gs[pi*len(cols)+wi] = g
 		}
 	}
 
-	cells := len(policies) * len(cols)
 	out := make([]*Metrics, cells)
 	errs := make([]error, cells)
 	sim.ParallelFor(cells, func(idx int) {
-		pi, wi := idx/len(cols), idx%len(cols)
-		p, err := specs[pi].New(opt.N)
-		if err != nil {
-			errs[idx] = err
-			return
-		}
-		// Column seed depends only on the workload, so every policy in
-		// a column faces the same arrival process.
-		g, err := cols[wi].New(opt.N, opt.Seed+uint64(wi)*0x9e3779b97f4a7c15)
-		if err != nil {
-			errs[idx] = err
-			return
-		}
-		out[idx], errs[idx] = Drive(p, g, opt.Cycles)
+		out[idx], errs[idx] = Drive(ps[idx], gs[idx], opt.Cycles)
 	})
 	for idx, err := range errs {
 		if err != nil {

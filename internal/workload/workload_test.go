@@ -381,6 +381,9 @@ func TestRunGridValidatesUpfront(t *testing.T) {
 	if _, err := RunGrid([]string{}, []string{"hog"}, GridOptions{}); err == nil {
 		t.Error("empty (non-nil) policy list should error")
 	}
+	if _, err := RunGridColumns([]string{"rr"}, []Column{{Name: "bare"}}, GridOptions{N: 4, Cycles: 10}); err == nil {
+		t.Error("a column without a generator factory should error")
+	}
 	// nil means the full default list.
 	ms, err := RunGrid(nil, []string{"hog"}, GridOptions{N: 4, Cycles: 500})
 	if err != nil {

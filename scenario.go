@@ -88,9 +88,9 @@ type ScenarioConfig struct {
 }
 
 // RunScenario validates each entry's run composition against its design
-// and executes the online scenario to completion. The engine rejects a
-// bad CrossContention spec, and a policy that does not fit an entry's
-// arbiters once cross-contention widens them, before the clock starts.
+// and executes the online scenario to completion. A bad CrossContention
+// spec, or a policy or contention that would fail a stage's setup at the
+// cross-contention cap, fails it before any stage simulates.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if len(cfg.Entries) == 0 {
 		return nil, fmt.Errorf("sparcs: scenario needs at least one entry")

@@ -194,7 +194,7 @@ type RunOption func(*runConfig) error
 // "netlist:one-hot", "preemptive:4", "wrr:2", "hier:2"). The spec is
 // validated against every arbiter's simulated width — including phantom
 // and correlated contention lines — before the run starts. Default:
-// behavioral round-robin.
+// behavioral round-robin, validated the same way.
 func WithPolicy(spec string) RunOption {
 	return func(c *runConfig) error {
 		sp, err := arbiter.ParsePolicySpec(spec)
@@ -305,9 +305,11 @@ type Result struct {
 }
 
 // Run executes one experiment against the compiled design: it composes
-// the options (policy, background contention, capture taps, seed),
-// validates them against the design, simulates every stage in order, and
-// returns the Result. Each call builds fresh policy and generator state,
+// the options (policy, background contention, capture taps, seed), sets
+// up every stage under them (which validates them against the design),
+// simulates the stages in order, and returns the Result. A run that
+// fails its setup simulates nothing and leaves a WithMemory image as it
+// was. Each call builds fresh policy and generator state,
 // so concurrent Runs are safe as long as they don't share a WithMemory
 // image.
 func (s *System) Run(opts ...RunOption) (*Result, error) {
@@ -326,9 +328,10 @@ func (s *System) Run(opts ...RunOption) (*Result, error) {
 	return &Result{RunResult: res, system: s}, nil
 }
 
-// composeRun applies the RunOptions and validates the composition
-// against the compiled design, producing the core.Options a run (or a
-// scenario job, which executes stages one at a time) simulates under.
+// composeRun applies the RunOptions and checks the capture taps against
+// the compiled design, producing the core.Options a run (or a scenario
+// class) simulates under. The policy and the contention are checked when
+// core sets up the run's stages, all of them before the first simulates.
 func (s *System) composeRun(opts []RunOption) (runConfig, error) {
 	c := runConfig{opts: core.Options{
 		Partition:     s.build.Partition,
@@ -354,11 +357,6 @@ func (s *System) composeRun(opts []RunOption) (runConfig, error) {
 		}
 		c.opts.DisableTraces = false
 		c.opts.CaptureOnly = c.capture
-	}
-	// Validate the policy at every arbiter's simulated width (members +
-	// phantoms + correlated lanes) before the first stage runs.
-	if err := core.CheckPolicy(s.design, c.opts.Policy, c.opts.Contention); err != nil {
-		return c, err
 	}
 	return c, nil
 }

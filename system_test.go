@@ -417,6 +417,35 @@ func TestSystemPolicyValidatedAtSimulatedWidth(t *testing.T) {
 	}
 }
 
+// TestSystemRunSetsUpEveryStageFirst: 61 hog lines fit stage 0's 2-line
+// M3 arbiter but widen stage 1's 4-line one past one request word. The
+// run must fail before stage 0 simulates, under the default policy as
+// under the same policy by name, with nothing written to the caller's
+// memory image.
+func TestSystemRunSetsUpEveryStageFirst(t *testing.T) {
+	sys, err := sparcs.FFTSystem(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []sparcs.RunOption{nil, sparcs.WithPolicy("rr")} {
+		mem := sparcs.NewMemory()
+		_, err := sys.Run(policy, sparcs.WithContention("M3=hog/61"), sparcs.WithMemory(mem))
+		if err == nil {
+			t.Fatal("a 65-line M3 arbiter in stage 1 must fail the run")
+		}
+		for _, want := range []string{"stage 1", "M3", "65"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+		for _, seg := range sys.Design().Graph.Segments {
+			if words := mem.Snapshot(seg.Name); len(words) > 0 {
+				t.Errorf("failed run wrote %d words to %s", len(words), seg.Name)
+			}
+		}
+	}
+}
+
 func TestArbiterRangeErrorSentinel(t *testing.T) {
 	if _, err := sparcs.NewArbiter(1); !errors.Is(err, arbiter.ErrOutOfRange) {
 		t.Fatalf("NewArbiter(1) error %v does not wrap arbiter.ErrOutOfRange", err)
