@@ -13,16 +13,20 @@ import (
 )
 
 // Column is one workload column of an evaluation grid: a named
-// generator factory. Grids construct one fresh generator per cell
-// (cells run concurrently and generators are stateful), so a Column
-// carries the recipe, not the instance. SpecColumn wraps the textual
-// grammar; TraceColumn and FromArbiterTrace wrap recorded request
-// patterns that no spec string can express.
+// generator factory. Generators are stateful, so a Column carries the
+// recipe, not the instance. SpecColumn wraps the textual grammar;
+// TraceColumn and FromArbiterTrace wrap recorded request patterns that
+// no spec string can express.
 type Column struct {
 	// Name labels the column in results and tables.
 	Name string
 	// New constructs the column's generator for an n-line arbiter.
-	// Open-loop replay columns ignore seed.
+	// Open-loop replay columns ignore seed. The grid calls it once per
+	// column when it returns a generated shape (the bernoulli family,
+	// bursty or markov), whose arrival words every cell of the column
+	// then shares, and once per cell otherwise. Either way every cell
+	// sees the stream a generator of its own from New(n, seed) would
+	// give, provided New returns the same stream for the same arguments.
 	New func(n int, seed uint64) (Generator, error)
 }
 

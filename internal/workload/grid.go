@@ -16,8 +16,9 @@ type GridOptions struct {
 	// Cycles is the run length per cell (default 200000).
 	Cycles int
 	// Seed derives every workload column's random stream (default 1).
-	// The same seed gives every policy in a column the identical
-	// arrival process, so rows are directly comparable.
+	// Every policy in a column faces the identical arrival process, so
+	// rows are directly comparable: a generated shape's column draws
+	// its arrival words once and shares them with every cell.
 	Seed uint64
 }
 
@@ -54,15 +55,26 @@ func RunGrid(policies, workloads []string, opt GridOptions) ([]*Metrics, error) 
 // textual specs via SpecColumn, measured request streams via
 // FromArbiterTrace/TraceColumn — returning one Metrics per cell in
 // row-major order (policies × columns, columns fastest). A nil policies
-// slice evaluates DefaultPolicies. Cells are independent — each drives
-// its own policy and its own generator from the column recipe — and fan
-// out across GOMAXPROCS workers via sim.ParallelFor; results and their
+// slice evaluates DefaultPolicies. Columns fan out across GOMAXPROCS
+// workers via sim.ParallelFor, one worker per column; results and their
 // order are fully deterministic.
 //
-// Every cell's policy and generator are built once, serially, before
-// the fan-out, so a bad entry (including size-dependent constraints like
-// hier group divisibility and trace widths) fails before any cell runs
-// and the workers only drive.
+// Every cell drives its own policy with its own closed loop, and a
+// column's cells share one arrival process. A generated shape (the
+// bernoulli family, bursty, markov) draws its arrivals apart from
+// grants, so its column's factory is called once: the worker draws the
+// column's arrival words once per block of cycles and replays them to
+// every cell, each cell running its own jobs loop over them, exactly as
+// a generator of its own would. Any other column (trace replay,
+// FromArbiterTrace, a caller's own generator) builds one generator per
+// cell and advances the cells on the same block loop. Memory does not
+// grow with Cycles: a generated column holds one block of words.
+//
+// Every cell's policy and request stream are built and checked once,
+// serially, before the fan-out, so a bad entry (including size-dependent
+// constraints like hier group divisibility and trace widths, and a
+// non-positive Cycles) fails before any cell runs and the workers only
+// drive.
 func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metrics, error) {
 	if policies == nil {
 		policies = DefaultPolicies()
@@ -73,7 +85,6 @@ func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metri
 	opt = opt.withDefaults()
 	cells := len(policies) * len(cols)
 	ps := make([]arbiter.Policy, cells)
-	gs := make([]Generator, cells)
 	for pi, spec := range policies {
 		sp, err := arbiter.ParsePolicySpec(spec)
 		if err != nil {
@@ -85,34 +96,135 @@ func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metri
 			}
 		}
 	}
+	gs := make([]Generator, cells)
+	columns := make([]gridColumn, len(cols))
 	for wi, col := range cols {
 		if col.New == nil {
 			return nil, fmt.Errorf("workload: column %q has no generator factory", col.Name)
 		}
-		// Column seed depends only on the workload, so every policy in
-		// a column faces the same arrival process.
-		seed := opt.Seed + uint64(wi)*0x9e3779b97f4a7c15
+		c := &columns[wi]
 		for pi := range policies {
-			g, err := col.New(opt.N, seed)
+			idx := pi*len(cols) + wi
+			if c.src != nil {
+				gs[idx] = c.src
+				continue
+			}
+			g, err := col.New(opt.N, columnSeed(opt.Seed, wi))
 			if err != nil {
 				return nil, err
 			}
-			gs[pi*len(cols)+wi] = g
+			gs[idx] = g
+			c.src, _ = g.(arriver)
+		}
+	}
+	for idx := range cells {
+		pi, wi := idx/len(cols), idx%len(cols)
+		c := &columns[wi]
+		var src BitGenerator = gs[idx]
+		if c.src != nil {
+			r := c.src.newReplay()
+			c.replays = append(c.replays, r)
+			src = r
+		}
+		d, err := newDriver(ps[idx], gs[idx], src, opt.Cycles)
+		if err != nil {
+			return nil, fmt.Errorf("workload: grid cell %s × %s: %w", policies[pi], cols[wi].Name, err)
+		}
+		c.cells = append(c.cells, d)
+	}
+	// Cycles is checked by now, so the blocks can be sized.
+	for wi := range columns {
+		if c := &columns[wi]; c.src != nil {
+			c.words = make([]arbiter.BitVec, min(gridBlock, opt.Cycles))
 		}
 	}
 
-	out := make([]*Metrics, cells)
-	errs := make([]error, cells)
-	sim.ParallelFor(cells, func(idx int) {
-		out[idx], errs[idx] = Drive(ps[idx], gs[idx], opt.Cycles)
-	})
-	for idx, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("workload: grid cell %s × %s: %w",
-				policies[idx/len(cols)], cols[idx%len(cols)].Name, err)
+	sim.ParallelFor(len(columns), func(wi int) {
+		c := &columns[wi]
+		for left := opt.Cycles; left > 0; left -= gridBlock {
+			k := min(gridBlock, left)
+			c.fill(k)
+			for _, d := range c.cells {
+				d.advance(k)
+			}
 		}
+	})
+	out := make([]*Metrics, cells)
+	for idx := range out {
+		out[idx] = columns[idx%len(cols)].cells[idx/len(cols)].flush()
 	}
 	return out, nil
+}
+
+// columnSeed derives column wi's seed from the grid seed. It depends
+// only on the column, so every policy in a column faces the same arrival
+// process.
+func columnSeed(seed uint64, wi int) uint64 { return seed + uint64(wi)*0x9e3779b97f4a7c15 }
+
+// gridBlock is the number of cycles a grid column advances its cells at
+// a time, and so the number of arrival words it holds: enough that the
+// pass over the cells costs nothing per cycle (512 words ran as fast as
+// 4,096), few enough to stay in the first-level cache.
+const gridBlock = 512
+
+// arriver is a generated shape: its arrival draws do not depend on
+// grants, and NextBits is jobs.step(prevGrant, arrive()) | pin over them.
+type arriver interface {
+	Generator
+	// arrive advances the draws one cycle and returns that cycle's
+	// arrival word.
+	arrive() arbiter.BitVec
+	// newReplay returns a fresh copy of the closed loop NextBits runs
+	// over arrive's words, for one grid cell.
+	newReplay() *replay
+}
+
+// replay is one grid cell's request stream in a generated shape's
+// column: the cell's own jobs loop over the arrival words the column
+// drew, so it returns what a fresh generator of the shape would. It has
+// no Reset: the words are the column's, drawn once.
+type replay struct {
+	words []arbiter.BitVec // the column's current block
+	pos   int              // the next word to read in it
+	jobs  jobs
+	pin   arbiter.BitVec
+}
+
+// NextBits implements BitGenerator.
+//
+//sparcs:hotpath
+func (r *replay) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+	a := r.words[r.pos]
+	r.pos++
+	return r.jobs.step(prevGrant, a) | r.pin
+}
+
+// gridColumn is one grid column's cells in policy order and, for a
+// generated shape, its one generator, the block of arrival words drawn
+// from it and the cells' replays of that block.
+type gridColumn struct {
+	cells   []*driver
+	src     arriver
+	words   []arbiter.BitVec
+	replays []*replay
+}
+
+// fill draws the column's next k arrival words and points every cell's
+// replay at them. A column without a shared generator has nothing to
+// draw.
+//
+//sparcs:hotpath
+func (c *gridColumn) fill(k int) {
+	if c.src == nil {
+		return
+	}
+	block := c.words[:k]
+	for i := range block {
+		block[i] = c.src.arrive()
+	}
+	for _, r := range c.replays {
+		r.words, r.pos = block, 0
+	}
 }
 
 // FormatTable renders grid results as an aligned fairness/wait/

@@ -236,7 +236,45 @@ func histBucket(wait int) int {
 // WorstEpisodes when the wait ends and at run end. Every metric updates
 // incrementally — no trace is recorded, so multi-million-cycle runs
 // cost O(N) memory.
+//
+// The loop lives in a driver that can be advanced a block of cycles at
+// a time: Drive sets one up, advances it through every cycle and
+// flushes it. RunGridColumns runs one driver per cell, block by block,
+// feeding the cells of a generated shape's column the arrival words it
+// drew once for all of them; each cell returns what Drive returns for a
+// generator of its own.
 func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
+	d, err := newDriver(p, g, g, cycles)
+	if err != nil {
+		return nil, err
+	}
+	d.advance(cycles)
+	return d.flush(), nil
+}
+
+// driver is Drive's loop state for one policy under one request stream,
+// kept between calls so the loop can be advanced a block of cycles at a
+// time.
+type driver struct {
+	p     arbiter.Policy
+	src   BitGenerator
+	m     *Metrics
+	lanes arbiter.BitVec
+	// grant still holds last cycle's decision, the closed-loop feedback
+	// src reacts to; waiting marks the tasks requesting without a grant.
+	grant, waiting arbiter.BitVec
+	// For each waiting task: the cycle its wait began, and the episode
+	// count at that cycle.
+	since, base []int
+	episodes    int // cycles on which a new holder took the grant
+	prevHolder  int
+	cycle       int // cycles advanced so far
+}
+
+// newDriver checks a cell and sets up its driver: g names the stream and
+// gives its width, and src produces it, which is g itself except in a
+// grid column that replays shared arrival words.
+func newDriver(p arbiter.Policy, g Generator, src BitGenerator, cycles int) (*driver, error) {
 	n := p.N()
 	if g.N() != n {
 		return nil, fmt.Errorf("workload: generator %s has %d lines, policy %s has %d", g.Name(), g.N(), p.Name(), n)
@@ -247,27 +285,34 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 	if cycles < 1 {
 		return nil, fmt.Errorf("workload: cycles must be positive, got %d", cycles)
 	}
-	m := &Metrics{
-		Policy:   p.Name(),
-		Workload: g.Name(),
-		N:        n,
-		Cycles:   cycles,
-		Tasks:    make([]TaskMetrics, n),
-	}
-	lanes := arbiter.Mask(n)
-	var req, grant, waiting arbiter.BitVec
-	// For each waiting task: the cycle its wait began, and the episode
-	// count at that cycle.
-	since := make([]int, n)
-	base := make([]int, n)
-	episodes := 0 // cycles on which a new holder took the grant
-	prevHolder := -1
+	return &driver{
+		p:   p,
+		src: src,
+		m: &Metrics{
+			Policy:   p.Name(),
+			Workload: g.Name(),
+			N:        n,
+			Cycles:   cycles,
+			Tasks:    make([]TaskMetrics, n),
+		},
+		lanes:      arbiter.Mask(n),
+		since:      make([]int, n),
+		base:       make([]int, n),
+		prevHolder: -1,
+	}, nil
+}
+
+// advance runs the next k cycles. The loop works on locals, copied in
+// and written back once per call.
+func (d *driver) advance(k int) {
+	p, src, m, lanes := d.p, d.src, d.m, d.lanes
+	grant, waiting := d.grant, d.waiting
+	since, base := d.since, d.base
+	episodes, prevHolder := d.episodes, d.prevHolder
 
 	//sparcs:hotpath
-	for cycle := 0; cycle < cycles; cycle++ {
-		// grant still holds last cycle's decision — the closed-loop
-		// feedback the generators react to.
-		req = g.NextBits(grant)
+	for cycle, end := d.cycle, d.cycle+k; cycle < end; cycle++ {
+		req := src.NextBits(grant)
 		grant = p.StepBits(req)
 
 		granted := grant.Count()
@@ -323,17 +368,23 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 		}
 		prevHolder = holder
 	}
-	// Flush the waits still open at run end. A task still waiting
-	// (possibly starved for the entire run) reports its in-progress wait
-	// as a censored MaxWait, so starvation surfaces as the worst MaxWait
-	// instead of no wait at all.
-	for s := waiting; s != 0; s &= s - 1 {
+	d.grant, d.waiting = grant, waiting
+	d.episodes, d.prevHolder = episodes, prevHolder
+	d.cycle += k
+}
+
+// flush closes the waits still open at run end and returns the metrics.
+// A task still waiting (possibly starved for the entire run) reports its
+// in-progress wait as a censored MaxWait, so starvation surfaces as the
+// worst MaxWait instead of no wait at all.
+func (d *driver) flush() *Metrics {
+	for s := d.waiting; s != 0; s &= s - 1 {
 		i := s.FirstSet()
-		t := &m.Tasks[i]
-		t.foldEpisodes(episodes - base[i])
-		if w := cycles - since[i]; w > t.MaxWait {
+		t := &d.m.Tasks[i]
+		t.foldEpisodes(d.episodes - d.base[i])
+		if w := d.cycle - d.since[i]; w > t.MaxWait {
 			t.MaxWait = w
 		}
 	}
-	return m, nil
+	return d.m
 }

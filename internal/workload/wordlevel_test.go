@@ -193,6 +193,59 @@ func TestDriveMatchesPerLane(t *testing.T) {
 	}
 }
 
+// TestGridMatchesPerLaneDrive holds every grid cell to the frozen
+// per-lane refDrive over a fresh policy and a fresh generator of the
+// column's seed: the shared arrival words, each cell's own jobs loop and
+// the block loop must together reproduce a cell run on its own. The
+// run lengths straddle one and two block boundaries.
+func TestGridMatchesPerLaneDrive(t *testing.T) {
+	specs := append(DefaultWorkloads(), "silent", "bernoulli:0.70", "hotspot:0.20")
+	const seed = 7
+	for _, n := range []int{2, 6, 33, 64} {
+		var policies []string
+		for _, spec := range append(DefaultPolicies(), "wrr:3", "random:9") {
+			if _, err := arbiter.NewPolicy(spec, n); err == nil {
+				policies = append(policies, spec) // fsm and netlist stop at MaxSynthN; hier:2 needs even N
+			}
+		}
+		r := rng{state: uint64(n)}
+		steps := make([]arbiter.BitVec, 97)
+		for c := range steps {
+			steps[c] = arbiter.BitVec(r.next()) & arbiter.Mask(n)
+		}
+		var cols []Column
+		for _, spec := range specs {
+			cols = append(cols, SpecColumn(spec))
+		}
+		cols = append(cols, TraceColumn("random-words", n, steps))
+		for _, cycles := range []int{1, gridBlock - 1, gridBlock, gridBlock + 1, 2*gridBlock + 13} {
+			got, err := RunGridColumns(policies, cols, GridOptions{N: n, Cycles: cycles, Seed: seed})
+			if err != nil {
+				t.Fatalf("N=%d cycles=%d: %v", n, cycles, err)
+			}
+			for idx, m := range got {
+				pspec, col := policies[idx/len(cols)], cols[idx%len(cols)]
+				p, err := arbiter.NewPolicy(pspec, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := col.New(n, columnSeed(seed, idx%len(cols)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := refDrive(p, g, cycles); !reflect.DeepEqual(m, want) {
+					t.Fatalf("N=%d cycles=%d %s × %s: grid cell diverges from the per-lane loop\ngrid:     %+v\nper-lane: %+v",
+						n, cycles, pspec, col.Name, m, want)
+				}
+			}
+		}
+	}
+	const want = "workload: grid cell rr × hog: workload: cycles must be positive, got -1"
+	if _, err := RunGrid([]string{"rr"}, []string{"hog"}, GridOptions{Cycles: -1}); err == nil || err.Error() != want {
+		t.Errorf("Cycles -1: got %v, want %q", err, want)
+	}
+}
+
 // TestThresholdMatchesFloatCompare pins the integer draw test to the
 // float test it replaced at the boundary draws T−1, T and T+1 and at the
 // ends of the draw range, for rates at and beside representable k/2^53

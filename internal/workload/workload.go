@@ -18,11 +18,17 @@
 // one BitVec without branching and keeps its jobs as a busy mask, and
 // both the generators and Drive touch per-task state only for the tasks
 // whose state changed that cycle.
+//
+// A generated shape's arrival draws never depend on grants, so an
+// evaluation grid draws each column's arrival words once and shares them
+// with every policy in the column, each policy's cell running its own
+// jobs loop over them (see RunGridColumns).
 package workload
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -124,20 +130,20 @@ func newJobs(n, hold int) jobs { return jobs{need: make([]int, n), hold: hold} }
 
 // step consumes last cycle's grants, then starts a hold-cycle job on
 // every idle task in arrive, and returns the busy word. Counters are
-// touched only for the tasks a grant served or an arrival spawned.
+// touched only for the tasks a grant served or an arrival spawned. It is
+// small enough to inline, so NextBits costs one call, to arrive.
 func (j *jobs) step(prevGrant, arrive arbiter.BitVec) arbiter.BitVec {
 	for s := prevGrant & j.busy; s != 0; s &= s - 1 {
-		i := s.FirstSet()
+		i := bits.TrailingZeros64(uint64(s))
 		j.need[i]--
 		if j.need[i] == 0 {
-			j.busy &^= arbiter.BitVec(1) << uint(i)
+			j.busy &^= s & -s
 		}
 	}
-	spawn := arrive &^ j.busy
-	for s := spawn; s != 0; s &= s - 1 {
-		j.need[s.FirstSet()] = j.hold
+	for s := arrive &^ j.busy; s != 0; s &= s - 1 {
+		j.need[bits.TrailingZeros64(uint64(s))] = j.hold
 	}
-	j.busy |= spawn
+	j.busy |= arrive
 	return j.busy
 }
 
@@ -172,15 +178,21 @@ func (b *bernoulli) Reset() {
 	b.jobs.reset()
 }
 
+// arrive draws one cycle's arrivals: one draw per task, consumed
+// unconditionally (pinned tasks included), so the arrival stream is
+// independent of grant history. Pinned tasks request outside the jobs
+// loop, so their bits are cleared.
+func (b *bernoulli) arrive() arbiter.BitVec {
+	return (arbiter.BitVec(b.streams[0].hit(b.hot)) | hits(b.streams[1:], b.cold)<<1) &^ b.pin
+}
+
+func (b *bernoulli) newReplay() *replay { return &replay{jobs: newJobs(b.n, b.jobs.hold), pin: b.pin} }
+
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
 func (b *bernoulli) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	// One draw per task per cycle, consumed unconditionally (pinned
-	// tasks included), so the arrival stream is independent of grant
-	// history.
-	arrive := arbiter.BitVec(b.streams[0].hit(b.hot)) | hits(b.streams[1:], b.cold)<<1
-	return b.jobs.step(prevGrant, arrive&^b.pin) | b.pin
+	return b.jobs.step(prevGrant, b.arrive()) | b.pin
 }
 
 // NewBernoulli returns uniform Bernoulli traffic: every idle task
@@ -263,10 +275,9 @@ func (b *bursty) Reset() {
 	b.jobs.reset()
 }
 
-// NextBits implements BitGenerator.
-//
-//sparcs:hotpath
-func (b *bursty) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+// arrive flips the on/off states and draws one cycle's arrivals, which
+// only ON tasks keep.
+func (b *bursty) arrive() arbiter.BitVec {
 	var turnOn, turnOff, arrive arbiter.BitVec
 	for i := range b.streams {
 		// Two draws per task per cycle (state flip, then arrival),
@@ -278,7 +289,16 @@ func (b *bursty) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 		arrive |= arbiter.BitVec(b.streams[i].hit(b.arrival)) << uint(i)
 	}
 	b.on = b.on&^turnOff | turnOn&^b.on
-	return b.jobs.step(prevGrant, arrive&b.on)
+	return arrive & b.on
+}
+
+func (b *bursty) newReplay() *replay { return &replay{jobs: newJobs(b.n, b.jobs.hold)} }
+
+// NextBits implements BitGenerator.
+//
+//sparcs:hotpath
+func (b *bursty) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+	return b.jobs.step(prevGrant, b.arrive())
 }
 
 // markov is the globally modulated source: a two-state regime chain
@@ -322,13 +342,10 @@ func (m *markov) Reset() {
 	m.jobs.reset()
 }
 
-// NextBits implements BitGenerator.
-//
-//sparcs:hotpath
-func (m *markov) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	// The regime chain and per-task arrival draws advance every cycle
-	// regardless of grant feedback, keeping the offered traffic
-	// identical across policies.
+// arrive advances the regime chain and draws one cycle's arrivals. Both
+// advance every cycle regardless of grant feedback, keeping the offered
+// traffic identical across policies.
+func (m *markov) arrive() arbiter.BitVec {
 	if m.storm {
 		m.storm = m.regime.hit(m.stormCalm) == 0
 	} else {
@@ -338,7 +355,16 @@ func (m *markov) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 	if m.storm {
 		t = m.stormy
 	}
-	return m.jobs.step(prevGrant, hits(m.streams, t))
+	return hits(m.streams, t)
+}
+
+func (m *markov) newReplay() *replay { return &replay{jobs: newJobs(m.n, m.jobs.hold)} }
+
+// NextBits implements BitGenerator.
+//
+//sparcs:hotpath
+func (m *markov) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
+	return m.jobs.step(prevGrant, m.arrive())
 }
 
 // silent is the zero-rate source: it never requests. Its Silent marker
