@@ -17,6 +17,7 @@ package sparcs_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sparcs"
@@ -549,6 +550,34 @@ func BenchmarkPolicyWorkloadWide(b *testing.B) {
 			}
 			b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 		})
+	}
+}
+
+// BenchmarkPolicyWorkloadNarrow measures grids with fewer columns than
+// a host has cores, where the grid must split a generated column's cells
+// across workers to use them: the seven behavioral policies under one
+// generated column, one trace column, and two generated columns, at N=6
+// and N=64. Run it at -cpu 1 and -cpu 2 and above against the parent;
+// allocs/op must stay 0.
+func BenchmarkPolicyWorkloadNarrow(b *testing.B) {
+	policies := []string{"rr", "fifo", "priority", "random:1", "preemptive:4", "wrr:2", "hier:2"}
+	for _, workloads := range [][]string{{"bernoulli:0.30"}, {"trace"}, {"bernoulli:0.30", "hog"}} {
+		cells := len(policies) * len(workloads)
+		for _, n := range []int{6, 64} {
+			b.Run(fmt.Sprintf("%s/N=%d", strings.Join(workloads, "+"), n), func(b *testing.B) {
+				b.ReportAllocs()
+				ms, err := workload.RunGrid(policies, workloads, workload.GridOptions{N: n, Cycles: max(b.N, 1), Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, m := range ms {
+					if m.Violation != "" {
+						b.Fatalf("%s × %s: %s", m.Policy, m.Workload, m.Violation)
+					}
+				}
+				b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
+			})
+		}
 	}
 }
 

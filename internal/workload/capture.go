@@ -22,11 +22,12 @@ type Column struct {
 	Name string
 	// New constructs the column's generator for an n-line arbiter.
 	// Open-loop replay columns ignore seed. The grid calls it once per
-	// column when it returns a generated shape (the bernoulli family,
-	// bursty or markov), whose arrival words every cell of the column
-	// then shares, and once per cell otherwise. Either way every cell
-	// sees the stream a generator of its own from New(n, seed) would
-	// give, provided New returns the same stream for the same arguments.
+	// group of cells when it returns a generated shape (the bernoulli
+	// family, bursty or markov), whose arrival words the group's cells
+	// then share (one group per column on one worker), and once per
+	// cell otherwise. Either way every cell sees the stream a generator
+	// of its own from New(n, seed) would give, provided New returns the
+	// same stream for the same arguments.
 	New func(n int, seed uint64) (Generator, error)
 }
 

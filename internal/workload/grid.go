@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"sparcs/internal/arbiter"
@@ -17,8 +18,8 @@ type GridOptions struct {
 	Cycles int
 	// Seed derives every workload column's random stream (default 1).
 	// Every policy in a column faces the identical arrival process, so
-	// rows are directly comparable: a generated shape's column draws
-	// its arrival words once and shares them with every cell.
+	// rows are directly comparable: a generated shape's cells share
+	// arrival words drawn once per group of cells (see RunGridColumns).
 	Seed uint64
 }
 
@@ -55,20 +56,25 @@ func RunGrid(policies, workloads []string, opt GridOptions) ([]*Metrics, error) 
 // textual specs via SpecColumn, measured request streams via
 // FromArbiterTrace/TraceColumn — returning one Metrics per cell in
 // row-major order (policies × columns, columns fastest). A nil policies
-// slice evaluates DefaultPolicies. Columns fan out across GOMAXPROCS
-// workers via sim.ParallelFor, one worker per column; results and their
-// order are fully deterministic.
+// slice evaluates DefaultPolicies. The cells fan out across GOMAXPROCS
+// workers via sim.ParallelFor in work units; results and their order
+// are fully deterministic, whatever the units are.
 //
 // Every cell drives its own policy with its own closed loop, and a
 // column's cells share one arrival process. A generated shape (the
 // bernoulli family, bursty, markov) draws its arrivals apart from
-// grants, so its column's factory is called once: the worker draws the
-// column's arrival words once per block of cycles and replays them to
-// every cell, each cell running its own jobs loop over them, exactly as
-// a generator of its own would. Any other column (trace replay,
-// FromArbiterTrace, a caller's own generator) builds one generator per
-// cell and advances the cells on the same block loop. Memory does not
-// grow with Cycles: a generated column holds one block of words.
+// grants, so one generator can serve a group of its column's cells: the
+// group's unit draws the arrival words once per block of cycles and
+// replays them to every cell of the group, each cell running its own
+// jobs loop over them, exactly as a generator of its own would. Groups
+// are as large as keeps every worker busy: no group holds more than
+// ceil(cells/GOMAXPROCS) cells, so on one worker a column is one group
+// and the factory is called once per column, and with a worker per cell
+// every cell draws its own. Any other column (trace replay,
+// FromArbiterTrace, a caller's own generator) saves nothing by sharing,
+// so each of its cells is a unit with a generator of its own, advanced
+// on the same block loop. Memory does not grow with Cycles: a group
+// holds one block of words.
 //
 // Every cell's policy and request stream are built and checked once,
 // serially, before the fan-out, so a bad entry (including size-dependent
@@ -76,6 +82,13 @@ func RunGrid(policies, workloads []string, opt GridOptions) ([]*Metrics, error) 
 // non-positive Cycles) fails before any cell runs and the workers only
 // drive.
 func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metrics, error) {
+	//sparcs:ignore determinism the worker count only groups cells into units; every cell's result is the same for any grouping
+	return runGrid(policies, cols, opt, runtime.GOMAXPROCS(0))
+}
+
+// runGrid is RunGridColumns with the worker count that sizes the groups
+// given.
+func runGrid(policies []string, cols []Column, opt GridOptions, workers int) ([]*Metrics, error) {
 	if policies == nil {
 		policies = DefaultPolicies()
 	}
@@ -96,98 +109,111 @@ func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metri
 			}
 		}
 	}
-	gs := make([]Generator, cells)
-	columns := make([]gridColumn, len(cols))
+	group := groupSize(len(policies), cells, workers)
+	var units []*gridUnit
+	home := make([]*gridUnit, cells)    // the unit that advances each cell
+	srcs := make([]BitGenerator, cells) // each cell's request stream
 	for wi, col := range cols {
 		if col.New == nil {
 			return nil, fmt.Errorf("workload: column %q has no generator factory", col.Name)
 		}
-		c := &columns[wi]
+		var u *gridUnit
 		for pi := range policies {
+			if u == nil || u.src == nil || len(u.replays) == group {
+				g, err := col.New(opt.N, columnSeed(opt.Seed, wi))
+				if err != nil {
+					return nil, err
+				}
+				u = &gridUnit{gen: g}
+				u.src, _ = g.(arriver)
+				units = append(units, u)
+			}
 			idx := pi*len(cols) + wi
-			if c.src != nil {
-				gs[idx] = c.src
-				continue
+			home[idx], srcs[idx] = u, u.gen
+			if u.src != nil {
+				r := u.src.newReplay()
+				u.replays = append(u.replays, r)
+				srcs[idx] = r
 			}
-			g, err := col.New(opt.N, columnSeed(opt.Seed, wi))
-			if err != nil {
-				return nil, err
-			}
-			gs[idx] = g
-			c.src, _ = g.(arriver)
 		}
 	}
+	drivers := make([]*driver, cells)
 	for idx := range cells {
-		pi, wi := idx/len(cols), idx%len(cols)
-		c := &columns[wi]
-		var src BitGenerator = gs[idx]
-		if c.src != nil {
-			r := c.src.newReplay()
-			c.replays = append(c.replays, r)
-			src = r
-		}
-		d, err := newDriver(ps[idx], gs[idx], src, opt.Cycles)
+		u := home[idx]
+		d, err := newDriver(ps[idx], u.gen, srcs[idx], opt.Cycles)
 		if err != nil {
-			return nil, fmt.Errorf("workload: grid cell %s × %s: %w", policies[pi], cols[wi].Name, err)
+			return nil, fmt.Errorf("workload: grid cell %s × %s: %w", policies[idx/len(cols)], cols[idx%len(cols)].Name, err)
 		}
-		c.cells = append(c.cells, d)
+		drivers[idx] = d
+		u.cells = append(u.cells, d)
 	}
 	// Cycles is checked by now, so the blocks can be sized.
-	for wi := range columns {
-		if c := &columns[wi]; c.src != nil {
-			c.words = make([]arbiter.BitVec, min(gridBlock, opt.Cycles))
+	for _, u := range units {
+		if u.src != nil {
+			u.words = make([]arbiter.BitVec, min(gridBlock, opt.Cycles))
 		}
 	}
 
-	sim.ParallelFor(len(columns), func(wi int) {
-		c := &columns[wi]
+	sim.ParallelFor(len(units), func(ui int) {
+		u := units[ui]
 		for left := opt.Cycles; left > 0; left -= gridBlock {
 			k := min(gridBlock, left)
-			c.fill(k)
-			for _, d := range c.cells {
+			u.fill(k)
+			for _, d := range u.cells {
 				d.advance(k)
 			}
 		}
 	})
 	out := make([]*Metrics, cells)
-	for idx := range out {
-		out[idx] = columns[idx%len(cols)].cells[idx/len(cols)].flush()
+	for idx, d := range drivers {
+		out[idx] = d.flush()
 	}
 	return out, nil
 }
+
+// groupSize is the most cells of a generated column one generator
+// serves: a column's cells split evenly into the fewest groups of at
+// most ceil(cells/workers) cells, the share of a worker were every cell
+// a unit. One worker shares each column's draws among all its cells;
+// more workers trade draws for parallel units.
+func groupSize(policies, cells, workers int) int {
+	share := ceilDiv(cells, max(workers, 1))
+	return ceilDiv(policies, ceilDiv(policies, share))
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // columnSeed derives column wi's seed from the grid seed. It depends
 // only on the column, so every policy in a column faces the same arrival
 // process.
 func columnSeed(seed uint64, wi int) uint64 { return seed + uint64(wi)*0x9e3779b97f4a7c15 }
 
-// gridBlock is the number of cycles a grid column advances its cells at
-// a time, and so the number of arrival words it holds: enough that the
+// gridBlock is the number of cycles a grid unit advances its cells at a
+// time, and so the number of arrival words it holds: enough that the
 // pass over the cells costs nothing per cycle (512 words ran as fast as
 // 4,096), few enough to stay in the first-level cache.
 const gridBlock = 512
 
 // arriver is a generated shape: its arrival draws do not depend on
-// grants, and NextBits is jobs.step(prevGrant, arrive()) | pin over them.
+// grants, and NextBits is its jobs loop's step over them.
 type arriver interface {
 	Generator
 	// arrive advances the draws one cycle and returns that cycle's
 	// arrival word.
 	arrive() arbiter.BitVec
-	// newReplay returns a fresh copy of the closed loop NextBits runs
+	// newReplay returns a fresh copy of the jobs loop NextBits runs
 	// over arrive's words, for one grid cell.
 	newReplay() *replay
 }
 
 // replay is one grid cell's request stream in a generated shape's
-// column: the cell's own jobs loop over the arrival words the column
-// drew, so it returns what a fresh generator of the shape would. It has
-// no Reset: the words are the column's, drawn once.
+// column: the cell's own jobs loop over the arrival words its unit drew,
+// so it returns what a fresh generator of the shape would. It has no
+// Reset: the words are the unit's, drawn once.
 type replay struct {
-	words []arbiter.BitVec // the column's current block
+	words []arbiter.BitVec // the unit's current block
 	pos   int              // the next word to read in it
-	jobs  jobs
-	pin   arbiter.BitVec
+	jobs
 }
 
 // NextBits implements BitGenerator.
@@ -196,33 +222,36 @@ type replay struct {
 func (r *replay) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 	a := r.words[r.pos]
 	r.pos++
-	return r.jobs.step(prevGrant, a) | r.pin
+	return r.step(prevGrant, a)
 }
 
-// gridColumn is one grid column's cells in policy order and, for a
-// generated shape, its one generator, the block of arrival words drawn
-// from it and the cells' replays of that block.
-type gridColumn struct {
+// gridUnit is the work of one worker at a time: the cells it advances
+// in policy order and the generator that names their stream. For a
+// group of a generated column, src is that generator, drawing the block
+// of arrival words the cells' replays read; otherwise the unit is one
+// cell driving the generator itself.
+type gridUnit struct {
 	cells   []*driver
+	gen     Generator
 	src     arriver
 	words   []arbiter.BitVec
 	replays []*replay
 }
 
-// fill draws the column's next k arrival words and points every cell's
-// replay at them. A column without a shared generator has nothing to
+// fill draws the unit's next k arrival words and points every cell's
+// replay at them. A unit without a shared generator has nothing to
 // draw.
 //
 //sparcs:hotpath
-func (c *gridColumn) fill(k int) {
-	if c.src == nil {
+func (u *gridUnit) fill(k int) {
+	if u.src == nil {
 		return
 	}
-	block := c.words[:k]
+	block := u.words[:k]
 	for i := range block {
-		block[i] = c.src.arrive()
+		block[i] = u.src.arrive()
 	}
-	for _, r := range c.replays {
+	for _, r := range u.replays {
 		r.words, r.pos = block, 0
 	}
 }

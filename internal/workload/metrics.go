@@ -240,8 +240,8 @@ func histBucket(wait int) int {
 // The loop lives in a driver that can be advanced a block of cycles at
 // a time: Drive sets one up, advances it through every cycle and
 // flushes it. RunGridColumns runs one driver per cell, block by block,
-// feeding the cells of a generated shape's column the arrival words it
-// drew once for all of them; each cell returns what Drive returns for a
+// feeding a group of a generated shape's cells the arrival words drawn
+// once for the group; each cell returns what Drive returns for a
 // generator of its own.
 func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 	d, err := newDriver(p, g, g, cycles)

@@ -197,7 +197,9 @@ func TestDriveMatchesPerLane(t *testing.T) {
 // per-lane refDrive over a fresh policy and a fresh generator of the
 // column's seed: the shared arrival words, each cell's own jobs loop and
 // the block loop must together reproduce a cell run on its own. The
-// run lengths straddle one and two block boundaries.
+// run lengths straddle one and two block boundaries, and the worker
+// counts group a generated column's cells into one unit, two, three and
+// one unit per cell.
 func TestGridMatchesPerLaneDrive(t *testing.T) {
 	specs := append(DefaultWorkloads(), "silent", "bernoulli:0.70", "hotspot:0.20")
 	const seed = 7
@@ -218,24 +220,30 @@ func TestGridMatchesPerLaneDrive(t *testing.T) {
 			cols = append(cols, SpecColumn(spec))
 		}
 		cols = append(cols, TraceColumn("random-words", n, steps))
+		cells := len(policies) * len(cols)
 		for _, cycles := range []int{1, gridBlock - 1, gridBlock, gridBlock + 1, 2*gridBlock + 13} {
-			got, err := RunGridColumns(policies, cols, GridOptions{N: n, Cycles: cycles, Seed: seed})
-			if err != nil {
-				t.Fatalf("N=%d cycles=%d: %v", n, cycles, err)
+			want := make([]*Metrics, cells)
+			for idx := range want {
+				p, err := arbiter.NewPolicy(policies[idx/len(cols)], n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := cols[idx%len(cols)].New(n, columnSeed(seed, idx%len(cols)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[idx] = refDrive(p, g, cycles)
 			}
-			for idx, m := range got {
-				pspec, col := policies[idx/len(cols)], cols[idx%len(cols)]
-				p, err := arbiter.NewPolicy(pspec, n)
+			for _, workers := range []int{1, 2 * cells / len(policies), 3 * cells / len(policies), cells} {
+				got, err := runGrid(policies, cols, GridOptions{N: n, Cycles: cycles, Seed: seed}, workers)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("N=%d cycles=%d workers=%d: %v", n, cycles, workers, err)
 				}
-				g, err := col.New(n, columnSeed(seed, idx%len(cols)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := refDrive(p, g, cycles); !reflect.DeepEqual(m, want) {
-					t.Fatalf("N=%d cycles=%d %s × %s: grid cell diverges from the per-lane loop\ngrid:     %+v\nper-lane: %+v",
-						n, cycles, pspec, col.Name, m, want)
+				for idx, m := range got {
+					if !reflect.DeepEqual(m, want[idx]) {
+						t.Fatalf("N=%d cycles=%d workers=%d %s × %s: grid cell diverges from the per-lane loop\ngrid:     %+v\nper-lane: %+v",
+							n, cycles, workers, policies[idx/len(cols)], cols[idx%len(cols)].Name, m, want[idx])
+					}
 				}
 			}
 		}
@@ -243,6 +251,28 @@ func TestGridMatchesPerLaneDrive(t *testing.T) {
 	const want = "workload: grid cell rr × hog: workload: cycles must be positive, got -1"
 	if _, err := RunGrid([]string{"rr"}, []string{"hog"}, GridOptions{Cycles: -1}); err == nil || err.Error() != want {
 		t.Errorf("Cycles -1: got %v, want %q", err, want)
+	}
+}
+
+// TestGroupSize pins how a generated column's cells group into units:
+// one group per column on one worker, a worker's share of the cells at
+// most, evenly split, and one cell per group once workers cover the
+// cells.
+func TestGroupSize(t *testing.T) {
+	for _, c := range []struct{ policies, cols, workers, want int }{
+		{7, 6, 1, 7},    // arb-grid on one worker: one group per column
+		{7, 6, 2, 7},    // 42 cells, 21 a worker: still one group
+		{7, 1, 2, 4},    // one column on two workers: 4 + 3
+		{4, 2, 2, 4},    // examples/policies: one group per column
+		{9, 6, 8, 5},    // 54 cells, 7 a worker: 5 + 4
+		{7, 1, 7, 1},    // a worker per cell: every cell draws its own
+		{7, 1, 64, 1},   // more workers than cells
+		{7, 1, 0, 7},    // no worker count reads as one worker
+		{11, 10, 30, 4}, // 110 cells, 4 a worker: 4 + 4 + 3
+	} {
+		if got := groupSize(c.policies, c.policies*c.cols, c.workers); got != c.want {
+			t.Errorf("%d policies × %d columns on %d workers: group of %d, want %d", c.policies, c.cols, c.workers, got, c.want)
+		}
 	}
 }
 

@@ -20,9 +20,9 @@
 // whose state changed that cycle.
 //
 // A generated shape's arrival draws never depend on grants, so an
-// evaluation grid draws each column's arrival words once and shares them
-// with every policy in the column, each policy's cell running its own
-// jobs loop over them (see RunGridColumns).
+// evaluation grid draws a column's arrival words once for a group of its
+// policy cells (the whole column on one worker), each cell running its
+// own jobs loop over them (see RunGridColumns).
 package workload
 
 import (
@@ -116,22 +116,26 @@ func taskStreams(seed uint64, n int) []rng {
 	return streams
 }
 
-// jobs is the shared closed-loop core. busy marks the tasks with an
+// jobs is the shared closed-loop core, embedded in every generated
+// shape and in a grid cell's replay. busy marks the tasks with an
 // outstanding job, and need[i] counts the granted cycles busy task i's
 // job still requires. A busy task requests, consumes one unit per
-// granted cycle, and goes idle when its job is done.
+// granted cycle, and goes idle when its job is done. Pinned tasks
+// request every cycle outside the loop.
 type jobs struct {
 	busy arbiter.BitVec
 	need []int
 	hold int
+	pin  arbiter.BitVec
 }
 
 func newJobs(n, hold int) jobs { return jobs{need: make([]int, n), hold: hold} }
 
 // step consumes last cycle's grants, then starts a hold-cycle job on
-// every idle task in arrive, and returns the busy word. Counters are
-// touched only for the tasks a grant served or an arrival spawned. It is
-// small enough to inline, so NextBits costs one call, to arrive.
+// every idle task in arrive, and returns the request word: the busy
+// tasks and the pinned ones. Counters are touched only for the tasks a
+// grant served or an arrival spawned. It is small enough to inline, so
+// NextBits costs one call, to arrive.
 func (j *jobs) step(prevGrant, arrive arbiter.BitVec) arbiter.BitVec {
 	for s := prevGrant & j.busy; s != 0; s &= s - 1 {
 		i := bits.TrailingZeros64(uint64(s))
@@ -144,10 +148,16 @@ func (j *jobs) step(prevGrant, arrive arbiter.BitVec) arbiter.BitVec {
 		j.need[bits.TrailingZeros64(uint64(s))] = j.hold
 	}
 	j.busy |= arrive
-	return j.busy
+	return j.busy | j.pin
 }
 
 func (j *jobs) reset() { j.busy = 0 }
+
+// newReplay returns a grid cell's replay: a fresh copy of this loop over
+// the arrival words its grid unit draws.
+func (j *jobs) newReplay() *replay {
+	return &replay{jobs: jobs{need: make([]int, len(j.need)), hold: j.hold, pin: j.pin}}
+}
 
 // bernoulli is the uniform/hotspot/hog family: per-task arrival
 // probability when idle, with optional always-requesting (pinned)
@@ -159,8 +169,7 @@ type bernoulli struct {
 	streams []rng
 	hot     uint64 // arrival threshold of task 1
 	cold    uint64 // arrival threshold of every other task
-	pin     arbiter.BitVec
-	jobs    jobs
+	jobs
 }
 
 func newBernoulli(name string, n int, pHot, pCold float64, hold int, seed uint64) *bernoulli {
@@ -186,13 +195,11 @@ func (b *bernoulli) arrive() arbiter.BitVec {
 	return (arbiter.BitVec(b.streams[0].hit(b.hot)) | hits(b.streams[1:], b.cold)<<1) &^ b.pin
 }
 
-func (b *bernoulli) newReplay() *replay { return &replay{jobs: newJobs(b.n, b.jobs.hold), pin: b.pin} }
-
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
 func (b *bernoulli) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	return b.jobs.step(prevGrant, b.arrive()) | b.pin
+	return b.step(prevGrant, b.arrive())
 }
 
 // NewBernoulli returns uniform Bernoulli traffic: every idle task
@@ -250,7 +257,7 @@ type bursty struct {
 	offOn   uint64         // threshold of an OFF task turning ON (mean idle 1/p cycles)
 	onOff   uint64         // threshold of an ON task turning OFF (mean burst 1/p cycles)
 	arrival uint64         // arrival threshold while ON
-	jobs    jobs
+	jobs
 }
 
 // NewBursty returns on/off burst traffic: mean bursts of 20 cycles at
@@ -292,13 +299,11 @@ func (b *bursty) arrive() arbiter.BitVec {
 	return arrive & b.on
 }
 
-func (b *bursty) newReplay() *replay { return &replay{jobs: newJobs(b.n, b.jobs.hold)} }
-
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
 func (b *bursty) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	return b.jobs.step(prevGrant, b.arrive())
+	return b.step(prevGrant, b.arrive())
 }
 
 // markov is the globally modulated source: a two-state regime chain
@@ -314,7 +319,7 @@ type markov struct {
 	// arrival in each regime.
 	calmStorm, stormCalm uint64
 	calm, stormy         uint64
-	jobs                 jobs
+	jobs
 }
 
 // NewMarkov returns Markov-modulated traffic: calm regimes (arrival
@@ -358,13 +363,11 @@ func (m *markov) arrive() arbiter.BitVec {
 	return hits(m.streams, t)
 }
 
-func (m *markov) newReplay() *replay { return &replay{jobs: newJobs(m.n, m.jobs.hold)} }
-
 // NextBits implements BitGenerator.
 //
 //sparcs:hotpath
 func (m *markov) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	return m.jobs.step(prevGrant, m.arrive())
+	return m.step(prevGrant, m.arrive())
 }
 
 // silent is the zero-rate source: it never requests. Its Silent marker
