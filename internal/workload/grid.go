@@ -79,8 +79,9 @@ func RunGrid(policies, workloads []string, opt GridOptions) ([]*Metrics, error) 
 // Every cell's policy and request stream are built and checked once,
 // serially, before the fan-out, so a bad entry (including size-dependent
 // constraints like hier group divisibility and trace widths, and a
-// non-positive Cycles) fails before any cell runs and the workers only
-// drive.
+// non-positive Cycles) fails before any cell runs. The workers cannot
+// fail: each sets up the loop state its cells write every cycle, then
+// drives them.
 func RunGridColumns(policies []string, cols []Column, opt GridOptions) ([]*Metrics, error) {
 	//sparcs:ignore determinism the worker count only groups cells into units; every cell's result is the same for any grouping
 	return runGrid(policies, cols, opt, runtime.GOMAXPROCS(0))
@@ -111,15 +112,14 @@ func runGrid(policies []string, cols []Column, opt GridOptions, workers int) ([]
 	}
 	group := groupSize(len(policies), cells, workers)
 	var units []*gridUnit
-	home := make([]*gridUnit, cells)    // the unit that advances each cell
-	srcs := make([]BitGenerator, cells) // each cell's request stream
+	gens := make([]Generator, cells) // the generator that names each cell's stream
 	for wi, col := range cols {
 		if col.New == nil {
 			return nil, fmt.Errorf("workload: column %q has no generator factory", col.Name)
 		}
 		var u *gridUnit
 		for pi := range policies {
-			if u == nil || u.src == nil || len(u.replays) == group {
+			if u == nil || u.src == nil || len(u.cells) == group {
 				g, err := col.New(opt.N, columnSeed(opt.Seed, wi))
 				if err != nil {
 					return nil, err
@@ -129,45 +129,18 @@ func runGrid(policies []string, cols []Column, opt GridOptions, workers int) ([]
 				units = append(units, u)
 			}
 			idx := pi*len(cols) + wi
-			home[idx], srcs[idx] = u, u.gen
-			if u.src != nil {
-				r := u.src.newReplay()
-				u.replays = append(u.replays, r)
-				srcs[idx] = r
-			}
+			u.cells = append(u.cells, idx)
+			gens[idx] = u.gen
 		}
 	}
-	drivers := make([]*driver, cells)
 	for idx := range cells {
-		u := home[idx]
-		d, err := newDriver(ps[idx], u.gen, srcs[idx], opt.Cycles)
-		if err != nil {
+		if err := checkDrive(ps[idx], gens[idx], opt.Cycles); err != nil {
 			return nil, fmt.Errorf("workload: grid cell %s × %s: %w", policies[idx/len(cols)], cols[idx%len(cols)].Name, err)
-		}
-		drivers[idx] = d
-		u.cells = append(u.cells, d)
-	}
-	// Cycles is checked by now, so the blocks can be sized.
-	for _, u := range units {
-		if u.src != nil {
-			u.words = make([]arbiter.BitVec, min(gridBlock, opt.Cycles))
 		}
 	}
 
-	sim.ParallelFor(len(units), func(ui int) {
-		u := units[ui]
-		for left := opt.Cycles; left > 0; left -= gridBlock {
-			k := min(gridBlock, left)
-			u.fill(k)
-			for _, d := range u.cells {
-				d.advance(k)
-			}
-		}
-	})
 	out := make([]*Metrics, cells)
-	for idx, d := range drivers {
-		out[idx] = d.flush()
-	}
+	sim.ParallelFor(len(units), func(ui int) { units[ui].run(ps, out, opt.Cycles) })
 	return out, nil
 }
 
@@ -225,17 +198,47 @@ func (r *replay) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 	return r.step(prevGrant, a)
 }
 
-// gridUnit is the work of one worker at a time: the cells it advances
-// in policy order and the generator that names their stream. For a
-// group of a generated column, src is that generator, drawing the block
-// of arrival words the cells' replays read; otherwise the unit is one
-// cell driving the generator itself.
+// gridUnit is the work of one worker at a time: its cells in policy
+// order and the generator that names their stream. For a group of a
+// generated column, src is that generator, drawing the block of arrival
+// words the cells' replays read; otherwise the unit is one cell driving
+// the generator itself.
 type gridUnit struct {
-	cells   []*driver
+	cells   []int // indices into the grid
 	gen     Generator
 	src     arriver
 	words   []arbiter.BitVec
 	replays []*replay
+}
+
+// run drives the unit's cells through every cycle, block by block, and
+// stores their metrics in out. It sets up the cells' drivers and
+// replays itself: the worker that writes their state every cycle
+// allocates it, so cells on different workers share no cache line.
+func (u *gridUnit) run(ps []arbiter.Policy, out []*Metrics, cycles int) {
+	ds := make([]*driver, len(u.cells))
+	for i, idx := range u.cells {
+		var src BitGenerator = u.gen
+		if u.src != nil {
+			r := u.src.newReplay()
+			u.replays = append(u.replays, r)
+			src = r
+		}
+		ds[i] = newDriver(ps[idx], u.gen, src, cycles)
+	}
+	if u.src != nil {
+		u.words = make([]arbiter.BitVec, min(gridBlock, cycles))
+	}
+	for left := cycles; left > 0; left -= gridBlock {
+		k := min(gridBlock, left)
+		u.fill(k)
+		for _, d := range ds {
+			d.advance(k)
+		}
+	}
+	for i, idx := range u.cells {
+		out[idx] = ds[i].flush()
+	}
 }
 
 // fill draws the unit's next k arrival words and points every cell's

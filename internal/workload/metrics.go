@@ -244,10 +244,10 @@ func histBucket(wait int) int {
 // once for the group; each cell returns what Drive returns for a
 // generator of its own.
 func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
-	d, err := newDriver(p, g, g, cycles)
-	if err != nil {
+	if err := checkDrive(p, g, cycles); err != nil {
 		return nil, err
 	}
+	d := newDriver(p, g, g, cycles)
 	d.advance(cycles)
 	return d.flush(), nil
 }
@@ -271,20 +271,26 @@ type driver struct {
 	cycle       int // cycles advanced so far
 }
 
-// newDriver checks a cell and sets up its driver: g names the stream and
-// gives its width, and src produces it, which is g itself except in a
-// grid column that replays shared arrival words.
-func newDriver(p arbiter.Policy, g Generator, src BitGenerator, cycles int) (*driver, error) {
+// checkDrive reports why p cannot be driven under g for cycles cycles.
+func checkDrive(p arbiter.Policy, g Generator, cycles int) error {
 	n := p.N()
 	if g.N() != n {
-		return nil, fmt.Errorf("workload: generator %s has %d lines, policy %s has %d", g.Name(), g.N(), p.Name(), n)
+		return fmt.Errorf("workload: generator %s has %d lines, policy %s has %d", g.Name(), g.N(), p.Name(), n)
 	}
 	if n > arbiter.MaxN {
-		return nil, fmt.Errorf("workload: policy %s has %d lines; the bitset engine supports at most %d", p.Name(), n, arbiter.MaxN)
+		return fmt.Errorf("workload: policy %s has %d lines; the bitset engine supports at most %d", p.Name(), n, arbiter.MaxN)
 	}
 	if cycles < 1 {
-		return nil, fmt.Errorf("workload: cycles must be positive, got %d", cycles)
+		return fmt.Errorf("workload: cycles must be positive, got %d", cycles)
 	}
+	return nil
+}
+
+// newDriver sets up the driver of a cell checkDrive accepted: g names
+// the stream and gives its width, and src produces it, which is g itself
+// except in a grid group that replays shared arrival words.
+func newDriver(p arbiter.Policy, g Generator, src BitGenerator, cycles int) *driver {
+	n := p.N()
 	return &driver{
 		p:   p,
 		src: src,
@@ -299,7 +305,7 @@ func newDriver(p arbiter.Policy, g Generator, src BitGenerator, cycles int) (*dr
 		since:      make([]int, n),
 		base:       make([]int, n),
 		prevHolder: -1,
-	}, nil
+	}
 }
 
 // advance runs the next k cycles. The loop works on locals, copied in
