@@ -557,8 +557,8 @@ func BenchmarkPolicyWorkloadWide(b *testing.B) {
 // a host has cores, where the grid must split a generated column's cells
 // across workers to use them: the seven behavioral policies under one
 // generated column, one trace column, and two generated columns, at N=6
-// and N=64. Run it at -cpu 1 and -cpu 2 and above against the parent;
-// allocs/op must stay 0.
+// and N=64. Tracked in BENCH_sim.json at -cpu 1, 2 and 4; allocs/op
+// must stay 0.
 func BenchmarkPolicyWorkloadNarrow(b *testing.B) {
 	policies := []string{"rr", "fifo", "priority", "random:1", "preemptive:4", "wrr:2", "hier:2"}
 	for _, workloads := range [][]string{{"bernoulli:0.30"}, {"trace"}, {"bernoulli:0.30", "hog"}} {
