@@ -160,6 +160,7 @@ func LoadInput(mem *sim.Memory, tiles int, seed int64) [][]int64 {
 		state = state*2862933555777941757 + 3037000493
 		return int(state>>40) % 256
 	}
+	mi := segNames("MI")
 	all := make([][]int64, tiles)
 	for t := 0; t < tiles; t++ {
 		tile := make([]int64, 16)
@@ -167,7 +168,7 @@ func LoadInput(mem *sim.Memory, tiles int, seed int64) [][]int64 {
 			for c := 0; c < 4; c++ {
 				v := FromPixel(next())
 				tile[row*4+c] = v
-				mem.Write(fmt.Sprintf("MI%d", row+1), t*4+c, v)
+				mem.Write(mi[row], t*4+c, v)
 			}
 		}
 		all[t] = tile
@@ -175,19 +176,31 @@ func LoadInput(mem *sim.Memory, tiles int, seed int64) [][]int64 {
 	return all
 }
 
+// segNames returns the names of the four segments prefix1..prefix4, the
+// MI inputs or MO outputs, once for all the words LoadInput and
+// CheckOutput touch.
+func segNames(prefix string) [4]string {
+	var names [4]string
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i+1)
+	}
+	return names
+}
+
 // CheckOutput verifies that the MO segments hold exactly the 2-D
 // fixed-point FFT of every input tile: real plane at words 0..3, imaginary
 // plane at words 4..7 per tile, with MOk holding column k-1. Any
 // arbitration or routing fault shows up here as a value mismatch.
 func CheckOutput(mem *sim.Memory, tiles [][]int64) error {
+	mo := segNames("MO")
 	for t, tile := range tiles {
 		want := Tile2DFixed(tile)
 		for k := 1; k <= 4; k++ {
 			col := k - 1
 			for row := 0; row < 4; row++ {
 				re, im := Unpack(want[row*4+col])
-				gotRe := mem.Read(fmt.Sprintf("MO%d", k), t*8+row)
-				gotIm := mem.Read(fmt.Sprintf("MO%d", k), t*8+4+row)
+				gotRe := mem.Read(mo[col], t*8+row)
+				gotIm := mem.Read(mo[col], t*8+4+row)
 				if gotRe != int64(re) {
 					return fmt.Errorf("fft: tile %d MO%d row %d real = %d, want %d", t, k, row, gotRe, re)
 				}

@@ -16,6 +16,22 @@ import (
 	"sparcs/internal/arbiter"
 )
 
+// taskStreams derives one rng stream per task from the generator seed,
+// as the generators did before they read one sequence through a window.
+// The streams are not independent: stream i+1 starts one draw ahead of
+// stream i, so task i+1's draw on one cycle is task i's draw on the
+// next. The references draw from task i's stream a fixed number of
+// times per cycle regardless of grant feedback, so the arrival process
+// (which jobs spawn at which cycles) is bitwise identical no matter
+// which policy is being driven.
+func taskStreams(seed uint64, n int) []rng {
+	streams := make([]rng, n)
+	for i := range streams {
+		streams[i] = rng{state: seed + uint64(i+1)*0x9e3779b97f4a7c15}
+	}
+	return streams
+}
+
 // refChance is the frozen float draw: true with probability p.
 func refChance(r *rng, p float64) bool {
 	return float64(r.next()>>11)*(1.0/(1<<53)) < p

@@ -15,17 +15,19 @@ import (
 )
 
 // SharedSource is a closed-loop Generator spanning k ≥ 2 arbitrated
-// resources. It runs `lanes` independent jobs, each claiming one request
-// line on every resource, and packs them into one word of N() =
+// resources. It runs `lanes` jobs, each claiming one request line on
+// every resource, and packs them into one word of N() =
 // k·lanes lines: bit r·lanes+j is lane j's line on resource r. Attached
 // through sim.Source with the same resource list, each resource's
 // window of `lanes` bits lands on that resource's arbiter.
 //
 // A lane's lifecycle is the classic hold-and-wait protocol:
 //
-//  1. Idle. Each cycle an arrival fires with probability p (one rng
-//     draw per lane per cycle, consumed unconditionally, so the arrival
-//     process is identical no matter which policies serve it).
+//  1. Idle. Each cycle an arrival fires with probability p (one draw
+//     per lane per cycle, consumed unconditionally, so the arrival
+//     process is identical no matter which policies serve it). The
+//     lanes read one sequence (see the window type), so lane j+1's
+//     draw on one cycle is lane j's on the next.
 //  2. Acquire the resources strictly in list order: request
 //     resource i while KEEPING the request lines of resources 0..i-1
 //     asserted — under the paper's non-preemptive protocol an asserted
@@ -43,9 +45,10 @@ type SharedSource struct {
 	name     string
 	k, lanes int
 	seed     uint64
-	arrival  uint64 // arrival threshold of an idle lane (see threshold)
 	hold     int
-	streams  []rng
+	// win holds the lanes' arrival draws (see the window type), against
+	// the arrival threshold of an idle lane.
+	win window
 	// Per resource r: the lane-0 line r·lanes of its window, and
 	// prefix[r], one bit per window 0..r — the lines a lane requests
 	// while it acquires resource r (shifted up by the lane index).
@@ -60,11 +63,12 @@ type SharedSource struct {
 }
 
 // NewShared returns a correlated source over the named resources in
-// acquisition order. Each of the lanes runs an independent job stream
-// (independent rng streams derived from seed); p is the per-cycle
-// arrival probability of an idle lane and hold the number of all-held
-// cycles before release. All lanes on all resources must fit one
-// request word: len(resources)·lanes ≤ arbiter.MaxN.
+// acquisition order. Each of the lanes runs a job stream of its own,
+// drawn from one sequence derived from seed, lane j one position ahead
+// of lane j−1; p is the per-cycle arrival probability of an idle lane
+// and hold the number of all-held cycles before release. All lanes on
+// all resources must fit one request word: len(resources)·lanes ≤
+// arbiter.MaxN.
 func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) (*SharedSource, error) {
 	if len(resources) < 2 {
 		return nil, fmt.Errorf("workload: shared source needs at least 2 resources, got %v", resources)
@@ -99,8 +103,8 @@ func NewShared(resources []string, lanes int, p float64, hold int, seed uint64) 
 		k:       len(resources),
 		lanes:   lanes,
 		seed:    seed,
-		arrival: threshold(p),
 		hold:    hold,
+		win:     newWindow(lanes, threshold(p), 0),
 		stage:   make([]int, lanes),
 		heldFor: make([]int, lanes),
 	}
@@ -121,9 +125,9 @@ func (s *SharedSource) Name() string { return s.name }
 // N returns the packed line count: lanes on every spanned resource.
 func (s *SharedSource) N() int { return s.k * s.lanes }
 
-// Reset returns every lane to idle and rewinds the arrival streams.
+// Reset returns every lane to idle and rewinds the arrival draws.
 func (s *SharedSource) Reset() {
-	s.streams = taskStreams(s.seed, s.lanes)
+	s.win.prime(s.seed)
 	for j := range s.stage {
 		s.stage[j] = -1
 		s.heldFor[j] = 0
@@ -142,12 +146,14 @@ func (s *SharedSource) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 	for _, sh := range s.shifts {
 		allHeld &= prevGrant >> sh
 	}
+	// One draw per lane per cycle regardless of state, so arrivals are
+	// policy-independent.
+	arrivals := s.win.read(0)
+	s.win.advance()
 	var req arbiter.BitVec
 	for j := 0; j < s.lanes; j++ {
 		bit := arbiter.BitVec(1) << uint(j)
-		// One draw per lane per cycle regardless of state, so arrivals
-		// are policy-independent.
-		arrive := s.streams[j].hit(s.arrival) == 1
+		arrive := arrivals&bit != 0
 		switch {
 		case s.stage[j] < 0:
 			if arrive {

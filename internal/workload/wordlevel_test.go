@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sparcs/internal/arbiter"
@@ -272,6 +273,75 @@ func TestGroupSize(t *testing.T) {
 	} {
 		if got := groupSize(c.policies, c.policies*c.cols, c.workers); got != c.want {
 			t.Errorf("%d policies × %d columns on %d workers: group of %d, want %d", c.policies, c.cols, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestWindowMatchesPerLaneStreams holds the window to independent
+// per-lane streams (taskStreams): at widths from one lane to the full
+// word, every fire word must read, on every cycle, what each lane's own
+// stream draws, when the window slides one position a cycle (the
+// bernoulli family, markov, SharedSource) and when it slides two, with
+// bursty's arrival word one position ahead of its flip words; and again
+// after a Reset.
+func TestWindowMatchesPerLaneStreams(t *testing.T) {
+	const cycles = 1000
+	fire := func(x, t uint64, i int) arbiter.BitVec { return arbiter.BitVec(below(x, t)) << uint(i) }
+	for _, n := range []int{1, 2, 33, 63, 64} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			w := newWindow(n, threshold(0.5), threshold(0.3))
+			w.prime(seed)
+			g, err := NewBursty(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := g.(*bursty)
+			for pass := 0; pass < 2; pass++ {
+				one, two := taskStreams(seed, n), taskStreams(seed, n)
+				for c := 0; c < cycles; c++ {
+					var want1, want2 [3]arbiter.BitVec
+					for i := 0; i < n; i++ {
+						x := one[i].next() >> 11
+						want1[0] |= fire(x, w.thr[0], i)
+						want1[1] |= fire(x, w.thr[1], i)
+						flip, arr := two[i].next()>>11, two[i].next()>>11
+						want2[0] |= fire(flip, b.flips.thr[0], i)
+						want2[1] |= fire(flip, b.flips.thr[1], i)
+						want2[2] |= fire(arr, b.arrival, i)
+					}
+					if got := [3]arbiter.BitVec{w.read(0), w.read(1)}; got != want1 {
+						t.Fatalf("N=%d seed %d pass %d cycle %d, one position a cycle:\nwindow   %064b\nper-lane %064b", n, seed, pass, c, got, want1)
+					}
+					if got := [3]arbiter.BitVec{b.flips.read(0), b.flips.read(1), b.arr >> b.flips.shift}; got != want2 {
+						t.Fatalf("N=%d seed %d pass %d cycle %d, two positions a cycle:\nwindow   %064b\nper-lane %064b", n, seed, pass, c, got, want2)
+					}
+					w.advance()
+					b.advance()
+					b.advance()
+				}
+				w.prime(seed)
+				b.Reset()
+			}
+		}
+	}
+}
+
+// TestBuiltinTraceMatchesNestedLoop holds the trace's lane ranges to the
+// per-lane nested loop that built it before, at every width.
+func TestBuiltinTraceMatchesNestedLoop(t *testing.T) {
+	for n := 1; n <= arbiter.MaxN; n++ {
+		got := builtinTrace(n)
+		want := make([]arbiter.BitVec, 7*n)
+		for c := range want {
+			for i := 0; i < n; i++ {
+				start := 2 * i
+				if (c >= start && c < start+n) || (c >= 4*n && c < 6*n) {
+					want[c] |= 1 << uint(i)
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("N=%d: builtinTrace\n%x\nnested loop\n%x", n, got, want)
 		}
 	}
 }

@@ -10,14 +10,18 @@
 // cycle's grants, so a task requests persistently until its job has
 // been served for its hold time and then releases — the request/release
 // discipline of the paper's Figure 8 access protocol. All randomness
-// comes from seeded splitmix64 streams, one per task, so a (generator,
-// seed, policy) triple always replays the identical experiment.
+// comes from seeded splitmix64 sequences, so a (generator, seed, policy)
+// triple always replays the identical experiment. The tasks' draws are
+// not independent: they read one sequence, each task one position
+// further along it than the task before (see window), so task i+1's
+// draw on one cycle is task i's draw on the next.
 //
 // The per-cycle path treats all request lines as one word, as a parallel
-// hardware arbiter does: a generator packs every task's arrival draw into
-// one BitVec without branching and keeps its jobs as a busy mask, and
-// both the generators and Drive touch per-task state only for the tasks
-// whose state changed that cycle.
+// hardware arbiter does: a generator keeps every task's arrival draw as
+// one bit of a BitVec, draws once or twice a cycle whatever the number
+// of tasks, and keeps its jobs as a busy mask, and both the generators
+// and Drive touch per-task state only for the tasks whose state changed
+// that cycle.
 //
 // A generated shape's arrival draws never depend on grants, so an
 // evaluation grid draws a column's arrival words once for a group of its
@@ -92,29 +96,69 @@ func below(u, t uint64) uint64 { return (u - t) >> 63 }
 // threshold t, 0 otherwise.
 func (r *rng) hit(t uint64) uint64 { return below(r.next()>>11, t) }
 
-// hits draws once from every stream and packs the outcomes into a word:
-// bit i is set when stream i's draw fires against threshold t.
-func hits(streams []rng, t uint64) arbiter.BitVec {
-	var w arbiter.BitVec
-	for i := range streams {
-		w |= arbiter.BitVec(streams[i].hit(t)) << uint(i)
-	}
-	return w
+// window is how a generated shape's n tasks read their arrival draws:
+// one splitmix64 sequence v(1), v(2), … (v(m) is the m-th draw of
+// rng{state: seed}), of which task i's k-th draw is v(i+1+k). A shape
+// that draws once per task per cycle reads tasks 0..n−1 from v(t+2) ..
+// v(t+n+1) on cycle t, so consecutive cycles share n−1 positions and
+// the window slides one position a cycle: one draw, not n. These are
+// exactly the draws of per-task streams seeded seed+(i+1)·γ that add γ
+// (splitmix64's increment) a draw, the streams the frozen per-lane
+// references in the tests still keep.
+//
+// For each of up to two thresholds, a fire word keeps whether each
+// position of the window fires against it, aligned to the top of the
+// word: the newest position is bit MaxN−1 and task i is bit shift+i, so
+// read shifts the window down to bit i = task i, and what slides below
+// the window is never read. A shape with one threshold leaves the
+// second zero, which never fires.
+type window struct {
+	seq   rng
+	shift uint // arbiter.MaxN − n
+	thr   [2]uint64
+	fire  [2]arbiter.BitVec
 }
 
-// taskStreams derives one independent rng stream per task from the
-// generator seed. Closed-loop generators draw from task i's stream a
-// fixed number of times per cycle regardless of grant feedback, so the
-// arrival process (which jobs spawn at which cycles) is bitwise
-// identical no matter which policy is being driven — rows of a grid
-// column compare service discipline, not different traffic.
-func taskStreams(seed uint64, n int) []rng {
-	streams := make([]rng, n)
-	for i := range streams {
-		streams[i] = rng{state: seed + uint64(i+1)*0x9e3779b97f4a7c15}
-	}
-	return streams
+func newWindow(n int, t0, t1 uint64) window {
+	return window{shift: uint(arbiter.MaxN - n), thr: [2]uint64{t0, t1}}
 }
+
+// rewind restarts the sequence of seed. The window still holds the old
+// draws until n slides replace every position a read sees.
+func (w *window) rewind(seed uint64) { w.seq = rng{state: seed + 0x9e3779b97f4a7c15} }
+
+// prime rewinds to seed and fills the window with the first cycle's n
+// positions.
+func (w *window) prime(seed uint64) {
+	w.rewind(seed)
+	for range arbiter.MaxN - w.shift {
+		w.advance()
+	}
+}
+
+// draw returns the sequence's next position, as the 53-bit value the
+// thresholds are compared against.
+func (w *window) draw() uint64 { return w.seq.next() >> 11 }
+
+// push slides the window one position along: task i takes task i+1's
+// draw, and task n−1 the draw x.
+func (w *window) push(x uint64) {
+	w.fire[0] = slide(w.fire[0], x, w.thr[0])
+	w.fire[1] = slide(w.fire[1], x, w.thr[1])
+}
+
+// slide shifts fire word f down one position and puts the newest, draw
+// x against threshold t, on top.
+func slide(f arbiter.BitVec, x, t uint64) arbiter.BitVec {
+	return f>>1 | arbiter.BitVec(below(x, t))<<(arbiter.MaxN-1)
+}
+
+// advance slides the window onto the sequence's next position.
+func (w *window) advance() { w.push(w.draw()) }
+
+// read returns the window's fire bits against threshold k: bit i is set
+// when task i's draw fires.
+func (w *window) read(k int) arbiter.BitVec { return w.fire[k] >> w.shift }
 
 // jobs is the shared closed-loop core, embedded in every generated
 // shape and in a grid cell's replay. busy marks the tasks with an
@@ -161,38 +205,43 @@ func (j *jobs) newReplay() *replay {
 
 // bernoulli is the uniform/hotspot/hog family: per-task arrival
 // probability when idle, with optional always-requesting (pinned)
-// tasks. A job occupies the resource for hold granted cycles.
+// tasks. A job occupies the resource for hold granted cycles. Its
+// window compares against task 1's arrival threshold (hot) and every
+// other task's (cold).
 type bernoulli struct {
-	name    string
-	n       int
-	seed    uint64
-	streams []rng
-	hot     uint64 // arrival threshold of task 1
-	cold    uint64 // arrival threshold of every other task
+	name string
+	n    int
+	seed uint64
+	win  window
 	jobs
 }
 
 func newBernoulli(name string, n int, pHot, pCold float64, hold int, seed uint64) *bernoulli {
-	return &bernoulli{
-		name: name, n: n, seed: seed, streams: taskStreams(seed, n),
-		hot: threshold(pHot), cold: threshold(pCold), jobs: newJobs(n, hold),
+	b := &bernoulli{
+		name: name, n: n, seed: seed,
+		win: newWindow(n, threshold(pHot), threshold(pCold)), jobs: newJobs(n, hold),
 	}
+	b.Reset()
+	return b
 }
 
 func (b *bernoulli) Name() string { return b.name }
 func (b *bernoulli) N() int       { return b.n }
 
 func (b *bernoulli) Reset() {
-	b.streams = taskStreams(b.seed, b.n)
+	b.win.prime(b.seed)
 	b.jobs.reset()
 }
 
-// arrive draws one cycle's arrivals: one draw per task, consumed
-// unconditionally (pinned tasks included), so the arrival stream is
-// independent of grant history. Pinned tasks request outside the jobs
-// loop, so their bits are cleared.
+// arrive draws one cycle's arrivals: task 1 against the hot threshold,
+// the rest against the cold one. Every task draws every cycle, pinned
+// tasks included, so the arrival stream is independent of grant
+// history. Pinned tasks request outside the jobs loop, so their bits
+// are cleared.
 func (b *bernoulli) arrive() arbiter.BitVec {
-	return (arbiter.BitVec(b.streams[0].hit(b.hot)) | hits(b.streams[1:], b.cold)<<1) &^ b.pin
+	a := (b.win.read(0)&1 | b.win.read(1)&^1) &^ b.pin
+	b.win.advance()
+	return a
 }
 
 // NextBits implements BitGenerator.
@@ -248,55 +297,70 @@ func NewHog(n int, seed uint64) (Generator, error) {
 
 // bursty is the per-task on/off source: each task flips between an ON
 // state (high arrival rate) and an OFF state (silent) with geometric
-// dwell times.
+// dwell times. Each task draws twice a cycle, a flip and then an
+// arrival, so on cycle t task i flips on v(i+2t+2) and arrives on
+// v(i+2t+3) (see window): the window slides two positions a cycle, and
+// the arrival word reads one position ahead of the flip words, so the
+// newest draw waits in carry for the flip words' next slide.
 type bursty struct {
 	n       int
 	seed    uint64
-	streams []rng
+	flips   window         // against offOn and onOff
+	arr     arbiter.BitVec // fire word against arrival, laid out as flips'
+	carry   uint64         // the newest draw, one position ahead of flips
 	on      arbiter.BitVec // tasks in the ON state
-	offOn   uint64         // threshold of an OFF task turning ON (mean idle 1/p cycles)
-	onOff   uint64         // threshold of an ON task turning OFF (mean burst 1/p cycles)
 	arrival uint64         // arrival threshold while ON
 	jobs
 }
 
 // NewBursty returns on/off burst traffic: mean bursts of 20 cycles at
-// 0.9 arrival probability separated by mean 60-cycle silences.
+// 0.9 arrival probability separated by mean 60-cycle silences. An OFF
+// task turns ON at rate 1/60 and an ON task OFF at 1/20.
 func NewBursty(n int, seed uint64) (Generator, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	return &bursty{
-		n: n, seed: seed, streams: taskStreams(seed, n),
-		offOn: threshold(1.0 / 60), onOff: threshold(1.0 / 20), arrival: threshold(0.9),
-		jobs: newJobs(n, 2),
-	}, nil
+	b := &bursty{
+		n: n, seed: seed, flips: newWindow(n, threshold(1.0/60), threshold(1.0/20)),
+		arrival: threshold(0.9), jobs: newJobs(n, 2),
+	}
+	b.Reset()
+	return b, nil
 }
 
 func (b *bursty) Name() string { return "bursty" }
 func (b *bursty) N() int       { return b.n }
 
 func (b *bursty) Reset() {
-	b.streams = taskStreams(b.seed, b.n)
+	b.flips.rewind(b.seed)
+	b.carry = b.flips.draw()
+	for range b.n {
+		b.advance()
+	}
 	b.on = 0
 	b.jobs.reset()
 }
 
+// advance slides the flip words onto the carried draw and the arrival
+// word onto a new one, which it carries.
+func (b *bursty) advance() {
+	x := b.flips.draw()
+	b.flips.push(b.carry)
+	b.arr = slide(b.arr, x, b.arrival)
+	b.carry = x
+}
+
 // arrive flips the on/off states and draws one cycle's arrivals, which
-// only ON tasks keep.
+// only ON tasks keep. Both draws are consumed unconditionally, so the
+// on/off trajectory and the arrival stream are independent of grant
+// history.
 func (b *bursty) arrive() arbiter.BitVec {
-	var turnOn, turnOff, arrive arbiter.BitVec
-	for i := range b.streams {
-		// Two draws per task per cycle (state flip, then arrival),
-		// consumed unconditionally: the on/off trajectory and arrival
-		// stream are independent of grant history.
-		flip := b.streams[i].next() >> 11
-		turnOn |= arbiter.BitVec(below(flip, b.offOn)) << uint(i)
-		turnOff |= arbiter.BitVec(below(flip, b.onOff)) << uint(i)
-		arrive |= arbiter.BitVec(b.streams[i].hit(b.arrival)) << uint(i)
-	}
+	turnOn, turnOff := b.flips.read(0), b.flips.read(1)
+	a := b.arr >> b.flips.shift
+	b.advance()
+	b.advance()
 	b.on = b.on&^turnOff | turnOn&^b.on
-	return arrive & b.on
+	return a & b.on
 }
 
 // NextBits implements BitGenerator.
@@ -308,17 +372,17 @@ func (b *bursty) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 
 // markov is the globally modulated source: a two-state regime chain
 // (calm/storm) scales every task's arrival probability together, so the
-// whole system alternates between light load and saturation.
+// whole system alternates between light load and saturation. The regime
+// draws from its own stream, rng{state: seed}; the tasks' window
+// compares against the calm and the storm arrival thresholds.
 type markov struct {
-	n       int
-	seed    uint64
-	regime  rng
-	streams []rng
-	storm   bool
-	// Thresholds: regime flips calm→storm and storm→calm, then per-task
-	// arrival in each regime.
+	n      int
+	seed   uint64
+	regime rng
+	storm  bool
+	// Thresholds of the regime flips calm→storm and storm→calm.
 	calmStorm, stormCalm uint64
-	calm, stormy         uint64
+	win                  window
 	jobs
 }
 
@@ -329,12 +393,13 @@ func NewMarkov(n int, seed uint64) (Generator, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	return &markov{
-		n: n, seed: seed, regime: rng{state: seed}, streams: taskStreams(seed, n),
+	m := &markov{
+		n: n, seed: seed,
 		calmStorm: threshold(1.0 / 200), stormCalm: threshold(1.0 / 50),
-		calm: threshold(0.05), stormy: threshold(0.85),
-		jobs: newJobs(n, 2),
-	}, nil
+		win: newWindow(n, threshold(0.05), threshold(0.85)), jobs: newJobs(n, 2),
+	}
+	m.Reset()
+	return m, nil
 }
 
 func (m *markov) Name() string { return "markov" }
@@ -342,7 +407,7 @@ func (m *markov) N() int       { return m.n }
 
 func (m *markov) Reset() {
 	m.regime = rng{state: m.seed}
-	m.streams = taskStreams(m.seed, m.n)
+	m.win.prime(m.seed)
 	m.storm = false
 	m.jobs.reset()
 }
@@ -356,11 +421,13 @@ func (m *markov) arrive() arbiter.BitVec {
 	} else {
 		m.storm = m.regime.hit(m.calmStorm) == 1
 	}
-	t := m.calm
+	k := 0
 	if m.storm {
-		t = m.stormy
+		k = 1
 	}
-	return hits(m.streams, t)
+	a := m.win.read(k)
+	m.win.advance()
+	return a
 }
 
 // NextBits implements BitGenerator.
@@ -443,16 +510,20 @@ func (t *trace) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
 // builtinTrace builds the canonical recorded pattern the registry
 // serves under "trace": staggered request windows (task i active for n
 // cycles starting at cycle 2i), then an all-on contention burst, then
-// silence — arrivals, overlap, saturation, and drain in one period.
+// silence — arrivals, overlap, saturation, and drain in one period. On
+// cycle c the staggered windows cover the tasks i with 2i ≤ c < 2i+n,
+// the range from ceil((c−n+1)/2) to floor(c/2), so each step is one
+// range of lanes.
 func builtinTrace(n int) []arbiter.BitVec {
 	period := 4*n + 2*n + n // staggered windows, burst, silence
 	steps := make([]arbiter.BitVec, period)
 	for c := range steps {
-		for i := 0; i < n; i++ {
-			start := 2 * i
-			if (c >= start && c < start+n) || (c >= 4*n && c < 6*n) {
-				steps[c] |= 1 << uint(i)
-			}
+		if c >= 4*n && c < 6*n {
+			steps[c] = arbiter.Mask(n)
+			continue
+		}
+		if lo, hi := max(c-n+2, 0)/2, min(c/2+1, n); lo < hi {
+			steps[c] = arbiter.Mask(hi) &^ arbiter.Mask(lo)
 		}
 	}
 	return steps

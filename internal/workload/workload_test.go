@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -413,22 +414,34 @@ func TestFormatTable(t *testing.T) {
 	}
 }
 
-// BenchmarkDrive measures the single-cell hot loop: behavioral
-// round-robin under Bernoulli traffic.
+// BenchmarkDrive measures Drive's loop per cycle under behavioral
+// round-robin and every generated shape of the default grid, at the
+// FFT's N=6 and at the full word, N=64. The loop must not allocate: a
+// shape fails the benchmark if 512 cycles of it allocate anything.
 func BenchmarkDrive(b *testing.B) {
-	const n = 8
-	p := arbiter.NewRoundRobin(n)
-	g, err := NewGenerator("bernoulli:0.30", n, 1)
-	if err != nil {
-		b.Fatal(err)
+	for _, n := range []int{6, arbiter.MaxN} {
+		for _, spec := range DefaultWorkloads() {
+			g, err := NewGenerator(spec, n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, ok := g.(arriver); !ok {
+				continue // a replayed trace draws nothing
+			}
+			b.Run(fmt.Sprintf("%s/n%d", spec, n), func(b *testing.B) {
+				g.Reset()
+				d := newDriver(arbiter.NewRoundRobin(n), g, g, max(b.N, 1))
+				if allocs := testing.AllocsPerRun(1, func() { d.advance(512) }); allocs != 0 {
+					b.Fatalf("%v allocations in 512 cycles, want 0", allocs)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				d.advance(max(b.N, 1))
+				if m := d.flush(); m.Violation != "" {
+					b.Fatal(m.Violation)
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
+			})
+		}
 	}
-	b.ReportAllocs()
-	m, err := Drive(p, g, max(b.N, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if m.Violation != "" {
-		b.Fatal(m.Violation)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 }
