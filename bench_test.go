@@ -365,6 +365,56 @@ func BenchmarkSimFFTStage(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
+// BenchmarkSimContention measures the simulator under background
+// contention on sim-long's design, FFTSystem(24): rr and wrr:2 under no
+// contention, M1=bernoulli:0.30/4, M1=hotspot:0.90/2 and
+// M1+M3=corr:0.25/1, and M1=hog/2 under preemptive:4 only (under rr the
+// hog starves the design into the stage watchdog). It reports ns per
+// simulated cycle and allocs/op; CI smokes it with -bench=BenchmarkSim.
+func BenchmarkSimContention(b *testing.B) {
+	const tiles = 24
+	sys, err := sparcs.FFTSystem(tiles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type run struct{ policy, name, contention string }
+	var runs []run
+	for _, p := range []string{"rr", "wrr:2"} {
+		runs = append(runs,
+			run{p, "none", ""},
+			run{p, "bernoulli", "M1=bernoulli:0.30/4"},
+			run{p, "hotspot", "M1=hotspot:0.90/2"},
+			run{p, "corr", "M1+M3=corr:0.25/1"})
+	}
+	runs = append(runs, run{"preemptive:4", "hog", "M1=hog/2"})
+	for _, r := range runs {
+		b.Run(r.policy+"/"+r.name, func(b *testing.B) {
+			var cycles int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mem := sparcs.NewMemory()
+				sparcs.LoadFFTInput(mem, tiles, 1)
+				opts := []sparcs.RunOption{sparcs.WithPolicy(r.policy), sparcs.WithSeed(1), sparcs.WithMemory(mem)}
+				if r.contention != "" {
+					opts = append(opts, sparcs.WithContention(r.contention))
+				}
+				b.StartTimer()
+				res, err := sys.Run(opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Violations()) != 0 {
+					b.Fatalf("violations: %v", res.Violations())
+				}
+				cycles += int64(res.TotalCycles)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+		})
+	}
+}
+
 // BenchmarkSimSweep measures the parallel sweep runner: System.Sweep
 // fanning independent full FFT simulations (all three temporal
 // partitions each) over GOMAXPROCS workers, the shape of every

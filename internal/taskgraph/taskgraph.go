@@ -98,9 +98,13 @@ type Channel struct {
 // The name index behind TaskByName, SegmentByName, TopoOrder, Ordered,
 // Precedes and UnorderedMembers is built once, on the first of those
 // queries, and never written again, so any number of goroutines may
-// query one graph. A graph must not be mutated after its first query:
-// the index would not see the change. Validate does not use the index;
-// it checks its own copy of the names on every call.
+// query one graph. Every task's ancestor set is built the same way, on
+// the first Ordered, Precedes or UnorderedMembers query, so a graph
+// that never asks about order never pays for it, and a query then
+// costs name lookups and bit tests, not a walk of the graph. A graph
+// must not be mutated after its first query: neither the index nor the
+// ancestor sets would see the change. Validate uses neither; it checks
+// its own copy of the names on every call.
 type Graph struct {
 	Name     string
 	Tasks    []*Task
@@ -110,6 +114,9 @@ type Graph struct {
 	idxOnce sync.Once
 	taskIdx map[string]*Task
 	segIdx  map[string]*Segment
+
+	ancOnce sync.Once
+	anc     *ancestry
 }
 
 // TaskByName returns the named task, or nil.
@@ -247,29 +254,78 @@ func (g *Graph) Precedes(a, b string) bool {
 
 // reaches reports whether from is an ancestor of to in the dependency DAG.
 func (g *Graph) reaches(from, to string) bool {
-	if from == to {
-		return false
-	}
+	r := g.ancestors()
+	f, okF := r.id[from]
+	t, okT := r.id[to]
+	return okF && okT && f != t && r.rows[t*r.words+f/64]>>(f%64)&1 != 0
+}
+
+// ancestry is every task's transitive dependency set. Each task name
+// and each dependency name, a task or not, has a row; row t holds, as
+// bits, every name reachable from t through one or more Deps edges. A
+// name that is no task has no deps, so its row is empty, and in a
+// cyclic graph a task may reach itself.
+type ancestry struct {
+	id    map[string]int
+	words int // row length in uint64 words
+	rows  []uint64
+}
+
+// ancestors returns the graph's ancestor sets, building them on first
+// use.
+func (g *Graph) ancestors() *ancestry {
+	g.ancOnce.Do(g.buildAncestors)
+	return g.anc
+}
+
+// buildAncestors numbers every name and fills each task's row by a walk
+// from it, with the task index resolving names as the queries do.
+func (g *Graph) buildAncestors() {
 	tasks := g.tasksByName()
-	seen := map[string]bool{}
-	var walk func(cur string) bool
-	walk = func(cur string) bool {
-		if seen[cur] {
-			return false
+	r := &ancestry{id: make(map[string]int, len(g.Tasks))}
+	names := make([]string, 0, len(g.Tasks))
+	number := func(name string) int {
+		i, ok := r.id[name]
+		if !ok {
+			i = len(names)
+			r.id[name] = i
+			names = append(names, name)
 		}
-		seen[cur] = true
-		t := tasks[cur]
-		if t == nil {
-			return false
-		}
-		for _, d := range t.Deps {
-			if d == from || walk(d) {
-				return true
+		return i
+	}
+	deps := 0
+	for _, t := range g.Tasks {
+		number(t.Name)
+		deps += len(t.Deps)
+	}
+	// Name i's dependency ids are edges[start[i]:start[i+1]]; names
+	// appended while the loop runs are deps, numbered after the tasks.
+	start := make([]int, 1, len(names)+1)
+	edges := make([]int, 0, deps)
+	for i := 0; i < len(names); i++ {
+		if t := tasks[names[i]]; t != nil {
+			for _, d := range t.Deps {
+				edges = append(edges, number(d))
 			}
 		}
-		return false
+		start = append(start, len(edges))
 	}
-	return walk(to)
+	r.words = (len(names) + 63) / 64
+	r.rows = make([]uint64, len(names)*r.words)
+	var stack []int
+	for t := range names {
+		row := r.rows[t*r.words : (t+1)*r.words]
+		stack = append(stack[:0], edges[start[t]:start[t+1]]...)
+		for len(stack) > 0 {
+			d := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if row[d/64]>>(d%64)&1 == 0 {
+				row[d/64] |= 1 << (d % 64)
+				stack = append(stack, edges[start[d]:start[d+1]]...)
+			}
+		}
+	}
+	g.anc = r
 }
 
 // Accessors returns the names of tasks accessing the segment, in

@@ -188,3 +188,31 @@ func TestTotals(t *testing.T) {
 		t.Fatalf("TotalSegmentBytes = %d", g.TotalSegmentBytes())
 	}
 }
+
+// TestAncestorsBuiltOnFirstOrderQuery pins when the ancestor sets are
+// built: not by the name index's queries, and once by the first order
+// query.
+func TestAncestorsBuiltOnFirstOrderQuery(t *testing.T) {
+	g := diamond()
+	if g.TaskByName("A") == nil || g.SegmentByName("S") == nil {
+		t.Fatal("index lookups failed")
+	}
+	if _, err := g.TopoOrder(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Accessors("S"); g.anc != nil {
+		t.Fatal("ancestor sets built without an order query")
+	}
+	if !g.Precedes("A", "D") {
+		t.Fatal("A should precede D")
+	}
+	anc := g.anc
+	if anc == nil {
+		t.Fatal("Precedes did not build the ancestor sets")
+	}
+	g.Ordered("B", "C")
+	g.UnorderedMembers([]string{"A", "B", "C"})
+	if g.anc != anc {
+		t.Fatal("ancestor sets rebuilt by a later query")
+	}
+}

@@ -71,8 +71,27 @@ type Metrics struct {
 	Violation string
 }
 
+// checkSafety runs the three online safety checks in their fixed order
+// on a cycle Drive's combined test flagged, so the first Violation names
+// the same property it always has. Only a broken arbiter gets here.
+//
+//go:noinline
+func (m *Metrics) checkSafety(cycle int, req, grant arbiter.BitVec) {
+	if grant.Count() > 1 {
+		m.violate(cycle, "mutual-exclusion")
+	}
+	if grant&^req != 0 {
+		m.violate(cycle, "grant-implies-request")
+	}
+	if (req != 0) != (grant != 0) {
+		m.violate(cycle, "work-conservation")
+	}
+}
+
 // violate records the first online safety-check failure. Named rather
-// than a closure so the hot loop's call is statically resolvable.
+// than a closure so checkSafety's calls are statically resolvable; the
+// hot loop reaches it only through checkSafety, on a cycle a correct
+// arbiter never produces.
 func (m *Metrics) violate(cycle int, kind string) {
 	if m.Violation == "" {
 		//sparcs:ignore hotpath first-violation formatting runs at most once per Drive, and only for a broken arbiter
@@ -223,19 +242,22 @@ func histBucket(wait int) int {
 // cycles and returns the aggregated metrics. The hot loop is
 // allocation-free and runs on single request/grant words: the generator
 // produces one BitVec per cycle, the policy steps it, and the online
-// safety checks are single word operations (mutual exclusion =
-// popcount ≤ 1, grant ⊆ request = grant &^ req == 0, work conservation
-// = grant presence matches request presence).
+// safety checks are one combined word test (mutual exclusion = at most
+// one bit set, grant ⊆ request = grant &^ req == 0, work conservation
+// = grant presence matches request presence) that only a broken
+// arbiter fails.
 //
 // The per-task bookkeeping is mask arithmetic over a waiting word, the
 // tasks requesting without a grant, so per-cycle work scales with the
 // tasks whose state changed rather than with N: counters are touched
-// for granted tasks and for tasks whose wait starts or ends. Grant
-// episodes are counted lazily, as one running count of new-holder
-// cycles minus a per-task base taken when a wait starts, folded into
-// WorstEpisodes when the wait ends and at run end. Every metric updates
-// incrementally — no trace is recorded, so multi-million-cycle runs
-// cost O(N) memory.
+// for granted tasks and for tasks whose wait starts or ends. A cycle
+// whose grant word and waiting word are both last cycle's (one holder
+// or none) changes no service, wait or episode, so it touches only the
+// holder's grant count. Grant episodes are counted lazily, as one
+// running count of new-holder cycles minus a per-task base taken when a
+// wait starts, folded into WorstEpisodes when the wait ends and at run
+// end. Every metric updates incrementally — no trace is recorded, so
+// multi-million-cycle runs cost O(N) memory.
 //
 // The loop lives in a driver that can be advanced a block of cycles at
 // a time: Drive sets one up, advances it through every cycle and
@@ -315,33 +337,38 @@ func (d *driver) advance(k int) {
 	grant, waiting := d.grant, d.waiting
 	since, base := d.since, d.base
 	episodes, prevHolder := d.episodes, d.prevHolder
+	var demand, busy int64
 
 	//sparcs:hotpath
 	for cycle, end := d.cycle, d.cycle+k; cycle < end; cycle++ {
+		last := grant
 		req := src.NextBits(grant)
 		grant = p.StepBits(req)
 
-		granted := grant.Count()
-		holder := grant.FirstSet()
-		if granted > 1 {
-			m.violate(cycle, "mutual-exclusion")
+		// A correct arbiter never meets this: two grants, a grant to a
+		// line not requesting, or grant presence unlike request presence.
+		if grant&(grant-1) != 0 || grant&^req != 0 || (req == 0) != (grant == 0) {
+			m.checkSafety(cycle, req, grant)
 		}
-		if grant&^req != 0 {
-			m.violate(cycle, "grant-implies-request")
-		}
-		if (req != 0) != (holder >= 0) {
-			m.violate(cycle, "work-conservation")
-		}
-		if req != 0 {
-			m.DemandCycles++
-		}
-		if holder >= 0 {
-			m.GrantedCycles++
-		}
+		// x|-x has its top bit set iff x != 0.
+		demand += int64(uint64(req|-req) >> 63)
+		busy += int64(uint64(grant|-grant) >> 63)
 
 		// Bookkeeping covers the policy's own lines only, so a broken
 		// stepper's stray high bits cannot index past Tasks.
 		grantN, reqN := grant&lanes, req&lanes
+		still := reqN &^ grantN
+		// Last cycle's one-hot (or empty) grant over the same waiting
+		// tasks: no service, wait or episode changes, and prevHolder is
+		// already this grant's holder.
+		if grant == last && still == waiting && grant&(grant-1) == 0 {
+			if grantN != 0 {
+				m.Tasks[prevHolder].Grants++
+			}
+			continue
+		}
+
+		holder := grant.FirstSet()
 		for s := grantN; s != 0; s &= s - 1 {
 			i := s.FirstSet()
 			t := &m.Tasks[i]
@@ -359,7 +386,6 @@ func (d *driver) advance(k int) {
 				m.WaitHist[histBucket(wait)]++
 			}
 		}
-		still := reqN &^ grantN
 		for s := waiting &^ still; s != 0; s &= s - 1 {
 			i := s.FirstSet()
 			m.Tasks[i].foldEpisodes(episodes - base[i])
@@ -374,6 +400,8 @@ func (d *driver) advance(k int) {
 		}
 		prevHolder = holder
 	}
+	m.DemandCycles += demand
+	m.GrantedCycles += busy
 	d.grant, d.waiting = grant, waiting
 	d.episodes, d.prevHolder = episodes, prevHolder
 	d.cycle += k

@@ -112,11 +112,23 @@ func TestWordGeneratorsMatchPerLane(t *testing.T) {
 // brokenPolicy corrupts a real policy's grant word on a fixed schedule
 // into what no correct arbiter emits: two grants, a grant to a line that
 // is not requesting, a grant on line N (past the policy's lines), or no
-// grant under demand.
+// grant under demand. Each kind corrupts on its own period; held ones
+// corrupt six cycles in a row of every sixteen, so a stray word can
+// repeat while the holder and the waiting tasks stay put.
 type brokenPolicy struct {
 	arbiter.Policy
 	kind  string
+	held  bool
 	cycle int
+}
+
+// due reports whether this cycle is one the kind corrupts: every
+// period-th cycle, or six of every sixteen when held.
+func (b *brokenPolicy) due(period int) bool {
+	if b.held {
+		return b.cycle%16 < 6
+	}
+	return b.cycle%period == 0
 }
 
 func (b *brokenPolicy) StepBits(req arbiter.BitVec) arbiter.BitVec {
@@ -124,15 +136,15 @@ func (b *brokenPolicy) StepBits(req arbiter.BitVec) arbiter.BitVec {
 	b.cycle++
 	n := b.N()
 	switch {
-	case b.kind == "two-grants" && b.cycle%7 == 0:
+	case b.kind == "two-grants" && b.due(7):
 		others := req &^ grant
 		grant |= others & -others
-	case b.kind == "non-requester" && b.cycle%5 == 0:
+	case b.kind == "non-requester" && b.due(5):
 		idle := arbiter.Mask(n) &^ req
 		grant |= idle & -idle
-	case b.kind == "line-n" && b.cycle%3 == 0 && n < arbiter.MaxN:
+	case b.kind == "line-n" && b.due(3) && n < arbiter.MaxN:
 		grant = arbiter.BitVec(1) << uint(n)
-	case b.kind == "starve" && b.cycle%13 != 0:
+	case b.kind == "starve" && !b.due(13):
 		grant = 0
 	}
 	return grant
@@ -501,5 +513,120 @@ func FuzzWordGenerators(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, shape, n uint8, seed uint64, grants []byte) {
 		checkWordGenerator(t, wordFuzzInput{shape, n, seed, grants})
+	})
+}
+
+// driveFuzzPolicies are the behavioral policies FuzzDriveMatchesReference
+// drives; the synthesized kinds are pinned by TestDriveMatchesPerLane.
+var driveFuzzPolicies = []string{"rr", "fifo", "priority", "random:1", "preemptive:4", "wrr:2", "hier:2"}
+
+// brokenKinds are brokenPolicy's corruptions.
+var brokenKinds = []string{"two-grants", "non-requester", "line-n", "starve"}
+
+// driveFuzzInput is one FuzzDriveMatchesReference case: a policy, a
+// shape (a named shape, or bernoulli:0.30 holding each job 1..64
+// cycles), a width, a seed, a broken stepper (0 for none, then each
+// kind on its own period and held), a run length, and the chunk sizes
+// the driver advances by, two bytes each, little-endian, reused in
+// turn.
+type driveFuzzInput struct {
+	policy, shape, n, broken uint8
+	seed                     uint64
+	cycles                   uint16
+	chunks                   []byte
+}
+
+// driveFuzzShapes are the named shapes; an input's shape index past them
+// picks NewBernoulli's hold.
+var driveFuzzShapes = append(DefaultWorkloads(), "silent")
+
+// driveFuzzSeeds is the seed corpus: chunk sizes 1, 7, 511, 512 and 513
+// (the last three straddle gridBlock), every policy, the longest hold at
+// N=64, and every broken kind, on its own period and held.
+func driveFuzzSeeds() []driveFuzzInput {
+	chunk := func(sizes ...uint16) []byte {
+		var b []byte
+		for _, s := range sizes {
+			b = append(b, byte(s), byte(s>>8))
+		}
+		return b
+	}
+	var in []driveFuzzInput
+	for i, size := range []uint16{1, 7, 511, 512, 513} {
+		for p := range driveFuzzPolicies {
+			in = append(in, driveFuzzInput{uint8(p), uint8(i + p), 5, 0, uint64(size), 1500, chunk(size)})
+		}
+		in = append(in, driveFuzzInput{0, uint8(len(driveFuzzShapes) + 63), 63, 0, 3, 2100, chunk(size, 3)})
+	}
+	for k := 1; k <= 2*len(brokenKinds); k++ {
+		in = append(in,
+			driveFuzzInput{0, uint8(k), 5, uint8(k), 9, 1100, chunk(511, 1)},
+			driveFuzzInput{5, uint8(len(driveFuzzShapes) + 15), 32, uint8(k), 4, 1100, chunk(7, 513)})
+	}
+	return in
+}
+
+// driveFuzzPair decodes an input into a fresh policy and generator and
+// reports false for a width the policy spec rejects.
+func driveFuzzPair(t *testing.T, in driveFuzzInput) (arbiter.Policy, Generator, bool) {
+	n := 1 + int(in.n)%arbiter.MaxN
+	p, err := arbiter.NewPolicy(driveFuzzPolicies[int(in.policy)%len(driveFuzzPolicies)], n)
+	if err != nil {
+		return nil, nil, false // below MinN, or hier:2 at odd N
+	}
+	var g Generator
+	if s := int(in.shape) % (len(driveFuzzShapes) + 64); s < len(driveFuzzShapes) {
+		g, err = NewGenerator(driveFuzzShapes[s], n, in.seed)
+	} else {
+		g, err = NewBernoulli(n, 0.30, 1+s-len(driveFuzzShapes), in.seed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := int(in.broken) % (2*len(brokenKinds) + 1); k > 0 {
+		p = &brokenPolicy{Policy: p, kind: brokenKinds[(k-1)/2], held: k%2 == 0}
+	}
+	return p, g, true
+}
+
+// checkDriveChunks is the property FuzzDriveMatchesReference drives: one
+// driver advanced in the input's chunks flushes to the Metrics the
+// frozen per-lane refDrive computes over a fresh policy and generator.
+func checkDriveChunks(t *testing.T, in driveFuzzInput) {
+	p, g, ok := driveFuzzPair(t, in)
+	if !ok {
+		t.Skip("width rejected by the policy spec")
+	}
+	cycles := 1 + int(in.cycles)%4096
+	d := newDriver(p, g, g, cycles)
+	for done, c := 0, 0; done < cycles; c++ {
+		k := cycles - done
+		if len(in.chunks) >= 2 {
+			i := 2 * (c % (len(in.chunks) / 2))
+			k = min(k, max(1, int(in.chunks[i])|int(in.chunks[i+1])<<8))
+		}
+		d.advance(k)
+		done += k
+	}
+	got := d.flush()
+	p, g, _ = driveFuzzPair(t, in)
+	if want := refDrive(p, g, cycles); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s × %s, %d cycles in chunks %v: the driver diverges from the per-lane loop\ndriver:   %+v\nper-lane: %+v",
+			got.Policy, got.Workload, cycles, in.chunks, got, want)
+	}
+}
+
+// FuzzDriveMatchesReference fuzzes policy, shape, width, seed, broken
+// stepper, run length and chunking through Drive's driver and holds its
+// flushed Metrics to the frozen per-lane refDrive: the grant-repeat fast
+// path, the lazy episode counts and the loop state carried between
+// advance calls must together give what the per-lane loop gives. Plain
+// `go test` runs the seed corpus; CI fuzzes it with a short -fuzztime.
+func FuzzDriveMatchesReference(f *testing.F) {
+	for _, in := range driveFuzzSeeds() {
+		f.Add(in.policy, in.shape, in.n, in.broken, in.seed, in.cycles, in.chunks)
+	}
+	f.Fuzz(func(t *testing.T, policy, shape, n, broken uint8, seed uint64, cycles uint16, chunks []byte) {
+		checkDriveChunks(t, driveFuzzInput{policy, shape, n, broken, seed, cycles, chunks})
 	})
 }

@@ -21,7 +21,8 @@
 // one bit of a BitVec, draws once or twice a cycle whatever the number
 // of tasks, and keeps its jobs as a busy mask, and both the generators
 // and Drive touch per-task state only for the tasks whose state changed
-// that cycle.
+// that cycle: when the grant word and the waiting tasks are last
+// cycle's, Drive adds one to the holder's grant count and nothing else.
 //
 // A generated shape's arrival draws never depend on grants, so an
 // evaluation grid draws a column's arrival words once for a group of its
